@@ -28,13 +28,7 @@ import numpy as np
 
 from .equilibria import EquilibriumRecord, _newton_support, _residual
 from .model import ModelParams, PARAM_TOKENS, ParameterError, _coeffs, _jac, with_param
-from .stability import (
-    MARGINAL_BAND,
-    MARGINAL_FLOOR,
-    StabilityReport,
-    classify,
-    eigenvalues_3x3,
-)
+from .stability import StabilityReport, _margin, classify, eigenvalues_3x3
 from .topology import apply_topology
 from .equilibria import find_all_equilibria
 
@@ -159,8 +153,7 @@ def hopf_candidate(params: ModelParams) -> tuple[float, str]:
 
 
 def _unstable_count(eigenvalues) -> int:
-    margin = max(MARGINAL_FLOOR,
-                 MARGINAL_BAND * max(abs(z) for z in eigenvalues))
+    margin = _margin(eigenvalues)
     return sum(1 for z in eigenvalues if z.real > margin)
 
 
@@ -236,14 +229,10 @@ def _detect_crossings(topo, params, param, a_val, b_val, eqs_a, eqs_b,
 
         fa, _, eig_a = re_at(a_val)
         fb, _, eig_b = re_at(b_val)
-        band_a = max(MARGINAL_FLOOR,
-                     MARGINAL_BAND * max(abs(z) for z in eig_a))
-        band_b = max(MARGINAL_FLOOR,
-                     MARGINAL_BAND * max(abs(z) for z in eig_b))
-        if abs(fa) <= band_a:
+        if abs(fa) <= _margin(eig_a):
             # A grid value landed on the crossing itself.
             lo = hi = a_val
-        elif abs(fb) <= band_b:
+        elif abs(fb) <= _margin(eig_b):
             lo = hi = b_val
         elif fa * fb > 0.0:
             # The count changed but the idx-th real part does not

@@ -14,7 +14,9 @@ optional ``topology``/``seed`` and per-command option blocks).  Parsing
 collects every violated invariant before failing, and a parsed
 configuration re-serializes to a canonical form that is byte-identical
 across runs.  Exit codes: 0 success, 1 property failure, 2 usage or
-configuration error.
+configuration error, 3 numerical failure (a solver did not converge, a
+bracket or the oracle cross-check failed, or the integrator's step
+underflowed).
 """
 
 from __future__ import annotations
@@ -29,9 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bifurcation import sweep as _sweep
-from .equilibria import ADMITTED_LABELS, find_all_equilibria
+from .equilibria import (
+    ADMITTED_LABELS,
+    BracketError,
+    ConsistencyError,
+    ConvergenceError,
+    find_all_equilibria,
+)
 from .model import PARAM_TOKENS, ModelParams, ParameterError
-from .simulate import basin_sample, integrate
+from .simulate import StepUnderflowError, basin_sample, integrate
 from .stability import classify
 from .topology import (
     InadmissibleArcsError,
@@ -414,7 +422,8 @@ def cmd_sweep(args) -> tuple[str, int]:
     param = args.param or (base.param if base else None)
     lo = args.lo if args.lo is not None else (base.lo if base else None)
     hi = args.hi if args.hi is not None else (base.hi if base else None)
-    steps = args.steps or (base.steps if base else None)
+    steps = args.steps if args.steps is not None else (
+        base.steps if base else None)
     missing = [n for n, v in (("param", param), ("lo", lo), ("hi", hi),
                               ("steps", steps)) if v is None]
     if missing:
@@ -474,7 +483,7 @@ def cmd_basin(args) -> tuple[str, int]:
     cfg = load_config(args.config)
     topo, params, seed = _resolve(cfg, args)
     opts = cfg.basin or BasinOptions()
-    samples = args.samples or opts.samples
+    samples = args.samples if args.samples is not None else opts.samples
     fractions = basin_sample(topo, params, n=int(samples), seed=seed,
                              t_end=opts.t_end, match_tol=opts.match_tol)
     doc = {
@@ -491,7 +500,7 @@ def cmd_basin(args) -> tuple[str, int]:
 def cmd_verify(args) -> tuple[str, int]:
     """Run the property battery; exit 1 if anything fails."""
     seed = args.seed if args.seed is not None else 0
-    n = args.samples or 200
+    n = args.samples if args.samples is not None else 200
     results = run_battery(seed=seed, n=n)
     lines = [f"# seed={seed} n={n}"]
     for res in results:
@@ -503,6 +512,19 @@ def cmd_verify(args) -> tuple[str, int]:
 
 
 # ------------------------------------------------------------------- main
+
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= minimum:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= {minimum}, got {text!r}")
+    return parse
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -520,7 +542,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--topology", choices=TOPOLOGIES,
                            help="override the config topology token")
         if seeded:
-            p.add_argument("--seed", type=int, default=None,
+            p.add_argument("--seed", type=_at_least(0), default=None,
                            help="RNG seed (default 0; echoed in output)")
         p.add_argument("--out", help="write output here instead of stdout")
         return p
@@ -535,7 +557,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="parameter token to sweep")
     p.add_argument("--lo", type=float, help="sweep lower bound")
     p.add_argument("--hi", type=float, help="sweep upper bound")
-    p.add_argument("--steps", type=int, help="number of grid values")
+    p.add_argument("--steps", type=_at_least(2),
+                   help="number of grid values")
 
     p = add("simulate", cmd_simulate, "integrate one trajectory (CSV)",
             config=True, seeded=True)
@@ -544,11 +567,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("basin", cmd_basin, "basin fractions from scattered starts",
             config=True, seeded=True)
-    p.add_argument("--samples", type=int, default=None,
-                   help="number of starting points (default 200)")
+    p.add_argument("--samples", type=_at_least(1), default=None,
+                   help="number of starting points (default from config "
+                        "or 200)")
 
     p = add("verify", cmd_verify, "run the property battery", seeded=True)
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=_at_least(1), default=None,
                    help="draws per property (default 200)")
     return parser
 
@@ -562,6 +586,10 @@ def main(argv: list[str] | None = None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ConsistencyError, ConvergenceError, BracketError,
+            StepUnderflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -26,8 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import qmc
 
 from .model import ModelParams, _coeffs, _jac, _rhs
 from .topology import apply_topology
@@ -131,6 +129,97 @@ def _make_record(c, point, label, conditions_ok: bool = True) -> EquilibriumReco
     res = _residual(c, p[0], p[1], p[2])
     return EquilibriumRecord(point=p, label=label, feasible=signs_ok and conditions_ok,
                              residual=res)
+
+
+# ---------------------------------------------------------------------------
+# Sampling and scalar root finding.
+# ---------------------------------------------------------------------------
+
+
+def _halton(d: int, n: int, seed: int) -> np.ndarray:
+    """First ``n`` points of a scrambled Halton sequence in [0, 1)^d, d ≤ 3.
+
+    Owen's random digit scrambling (Owen 2017, "A randomized Halton
+    algorithm", Algorithm 1): base 2, 3, 5 per coordinate, one random
+    permutation of the digits 0..base-1 per digit position, down to
+    double-precision depth.  Equal seeds give bit-identical points: the
+    permutations come row by row from one ``default_rng(seed)`` stream
+    and the digit terms are summed left to right.
+    """
+    rng = np.random.default_rng(seed)
+    index = np.arange(n)
+    cols = []
+    for base in (2, 3, 5)[:d]:
+        depth = math.ceil(54 / math.log2(base)) - 1
+        perms = rng.permuted(np.tile(np.arange(base), (depth, 1)), axis=1)
+        digits = index[:, None] // base ** np.arange(depth) % base
+        # Running quotients, not base**-j: the two differ in the last bit.
+        weights = np.empty(depth)
+        binv = 1.0 / base
+        for j in range(depth):
+            weights[j] = binv
+            binv /= base
+        terms = perms[np.arange(depth), digits] * weights
+        cols.append(np.add.accumulate(terms, axis=1)[:, -1])
+    return np.stack(cols, axis=1)
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """Root of ``f`` bracketed by ``[a, b]`` by Brent's method.
+
+    Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4:
+    secant or inverse quadratic steps, falling back to bisection when a
+    step is not short enough.  Converged once half the bracket is below
+    ``(xtol + rtol·|x|)/2``.
+
+    Raises
+    ------
+    BracketError
+        If ``f(a)`` and ``f(b)`` have the same sign.
+    ConvergenceError
+        If ``maxiter`` iterations do not converge.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise BracketError(f"f({a}) and f({b}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):  # fpre is never 0 here
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise ConvergenceError(
+        f"Brent's method did not converge in {maxiter} iterations "
+        f"(last x {xcur})")
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +462,7 @@ def _parabola_intersection(qa, qb, scale: float):
         hi *= 2.0
     else:  # pragma: no cover - quartic growth guarantees a sign change
         raise BracketError("parabola intersection bracket expansion failed")
-    x = brentq(F, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    x = _brentq(F, lo, hi, xtol=1e-15, rtol=8.9e-16)
     return x, max(0.0, fa(x))
 
 
@@ -446,21 +535,12 @@ def coexistence_by_construction(params: ModelParams,
             )
     if g(H) >= 0.0:
         raise BracketError(f"g({H}) >= 0; bracket [0, H] contains no sign change")
-    h_star = brentq(g, lo, H, xtol=h_tol, rtol=8.9e-16)
+    h_star = _brentq(g, lo, H, xtol=h_tol, rtol=8.9e-16)
     p1, p2 = line_point(h_star)
     point = np.array([p1, p2, h_star])
     return EquilibriumRecord(point=point, label="COEX",
                              feasible=bool(np.min(point) >= -FEASIBLE_TOL),
                              residual=_residual(c, p1, p2, h_star))
-
-
-def _line_point_for_tests(params: ModelParams, h: float):
-    """Expose Q_h (the parabola intersection at height h) for testing."""
-    c = _coeffs(params)
-    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
-    qa = (r1 / (k1 * m12), (o1 - r1) / m12, -m13 * h / m12)
-    qb = (r2 / (k2 * m21), (o2 - r2) / m21, -m23 * h / m21)
-    return _parabola_intersection(qa, qb, max(k1, k2, k3))
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +731,7 @@ def brute_force_equilibria(params: ModelParams, n_starts: int = 64,
     scale = max(1.0, box)
     found: list[tuple] = [(0.0, 0.0, 0.0)]  # the origin is always a root
 
-    interior = qmc.Halton(d=3, scramble=True, seed=seed).random(n_starts) * box
+    interior = _halton(3, n_starts, seed) * box
     corners = [(a, b, d) for a in (0.0, box) for b in (0.0, box) for d in (0.0, box)]
     for x0 in list(interior) + corners:
         got = _newton_full(c, tuple(x0), tol, 60)
@@ -660,7 +740,7 @@ def brute_force_equilibria(params: ModelParams, n_starts: int = 64,
 
     faces = ((0, 1), (0, 2), (1, 2))
     for fi, free in enumerate(faces):
-        plane = qmc.Halton(d=2, scramble=True, seed=seed * 8 + fi + 1).random(12) * box
+        plane = _halton(2, 12, seed * 8 + fi + 1) * box
         starts = [tuple(row) for row in plane]
         starts += [(box, box), (box, 0.25 * box), (0.25 * box, box)]
         for s in starts:

@@ -18,9 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
-from .equilibria import find_all_equilibria
+from .equilibria import _halton, find_all_equilibria
 from .model import ModelParams, _coeffs, _rhs, as_state
 from .topology import apply_topology
 
@@ -189,7 +188,7 @@ def basin_sample(topo: str, params: ModelParams, n: int, seed: int,
     params = apply_topology(params, topo)
     known = find_all_equilibria(topo, params, seed=seed)
     box = 2.0 * float(np.max(params.k))
-    starts = qmc.Halton(d=3, scramble=True, seed=seed).random(n) * box
+    starts = _halton(3, n, seed) * box
     starts = np.maximum(starts, 1e-9 * box)
 
     counts: dict[str, int] = {}

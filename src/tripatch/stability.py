@@ -180,8 +180,13 @@ def routh_hurwitz(c: CharacteristicCoefficients) -> bool:
     return a1 > 0.0 and a3 > 0.0 and a1 * a2 > a3
 
 
+def _margin(eigenvalues) -> float:
+    """Half-width of the MARGINAL band: real parts within it count as zero."""
+    return max(MARGINAL_FLOOR, MARGINAL_BAND * max(abs(z) for z in eigenvalues))
+
+
 def _classification(eigenvalues) -> str:
-    margin = max(MARGINAL_FLOOR, MARGINAL_BAND * max(abs(z) for z in eigenvalues))
+    margin = _margin(eigenvalues)
     res = [z.real for z in eigenvalues]
     if all(x < -margin for x in res):
         return "STABLE"
@@ -351,20 +356,6 @@ _CONDITION_TABLE = {
     ("CONVERGE", "COEX"): _rows_conv_coex,
     ("DIVERGE", "Z3"): _rows_div_z3,
     ("DIVERGE", "COEX"): _rows_div_coex,
-}
-
-#: (topology, label) pairs whose instability is carried by one explicit
-#: positive eigenvalue regardless of parameters (an empty patch with an
-#: intact growth rate).  Used by the consistency tests.
-ALWAYS_UNSTABLE = {
-    ("EX2N", "ORIGIN"): "r2",
-    ("EX8", "ORIGIN"): "r1",
-    ("EX6", "ORIGIN"): "r1",
-    ("CHAIN", "ORIGIN"): "r3",
-    ("CONVERGE", "ORIGIN"): "r2",
-    ("DIVERGE", "ORIGIN"): "r1",
-    ("DIVERGE", "Z1"): "r3",
-    ("DIVERGE", "Z2"): "r1",
 }
 
 

@@ -34,7 +34,7 @@ from .topology import (
     iter_arc_sets,
 )
 
-__all__ = ["PropertyResult", "run_battery"]
+__all__ = ["PropertyResult", "draw_params", "run_battery"]
 
 STRONGLY_CONNECTED = ("FULL", "EX2", "HUB0", "EX3", "EX1")
 
@@ -46,12 +46,15 @@ class PropertyResult:
     detail: str
 
 
-def _draw_params(rng) -> ModelParams:
-    r = rng.uniform(0.1, 5.0, 3)
-    k = rng.uniform(0.1, 5.0, 3)
-    m = rng.uniform(0.0, 2.0, (3, 3))
+def draw_params(rng, m_lo: float = 0.0, m_hi: float = 2.0) -> ModelParams:
+    """One random parameter set: r, k in [0.1, 5], rates in [m_lo, m_hi].
+
+    Draws m, then r, then k from ``rng``; every seeded scan in the
+    battery and the tests relies on that order.
+    """
+    m = rng.uniform(m_lo, m_hi, (3, 3))
     np.fill_diagonal(m, 0)
-    return ModelParams(r, k, m)
+    return ModelParams(rng.uniform(0.1, 5.0, 3), rng.uniform(0.1, 5.0, 3), m)
 
 
 def check_topology_census(seed: int, n: int) -> PropertyResult:
@@ -81,7 +84,7 @@ def check_existence_theorem(seed: int, n: int) -> PropertyResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(n):
-        p = _draw_params(rng)
+        p = draw_params(rng)
         a = newton_coexistence(p)
         b = coexistence_by_construction(p)
         gap = float(np.max(np.abs(a.point - b.point)))
@@ -101,7 +104,7 @@ def check_oracle_equivalence(seed: int, n: int) -> PropertyResult:
     per = max(2, n // len(TOPOLOGIES))
     for topo in TOPOLOGIES:
         for i in range(per):
-            p = _draw_params(rng)
+            p = draw_params(rng)
             try:
                 recs = find_all_equilibria(topo, p, seed=i)
             except Exception as exc:  # ConsistencyError and kin
@@ -131,7 +134,7 @@ def check_classifier_consistency(seed: int, n: int) -> PropertyResult:
     checked = 0
     for topo in TOPOLOGIES:
         for i in range(per):
-            p = apply_topology(_draw_params(rng), topo)
+            p = apply_topology(draw_params(rng), topo)
             for rec in find_all_equilibria(topo, p, seed=i):
                 if not rec.feasible:
                     continue
@@ -208,7 +211,7 @@ def check_jacobian_fd(seed: int, n: int) -> PropertyResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(n):
-        p = _draw_params(rng)
+        p = draw_params(rng)
         # Interior states only: the downward FD probe must stay >= 0.
         x = rng.uniform(0.01, 10.0, 3)
         jac = model.jacobian(p, x)

@@ -1,17 +1,6 @@
-"""Shared helpers: seeded parameter draws in the standard scan box."""
+"""Suite hooks: the acceptance verdict summary."""
 
 from __future__ import annotations
-
-import numpy as np
-
-from tripatch.model import ModelParams
-
-
-def draw_params(rng, m_lo: float = 0.0, m_hi: float = 2.0) -> ModelParams:
-    """One random parameter set: r, k in [0.1, 5], rates in [m_lo, m_hi]."""
-    m = rng.uniform(m_lo, m_hi, (3, 3))
-    np.fill_diagonal(m, 0)
-    return ModelParams(rng.uniform(0.1, 5.0, 3), rng.uniform(0.1, 5.0, 3), m)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

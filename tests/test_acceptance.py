@@ -17,7 +17,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import draw_params
 from tripatch.bifurcation import hopf_candidate, sweep
 from tripatch.equilibria import (
     brute_force_equilibria,
@@ -43,6 +42,7 @@ from tripatch.topology import (
     is_strongly_connected,
     iter_arc_sets,
 )
+from tripatch.verification import draw_params
 
 STRONG = ("FULL", "EX2", "HUB0", "EX3", "EX1")
 

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import draw_params
 from tripatch.bifurcation import (
     Crossing,
     SweepRecord,
@@ -19,6 +18,7 @@ from tripatch.equilibria import find_all_equilibria
 from tripatch.model import ModelParams, ParameterError, with_param
 from tripatch.stability import classify
 from tripatch.topology import apply_topology
+from tripatch.verification import draw_params
 
 
 def ex1_ring(rate: float = 2.0) -> ModelParams:

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+import tripatch.cli
 import tripatch.model
 from tripatch.cli import (
     ConfigError,
@@ -17,7 +18,14 @@ from tripatch.cli import (
     main,
     parse_config,
 )
+from tripatch.equilibria import (
+    BracketError,
+    ConsistencyError,
+    ConvergenceError,
+    SingularJacobianError,
+)
 from tripatch.model import ModelParams
+from tripatch.simulate import StepUnderflowError
 
 
 def symmetric_doc() -> dict:
@@ -356,3 +364,45 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--config", cfg, "--topology", "RING"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, flag, minimum", [
+        (["basin", "--samples", "0"], "--samples", 1),
+        (["verify", "--samples", "0"], "--samples", 1),
+        (["sweep", "--steps", "1"], "--steps", 2),
+        (["analyze", "--seed", "-1"], "--seed", 0),
+    ])
+    def test_out_of_range_flag_is_named(self, capsys, tmp_path, argv, flag,
+                                        minimum):
+        # An explicit value is never swapped for the default: a value
+        # below the minimum is a usage error naming the flag.
+        if argv[0] != "verify":
+            argv += ["--config", write_config(tmp_path, symmetric_doc())]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert (f"error: argument {flag}: expected an integer >= {minimum}"
+                in capsys.readouterr().err)
+
+
+class TestNumericalFailures:
+    @pytest.mark.parametrize("verb, callee, error", [
+        ("analyze", "find_all_equilibria", ConsistencyError),
+        ("sweep", "_sweep", ConvergenceError),
+        ("basin", "basin_sample", SingularJacobianError),
+        ("verify", "run_battery", BracketError),
+        ("simulate", "integrate", StepUnderflowError),
+    ])
+    def test_exit_code_3_without_traceback(self, capsys, monkeypatch,
+                                           tmp_path, verb, callee, error):
+        def fail(*args, **kwargs):
+            raise error("injected failure")
+
+        monkeypatch.setattr(tripatch.cli, callee, fail)
+        argv = [verb]
+        if verb != "verify":
+            doc = symmetric_doc()
+            doc["sweep"] = {"param": "r2", "lo": 0.5, "hi": 1.5, "steps": 3}
+            argv += ["--config", write_config(tmp_path, doc)]
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err == "error: injected failure\n"

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import draw_params
 from tripatch.equilibria import (
     ADMITTED_LABELS,
     DEDUP_TOL,
@@ -20,6 +19,7 @@ from tripatch.equilibria import (
 )
 from tripatch.model import ModelParams, rhs, with_param
 from tripatch.topology import TOPOLOGIES, apply_topology
+from tripatch.verification import draw_params
 
 rates = st.floats(0.1, 5.0)
 migrations = st.floats(0.0, 2.0)

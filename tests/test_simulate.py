@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import draw_params
 from tripatch.model import ModelParams
 from tripatch.simulate import Trajectory, basin_sample, integrate
+from tripatch.verification import draw_params
 
 
 def logistic_exact(r, k, p0, t):

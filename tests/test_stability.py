@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import draw_params
 from tripatch.equilibria import EquilibriumRecord, find_all_equilibria
 from tripatch.model import ModelParams, with_param
 from tripatch.stability import (
@@ -20,6 +19,7 @@ from tripatch.stability import (
     sign_conditions,
 )
 from tripatch.topology import TOPOLOGIES, apply_topology
+from tripatch.verification import draw_params
 
 
 def sorted_eigs(j):
