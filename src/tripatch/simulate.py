@@ -10,11 +10,23 @@ max-norm stays below 1e-9·(1 + ‖state‖) for ten consecutive accepted
 steps — a steady-state test on the flow itself, which stays reliable
 even when a slow eigenvalue makes state increments tiny long before an
 equilibrium is reached.
+
+The stepper is written twice: in scalar form (``_advance``, behind
+``integrate``) and batched over starts (``_integrate_lanes``, behind
+``basin_sample``).  The batch holds each start as a lane with its own
+time, step, stage cache and steady-state streak, and accepts, rejects and
+retires lanes by mask.  Every lane performs the scalar stepper's float
+operations in the same order (Python's ``**`` for the controller powers,
+Python's ``max``/``min`` tie rules), so each start ends in the same
+terminal state as ``integrate`` from it, bit for bit.  The last few live
+lanes finish in ``_advance``, because a handful of slow starts would
+otherwise keep a nearly empty batch stepping.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +57,11 @@ SLOW_TOL = 1e-5
 #: only for hand-built pathological inputs).
 DIVERGE_NORM = 1e12
 
+#: ``_integrate_lanes`` finishes its last this-many live lanes one at a
+#: time: a few starts take ~40x the median step count, and a batch of a
+#: handful of lanes costs more per step than the scalar stepper.
+HANDOFF_LANES = 8
+
 # Dormand–Prince 5(4) tableau (Hairer, Nørsett & Wanner, 2nd ed., p. 178).
 _A2 = (1 / 5,)
 _A3 = (3 / 40, 9 / 40)
@@ -74,26 +91,43 @@ class Trajectory:
     terminal: str
 
 
+def _check_run(t_end: float, rel_tol: float, abs_tol: float) -> None:
+    """Reject a horizon or a tolerance that is not finite and positive."""
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"t_end must be finite and positive, got {t_end}")
+    if not all(math.isfinite(v) and v > 0.0 for v in (rel_tol, abs_tol)):
+        raise ValueError("tolerances must be finite and positive")
+
+
 def integrate(params: ModelParams, x0, t_end: float, rel_tol: float = 1e-8,
               abs_tol: float = 1e-10) -> Trajectory:
     """Integrate the flow from ``x0`` for up to ``t_end`` time units."""
-    if not (t_end > 0.0):
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if not (rel_tol > 0.0 and abs_tol > 0.0):
-        raise ValueError("tolerances must be positive")
+    _check_run(t_end, rel_tol, abs_tol)
     y = tuple(float(v) for v in np.maximum(as_state(x0), 0.0))
     c = _coeffs(params)
-
-    times = [0.0]
-    states = [y]
-    t = 0.0
     k1 = _rhs(c, *y)
     scale0 = 1.0 + max(abs(v) for v in y)
     f0 = max(abs(v) for v in k1)
     h = min(t_end, 0.01 * scale0 / (1.0 + f0))
+    terminal, _, times, states = _advance(c, 0.0, y, k1, h, 0, math.inf,
+                                          t_end, rel_tol, abs_tol, True)
+    return Trajectory(times=np.array(times), states=np.array(states),
+                      terminal=terminal)
+
+
+def _advance(c: tuple, t: float, y: tuple, k1: tuple, h: float, streak: int,
+             prev_rhs: float, t_end: float, rel_tol: float, abs_tol: float,
+             record: bool) -> tuple[str, tuple, list, list]:
+    """Step one trajectory from a step attempt's state to its terminus.
+
+    ``k1`` is the rhs at ``y`` (first-same-as-last), ``h`` the step to
+    try next, ``streak`` the count of consecutive small-rhs steps and
+    ``prev_rhs`` the rhs norm of the last accepted step.  Returns
+    ``(terminal, y, times, states)``; with ``record`` the lists hold the
+    given state and every accepted one, otherwise they are empty.
+    """
+    times, states = ([t], [y]) if record else ([], [])
     h_min = 1e-14 * t_end
-    streak = 0
-    prev_rhs = math.inf
     terminal = "MAX_TIME"
 
     while t < t_end:
@@ -141,8 +175,9 @@ def integrate(params: ModelParams, x0, t_end: float, rel_tol: float = 1e-8,
         t += h
         y = y_new
         k1 = k7  # first-same-as-last
-        times.append(t)
-        states.append(y)
+        if record:
+            times.append(t)
+            states.append(y)
 
         norm = max(abs(v) for v in y)
         if not all(math.isfinite(v) for v in y) or norm > DIVERGE_NORM:
@@ -167,8 +202,150 @@ def integrate(params: ModelParams, x0, t_end: float, rel_tol: float = 1e-8,
         prev_rhs = rhs_norm
         h *= grow
 
-    return Trajectory(times=np.array(times), states=np.array(states),
-                      terminal=terminal)
+    return terminal, y, times, states
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Python's ``max`` over each row of an (n, 3) array.
+
+    Like ``max(a, b)``, a later entry wins only if it is greater, so a
+    NaN after the first entry is skipped where ``np.max`` would return it.
+    """
+    m = a[:, 0]
+    for j in (1, 2):
+        m = np.where(a[:, j] > m, a[:, j], m)
+    return m
+
+
+def _row_min(a: np.ndarray) -> np.ndarray:
+    """Python's ``min`` over each row of an (n, 3) array (see _row_max)."""
+    m = a[:, 0]
+    for j in (1, 2):
+        m = np.where(a[:, j] < m, a[:, j], m)
+    return m
+
+
+def _inv_fifth_root(x: np.ndarray) -> np.ndarray:
+    """``x ** -0.2`` by Python's float power, which NumPy's can miss by an ulp."""
+    return np.array([v ** -0.2 for v in x.tolist()])
+
+
+def _integrate_lanes(c: tuple, starts: np.ndarray, t_end: float,
+                     rel_tol: float, abs_tol: float
+                     ) -> tuple[list[str], np.ndarray]:
+    """Integrate each nonnegative row of ``starts`` as one lane of a batch.
+
+    Every lane repeats :func:`_advance`'s arithmetic operation for
+    operation, so its terminal and end state equal those of
+    :func:`integrate` bit for bit.  Lanes retire as they end; once at
+    most ``HANDOFF_LANES`` are live, each finishes in :func:`_advance`.
+    Returns the terminals and the (n, 3) end states, in row order.
+    """
+    n = len(starts)
+    r, k, o = np.array(c[0:3]), np.array(c[3:6]), np.array(c[12:15])
+    # f_i = r_i·p_i·(1 - p_i/k_i) + m_ia·p_a + m_ib·p_b - o_i·p_i, with
+    # (a, b) the other two patches in _rhs's order.
+    m12, m13, m21, m23, m31, m32 = c[6:12]
+    ma, mb = np.array([m12, m21, m31]), np.array([m13, m23, m32])
+    ia, ib = [1, 0, 0], [2, 2, 1]
+
+    def rhs(p):
+        return r * p * (1.0 - p / k) + ma * p[:, ia] + mb * p[:, ib] - o * p
+
+    terminals: list[str] = [""] * n
+    ends = np.empty((n, 3))
+    lane = np.arange(n)
+    y = np.array(starts, dtype=float)
+    k1 = rhs(y)
+    h = 0.01 * (1.0 + _row_max(np.abs(y))) / (1.0 + _row_max(np.abs(k1)))
+    h = np.where(h < t_end, h, t_end)
+    t = np.zeros(n)
+    streak = np.zeros(n, dtype=int)
+    prev_rhs = np.full(n, math.inf)
+    h_min = 1e-14 * t_end
+
+    while len(lane) > HANDOFF_LANES:
+        left = t_end - t
+        h = np.where(left < h, left, h)
+        if (h < h_min).any():
+            i = int(np.argmax(h < h_min))
+            raise StepUnderflowError(f"step size {h[i]:.3e} fell below "
+                                     f"{h_min:.3e} at t={t[i]:.6g}")
+
+        hc = h[:, None]
+        k2 = rhs(y + hc * _A2[0] * k1)
+        k3 = rhs(y + hc * (_A3[0] * k1 + _A3[1] * k2))
+        k4 = rhs(y + hc * (_A4[0] * k1 + _A4[1] * k2 + _A4[2] * k3))
+        k5 = rhs(y + hc * (_A5[0] * k1 + _A5[1] * k2 + _A5[2] * k3
+                           + _A5[3] * k4))
+        k6 = rhs(y + hc * (_A6[0] * k1 + _A6[1] * k2 + _A6[2] * k3
+                           + _A6[3] * k4 + _A6[4] * k5))
+        y_new = y + hc * (_B[0] * k1 + _B[2] * k3 + _B[3] * k4 + _B[4] * k5
+                          + _B[5] * k6)
+        k7 = rhs(y_new)
+
+        e = hc * (_E[0] * k1 + _E[2] * k3 + _E[3] * k4 + _E[4] * k5
+                  + _E[5] * k6 + _E[6] * k7)
+        ay, ay_new = np.abs(y), np.abs(y_new)
+        q = np.abs(e) / (abs_tol + rel_tol * np.where(ay_new > ay, ay_new,
+                                                      ay))
+        err = np.zeros(len(lane))
+        for j in range(3):
+            err = np.where(q[:, j] > err, q[:, j], err)
+
+        low = _row_min(y_new)
+        out = low < -abs_tol
+        reject = (err > 1.0) | out
+        factor = np.full(len(lane), 0.5)
+        by_err = reject & ~out
+        if by_err.any():
+            g = 0.9 * _inv_fifth_root(err[by_err])
+            factor[by_err] = np.where(g > 0.2, g, 0.2)
+        factor = np.where(0.9 < factor, 0.9, factor)
+
+        acc = ~reject
+        clamp = acc & (low < 0.0)
+        if clamp.any():
+            y_new[clamp] = np.where(y_new[clamp] > 0.0, y_new[clamp], 0.0)
+            k7[clamp] = rhs(y_new[clamp])
+        t = np.where(acc, t + h, t)
+        y = np.where(acc[:, None], y_new, y)
+        k1 = np.where(acc[:, None], k7, k1)
+
+        norm = _row_max(np.abs(y))
+        diverged = acc & (~np.isfinite(y).all(axis=1) | (norm > DIVERGE_NORM))
+        rhs_norm = _row_max(np.abs(k1))
+        small = rhs_norm < RHS_TOL * (1.0 + norm)
+        streak = np.where(acc, np.where(small, streak + 1, 0), streak)
+        steady = acc & small & (streak >= STEADY_STEPS)
+
+        if acc.any():
+            g = 0.9 * _inv_fifth_root(err[acc] + 1e-16)
+            g = np.where(g > 0.2, g, 0.2)
+            grow = np.where(g < 5.0, g, 5.0)
+            cap = np.where(rhs_norm[acc] < 0.999 * prev_rhs[acc], 1.0, 0.7)
+            slow = rhs_norm[acc] < SLOW_TOL * (1.0 + norm[acc])
+            factor[acc] = np.where(slow & (cap < grow), cap, grow)
+            prev_rhs = np.where(acc, rhs_norm, prev_rhs)
+        h = h * factor
+
+        done = diverged | steady | (t >= t_end)
+        if done.any():
+            for i in np.flatnonzero(done).tolist():
+                terminals[lane[i]] = ("DIVERGED" if diverged[i] else
+                                      "STEADY" if steady[i] else "MAX_TIME")
+            ends[lane[done]] = y[done]
+            keep = ~done
+            lane, t, y, k1, h = lane[keep], t[keep], y[keep], k1[keep], h[keep]
+            streak, prev_rhs = streak[keep], prev_rhs[keep]
+
+    for i, j in enumerate(lane.tolist()):
+        terminals[j], end, _, _ = _advance(
+            c, float(t[i]), tuple(y[i].tolist()), tuple(k1[i].tolist()),
+            float(h[i]), int(streak[i]), float(prev_rhs[i]), t_end, rel_tol,
+            abs_tol, False)
+        ends[j] = end
+    return terminals, ends
 
 
 def basin_sample(topo: str, params: ModelParams, n: int, seed: int,
@@ -185,24 +362,25 @@ def basin_sample(topo: str, params: ModelParams, n: int, seed: int,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _check_run(t_end, rel_tol, abs_tol)
+    if not (math.isfinite(match_tol) and match_tol >= 0.0):
+        raise ValueError(
+            f"match_tol must be finite and >= 0, got {match_tol}")
     params = apply_topology(params, topo)
     known = find_all_equilibria(topo, params, seed=seed)
     box = 2.0 * float(np.max(params.k))
     starts = _halton(3, n, seed) * box
     starts = np.maximum(starts, 1e-9 * box)
 
-    counts: dict[str, int] = {}
-    for row in starts:
-        traj = integrate(params, row, t_end, rel_tol=rel_tol, abs_tol=abs_tol)
-        if traj.terminal != "STEADY":
-            key = traj.terminal
-        else:
-            end = traj.states[-1]
-            best, dist = None, math.inf
-            for rec in known:
-                d = float(np.max(np.abs(rec.point - end)))
-                if d < dist:
-                    best, dist = rec.label, d
-            key = best if dist <= match_tol else "UNMATCHED"
-        counts[key] = counts.get(key, 0) + 1
+    keys, ends = _integrate_lanes(_coeffs(params), starts, t_end, rel_tol,
+                                  abs_tol)
+    steady = [i for i, key in enumerate(keys) if key == "STEADY"]
+    if steady:
+        points = np.array([rec.point for rec in known])
+        dist = np.max(np.abs(points - ends[steady][:, None, :]), axis=2)
+        # argmin takes the first of equal distances, as a strict '<' scan.
+        best = np.argmin(dist, axis=1).tolist()
+        for i, j, d in zip(steady, best, dist.min(axis=1).tolist()):
+            keys[i] = known[j].label if d <= match_tol else "UNMATCHED"
+    counts = Counter(keys)
     return {label: cnt / n for label, cnt in sorted(counts.items())}

@@ -315,6 +315,13 @@ class TestSimulateCommand:
         assert code == 0
         assert "terminal=MAX_TIME" in out.split("\n", 1)[0]
 
+    def test_infinite_t_end_is_a_usage_error(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, symmetric_doc())
+        code, out, err = run(capsys, ["simulate", "--config", cfg,
+                                      "--t-end", "inf"])
+        assert code == 2 and out == ""
+        assert "t_end must be finite" in err
+
 
 class TestBasinCommand:
     def test_symmetric_basin_is_pure(self, capsys, tmp_path):

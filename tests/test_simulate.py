@@ -7,8 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from tripatch.model import ModelParams
-from tripatch.simulate import Trajectory, basin_sample, integrate
+from tripatch.equilibria import _halton, find_all_equilibria
+from tripatch.model import ModelParams, _coeffs
+from tripatch.simulate import (HANDOFF_LANES, StepUnderflowError, Trajectory,
+                               _integrate_lanes, basin_sample, integrate)
+from tripatch.topology import apply_topology
 from tripatch.verification import draw_params
 
 
@@ -82,12 +85,90 @@ class TestIntegrate:
             integrate(p, [1, 1, 1], t_end=0.0)
         with pytest.raises(ValueError, match="tolerances"):
             integrate(p, [1, 1, 1], t_end=1.0, rel_tol=-1e-8)
+        for t_end in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="t_end"):
+                integrate(p, [1, 1, 1], t_end=t_end)
+        for tols in ({"rel_tol": math.inf}, {"abs_tol": math.nan}):
+            with pytest.raises(ValueError, match="tolerances"):
+                integrate(p, [1, 1, 1], t_end=1.0, **tols)
         with pytest.raises(ValueError):
             integrate(p, [1, 1], t_end=1.0)
 
     def test_negative_start_is_rejected(self):
         with pytest.raises(ValueError):
             integrate(symmetric_full(), [-0.5, 1.0, 1.0], t_end=1.0)
+
+
+def scalar_basin(topo, params, n, seed):
+    """basin_sample at its default tolerances, one integrate per start."""
+    params = apply_topology(params, topo)
+    known = find_all_equilibria(topo, params, seed=seed)
+    box = 2.0 * float(np.max(params.k))
+    counts = {}
+    for row in np.maximum(_halton(3, n, seed) * box, 1e-9 * box):
+        traj = integrate(params, row, 2000.0, rel_tol=1e-6, abs_tol=1e-9)
+        key = traj.terminal
+        if key == "STEADY":
+            dist = [float(np.max(np.abs(rec.point - traj.states[-1])))
+                    for rec in known]
+            best = int(np.argmin(dist))
+            key = known[best].label if dist[best] <= 1e-4 else "UNMATCHED"
+        counts[key] = counts.get(key, 0) + 1
+    return {label: cnt / n for label, cnt in sorted(counts.items())}
+
+
+class TestLanes:
+    """The batched stepper against scalar integrate, start by start."""
+
+    @staticmethod
+    def assert_lanes_match(p, starts, t_end, rel_tol, abs_tol):
+        terminals, ends = _integrate_lanes(_coeffs(p), starts, t_end,
+                                           rel_tol, abs_tol)
+        for j, x0 in enumerate(starts):
+            traj = integrate(p, x0, t_end, rel_tol=rel_tol, abs_tol=abs_tol)
+            assert terminals[j] == traj.terminal, f"start {j}"
+            assert np.array_equal(ends[j], traj.states[-1]), f"start {j}"
+        return set(terminals)
+
+    def test_acceptance_10_draws_match_bit_for_bit(self):
+        rng = np.random.default_rng(1010)
+        draws = [draw_params(rng) for _ in range(50)]
+        seen = set()
+        # Every 5th draw; draw 40 has a start that ends at MAX_TIME.
+        for i in range(0, 50, 5):
+            p = apply_topology(draws[i], "FULL")
+            box = 2.0 * float(np.max(p.k))
+            starts = np.maximum(_halton(3, 200, i) * box, 1e-9 * box)
+            seen |= self.assert_lanes_match(p, starts, 2000.0, 1e-6, 1e-9)
+        assert seen == {"STEADY", "MAX_TIME"}
+
+    def test_loose_tolerances_match_on_every_branch(self):
+        # Tolerances this loose leave the orthant, clamp back into it and
+        # let some starts run away, so every reject and terminal path runs.
+        rng = np.random.default_rng(12)
+        p = draw_params(rng)
+        starts = rng.uniform(0.0, 20.0, (24, 3)) * float(p.k.max())
+        starts[rng.uniform(size=(24, 3)) < 0.3] = 0.0
+        seen = self.assert_lanes_match(p, starts, 5.0, 0.5, 0.5)
+        assert seen == {"DIVERGED", "MAX_TIME", "STEADY"}
+
+    def test_step_underflow_raises(self):
+        # A negative capacity makes p1 blow up in finite time.
+        p = ModelParams.unchecked(np.ones(3), np.array([-1.0, 1.0, 1.0]),
+                                  np.zeros((3, 3)))
+        starts = 1.0 + 1e-3 * _halton(3, 24, 0)
+        with pytest.raises(StepUnderflowError, match="fell below"):
+            integrate(p, starts[0], t_end=50.0)
+        with pytest.raises(StepUnderflowError, match="fell below"):
+            _integrate_lanes(_coeffs(p), starts, 50.0, 1e-6, 1e-9)
+
+    @pytest.mark.parametrize("n", [1, HANDOFF_LANES, HANDOFF_LANES + 1])
+    def test_basin_sample_matches_scalar_reference(self, n):
+        rng = np.random.default_rng(18)
+        for topo in ("FULL", "EX6", "CHAIN", "CONVERGE", "DIVERGE"):
+            p = draw_params(rng, m_lo=0.1)
+            assert basin_sample(topo, p, n=n, seed=5) == \
+                scalar_basin(topo, p, n, seed=5), topo
 
 
 class TestBasinSample:
@@ -112,3 +193,13 @@ class TestBasinSample:
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError, match="n must be"):
             basin_sample("FULL", symmetric_full(), n=0, seed=0)
+
+    def test_rejects_bad_horizon_and_tolerances(self):
+        p = symmetric_full()
+        with pytest.raises(ValueError, match="t_end"):
+            basin_sample("FULL", p, n=4, seed=0, t_end=math.inf)
+        with pytest.raises(ValueError, match="tolerances"):
+            basin_sample("FULL", p, n=4, seed=0, abs_tol=0.0)
+        for match_tol in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="match_tol"):
+                basin_sample("FULL", p, n=4, seed=0, match_tol=match_tol)
