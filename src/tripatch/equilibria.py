@@ -17,6 +17,12 @@ Four complementary routes to the steady states:
 
 ``find_all_equilibria`` merges the catalog with the oracle and
 cross-validates them.
+
+The Newton solvers live in ``newton``: scalar ones for polishing and
+the interior solver, and batched ones behind the oracle, which run every
+start of every parameter set as one lane of a batch and end each start
+where the scalar solve from it ends, bit for bit.  ``sweep`` solves all
+its grid values in one such batch.
 """
 
 from __future__ import annotations
@@ -27,7 +33,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _coeffs, _jac, _rhs
+from .model import ModelParams, _coeffs
+from .newton import (
+    ConvergenceError,
+    SingularJacobianError,
+    _col_max,
+    _face_lanes,
+    _full_lanes,
+    _lane_coeffs,
+    _newton_full,
+    _newton_support,
+    _residual,
+    _rhs_lanes,
+)
 from .topology import apply_topology
 
 __all__ = [
@@ -77,14 +95,6 @@ FEASIBLE_TOL = 1e-10
 DEDUP_TOL = 1e-6
 
 
-class ConvergenceError(RuntimeError):
-    """Newton iteration failed to reach the residual tolerance."""
-
-
-class SingularJacobianError(ConvergenceError):
-    """Newton system numerically singular (condition estimate > 1e14)."""
-
-
 class BracketError(RuntimeError):
     """The coexistence construction found no sign change on [0, H]."""
 
@@ -106,11 +116,6 @@ class EquilibriumRecord:
     label: str
     feasible: bool
     residual: float
-
-
-def _residual(c: tuple, p1: float, p2: float, p3: float) -> float:
-    f1, f2, f3 = _rhs(c, p1, p2, p3)
-    return max(abs(f1), abs(f2), abs(f3))
 
 
 def _make_record(c, point, label, conditions_ok: bool = True) -> EquilibriumRecord:
@@ -223,158 +228,8 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float,
 
 
 # ---------------------------------------------------------------------------
-# Damped Newton on the full system and on boundary faces.
+# Interior solver.
 # ---------------------------------------------------------------------------
-
-_COND_LIMIT = 1e14
-
-
-def _solve3(j: tuple, f1: float, f2: float, f3: float):
-    """Solve the 3x3 system J x = -f by Cramer; returns step or None.
-
-    Also returns a cheap 1-norm condition estimate built from the
-    explicit adjugate, so callers can flag numerically singular systems.
-    """
-    a, b, c_, d, e, f, g, h, i = j
-    A = e * i - f * h
-    B = -(d * i - f * g)
-    C = d * h - e * g
-    det = a * A + b * B + c_ * C
-    if det == 0.0:
-        return None, math.inf
-    D = -(b * i - c_ * h)
-    E = a * i - c_ * g
-    F = -(a * h - b * g)
-    G = b * f - c_ * e
-    H = -(a * f - c_ * d)
-    I = a * e - b * d
-    inv = abs(det)
-    n_j = max(abs(a) + abs(d) + abs(g), abs(b) + abs(e) + abs(h),
-              abs(c_) + abs(f) + abs(i))
-    n_inv = max(abs(A) + abs(D) + abs(G), abs(B) + abs(E) + abs(H),
-                abs(C) + abs(F) + abs(I)) / inv
-    x1 = -(A * f1 + D * f2 + G * f3) / det
-    x2 = -(B * f1 + E * f2 + H * f3) / det
-    x3 = -(C * f1 + F * f2 + I * f3) / det
-    return (x1, x2, x3), n_j * n_inv
-
-
-def _newton_full(c, x0, tol, max_iter, positive=False, raise_errors=False,
-                 settle=0):
-    """Damped Newton on the full 3-D system.
-
-    With ``positive=True`` the step is halved until the iterate stays
-    strictly inside the positive orthant; otherwise steps are halved
-    only while they increase the residual (at most a few times), which
-    lets the iteration settle onto boundary equilibria.
-
-    ``settle`` grants extra iterations after the residual test is met,
-    stopping only once the Newton step itself reaches round-off.  Near a
-    branch crossing the Jacobian is almost singular and the residual
-    tolerance is satisfied up to ~1e-5 away along the null direction;
-    the settle phase walks that last stretch (the step halves each
-    iteration there instead of converging quadratically).
-    """
-    p1, p2, p3 = (float(v) for v in x0)
-    res = _residual(c, p1, p2, p3)
-    for _ in range(max_iter + settle):
-        converged = res <= tol
-        if converged and settle <= 0:
-            return (p1, p2, p3), res
-        f1, f2, f3 = _rhs(c, p1, p2, p3)
-        step, cond = _solve3(_jac(c, p1, p2, p3), f1, f2, f3)
-        if step is None or cond > _COND_LIMIT:
-            if converged:
-                return (p1, p2, p3), res  # cannot settle further
-            if raise_errors:
-                raise SingularJacobianError(
-                    f"Jacobian condition estimate {cond:.2e} exceeds {_COND_LIMIT:.0e} "
-                    f"at point ({p1}, {p2}, {p3})"
-                )
-            return None
-        if converged:
-            settle -= 1
-            scale = 1.0 + max(abs(p1), abs(p2), abs(p3))
-            if max(abs(s) for s in step) <= 1e-13 * scale:
-                return (p1, p2, p3), res
-        lam = 1.0
-        if positive:
-            for _ in range(60):
-                if p1 + lam * step[0] > 0 and p2 + lam * step[1] > 0 \
-                        and p3 + lam * step[2] > 0:
-                    break
-                lam *= 0.5
-        q = (p1 + lam * step[0], p2 + lam * step[1], p3 + lam * step[2])
-        new_res = _residual(c, *q)
-        if not positive:
-            halvings = 0
-            while new_res > res and halvings < 6:
-                lam *= 0.5
-                q = (p1 + lam * step[0], p2 + lam * step[1], p3 + lam * step[2])
-                new_res = _residual(c, *q)
-                halvings += 1
-        p1, p2, p3 = q
-        res = new_res
-    if res <= tol:
-        return (p1, p2, p3), res
-    if raise_errors:
-        raise ConvergenceError(
-            f"Newton did not reach residual {tol:.1e} in {max_iter} iterations "
-            f"(best residual {res:.2e})"
-        )
-    return None
-
-
-def _newton_support(c, x0, free, tol, max_iter=60, settle=0):
-    """Newton restricted to the coordinates in ``free``; others pinned at 0.
-
-    Returns the full-space point when the *full* residual meets ``tol``,
-    else None.  This is how boundary equilibria are located even when
-    they repel the interior.  ``settle`` grants extra iterations after
-    the residual test is met, ending only when the step reaches
-    round-off — see :func:`_newton_full`.
-    """
-    p = [0.0, 0.0, 0.0]
-    for i in free:
-        p[i] = float(x0[i])
-    n = len(free)
-    for _ in range(max_iter + settle):
-        f = _rhs(c, p[0], p[1], p[2])
-        converged = max(abs(f[i]) for i in free) <= 0.25 * tol
-        if converged and settle <= 0:
-            break
-        jfull = _jac(c, p[0], p[1], p[2])
-        if n == 1:
-            i = free[0]
-            d = jfull[4 * i]
-            if d == 0.0:
-                if converged:
-                    break
-                return None
-            steps = {i: -f[i] / d}
-        else:
-            i, j = free
-            a, b = jfull[3 * i + i], jfull[3 * i + j]
-            d, e = jfull[3 * j + i], jfull[3 * j + j]
-            det = a * e - b * d
-            if det == 0.0:
-                if converged:
-                    break
-                return None
-            steps = {i: -(e * f[i] - b * f[j]) / det,
-                     j: -(-d * f[i] + a * f[j]) / det}
-        if converged:
-            settle -= 1
-            scale = 1.0 + max(abs(v) for v in p)
-            if max(abs(s) for s in steps.values()) <= 1e-13 * scale:
-                break
-        for i, s in steps.items():
-            p[i] += s
-        if not all(math.isfinite(v) for v in p):
-            return None
-    if _residual(c, p[0], p[1], p[2]) <= tol:
-        return tuple(p)
-    return None
 
 
 def newton_coexistence(params: ModelParams, start=None, tol: float = 1e-10,
@@ -708,8 +563,108 @@ def closed_form_equilibria(topo: str, params: ModelParams) -> list[EquilibriumRe
 # ---------------------------------------------------------------------------
 
 
-def _snap_zeros(p, scale):
-    return tuple(0.0 if abs(v) <= 1e-12 * scale else v for v in p)
+#: At most this many parameter sets share one batch, which bounds memory
+#: on long sweeps.
+_BATCH_SETS = 64
+
+#: The free coordinates of the three boundary faces.
+_FACES = ((0, 1), (0, 2), (1, 2))
+
+
+def _oracle_batch(params_list, n_starts, seed, tol):
+    """``brute_force_equilibria`` of each parameter set, in one batch."""
+    cs = [_coeffs(p) for p in params_list]
+    boxes = np.array([2.0 * float(np.max(p.k)) for p in params_list])
+    coef = _lane_coeffs(cs)
+    n_sets = len(cs)
+
+    # Full space: Halton starts, then the 8 box corners, per set.
+    corners = [(a, b, d) for a in (0.0, 1.0) for b in (0.0, 1.0) for d in (0.0, 1.0)]
+    unit = np.concatenate([_halton(3, n_starts, seed), corners])
+    X = (unit * boxes[:, None, None]).transpose(2, 0, 1).reshape(3, -1)
+    sid = np.repeat(np.arange(n_sets), len(unit))
+    full = _full_lanes(cs, coef[:, sid], X, sid, tol)
+
+    # Faces: 12 Halton starts and three fixed ones per face and set.
+    X, fsid = [], []
+    for fi, (i, j) in enumerate(_FACES):
+        plane = np.concatenate([_halton(2, 12, seed * 8 + fi + 1),
+                                [(1.0, 1.0), (1.0, 0.25), (0.25, 1.0)]])
+        x = np.zeros((3, n_sets * len(plane)))
+        x[[i, j]] = (plane * boxes[:, None, None]).reshape(-1, 2).T
+        X.append(x)
+        fsid.append(np.repeat(np.arange(n_sets), len(plane)))
+    fid = np.repeat(np.arange(len(_FACES)), [x.shape[1] for x in X])
+    fsid = np.concatenate(fsid)
+    I, J = np.array(_FACES)[fid].T
+    faces = _face_lanes(cs, coef[:, fsid], np.concatenate(X, axis=1), I, J,
+                        fsid, tol)
+
+    # The origin is always a root; then the converged lanes and the edges.
+    X = [np.zeros((3, n_sets)), full[0][:, full[1]], faces[0][:, faces[1]]]
+    rsid = [np.arange(n_sets), sid[full[1]], fsid[faces[1]]]
+    for s, c in enumerate(cs):
+        for i in range(3):
+            root = _logistic_root(c[i], c[3 + i], c[12 + i])
+            if root > 0.0:
+                x0 = [0.0, 0.0, 0.0]
+                x0[i] = root
+                got = tuple(x0) if _residual(c, *x0) <= tol else \
+                    _newton_support(c, x0, (i,), tol)
+                if got is not None:
+                    X.append(np.array(got)[:, None])
+                    rsid.append([s])
+    X, rsid = np.concatenate(X, axis=1), np.concatenate(rsid)
+
+    # Drop roots below -1e-9, snap components within 1e-12·max(1, box) of
+    # zero to 0, take every residual and sort each set's roots, in one pass.
+    keep = ~(X.min(axis=0) < -1e-9)
+    rsid, X = rsid[keep], X[:, keep]
+    X = np.where(np.abs(X) <= 1e-12 * np.maximum(1.0, boxes)[rsid], 0.0, X)
+    order = np.lexsort((X[2], X[1], X[0], rsid))
+    rsid, X = rsid[order], X[:, order]
+    res = _col_max(np.abs(_rhs_lanes(coef[:, rsid], X))).tolist()
+    points = X.T.tolist()
+    bounds = np.searchsorted(rsid, np.arange(n_sets + 1)).tolist()
+    return [_dedup(points[lo:hi], res[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _dedup(points, residuals):
+    """Oracle records of sorted ``points``, one per DEDUP_TOL cluster.
+
+    Each point joins the first earlier representative within DEDUP_TOL
+    (max-norm) and replaces it if its residual is smaller.  Identical
+    points may come in any order: a repeat never changes a representative.
+    """
+    reps: list[tuple] = []
+    for p, res in zip(points, residuals):
+        for idx, (q, res_q) in enumerate(reps):
+            if abs(p[0] - q[0]) < DEDUP_TOL and abs(p[1] - q[1]) < DEDUP_TOL \
+                    and abs(p[2] - q[2]) < DEDUP_TOL:
+                if res < res_q:
+                    reps[idx] = (p, res)
+                break
+        else:
+            reps.append((p, res))
+    return [EquilibriumRecord(point=np.array(p), label="NUMERICAL",
+                              feasible=bool(min(p) >= -FEASIBLE_TOL), residual=res)
+            for p, res in reps]
+
+
+def _oracle_many(params_list, n_starts: int = 64, seed: int = 0,
+                 tol: float = 1e-8) -> list[list[EquilibriumRecord]]:
+    """``brute_force_equilibria`` of every set in ``params_list``, batched."""
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    out = []
+    with np.errstate(all="ignore"):  # overflow and NaN as in scalar floats
+        for lo in range(0, len(params_list), _BATCH_SETS):
+            out += _oracle_batch(params_list[lo:lo + _BATCH_SETS], n_starts,
+                                 seed, tol)
+    return out
 
 
 def brute_force_equilibria(params: ModelParams, n_starts: int = 64,
@@ -723,68 +678,21 @@ def brute_force_equilibria(params: ModelParams, n_starts: int = 64,
     found.  Converged points (full residual ≤ ``tol``, components ≥
     −1e−9) are deduplicated at 1e−6 and returned labeled NUMERICAL.
     Deterministic for fixed ``seed``.
+
+    The starts run as lanes of one batched Newton (see ``newton``):
+    full-space lanes take damped 3×3 Cramer steps, face lanes
+    2×2 Cramer steps, and lanes retire by mask once they converge or turn
+    singular.  The last few live lanes finish in the scalar Newton with
+    their remaining iterations.  Each lane repeats the scalar solve's
+    float operations in order, so the result equals a one-start-at-a-time
+    scalar oracle bit for bit.
+
+    Raises
+    ------
+    ValueError
+        If ``n_starts < 1`` or ``tol`` is not finite and positive.
     """
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
-    c = _coeffs(params)
-    box = 2.0 * float(np.max(params.k))
-    scale = max(1.0, box)
-    found: list[tuple] = [(0.0, 0.0, 0.0)]  # the origin is always a root
-
-    interior = _halton(3, n_starts, seed) * box
-    corners = [(a, b, d) for a in (0.0, box) for b in (0.0, box) for d in (0.0, box)]
-    for x0 in list(interior) + corners:
-        got = _newton_full(c, tuple(x0), tol, 60)
-        if got is not None:
-            found.append(got[0])
-
-    faces = ((0, 1), (0, 2), (1, 2))
-    for fi, free in enumerate(faces):
-        plane = _halton(2, 12, seed * 8 + fi + 1) * box
-        starts = [tuple(row) for row in plane]
-        starts += [(box, box), (box, 0.25 * box), (0.25 * box, box)]
-        for s in starts:
-            x0 = [0.0, 0.0, 0.0]
-            x0[free[0]], x0[free[1]] = s[0], s[1]
-            got = _newton_support(c, x0, free, tol)
-            if got is not None:
-                found.append(got)
-
-    for i in range(3):
-        root = _logistic_root(c[i], c[3 + i], c[12 + i])
-        if root > 0.0:
-            x0 = [0.0, 0.0, 0.0]
-            x0[i] = root
-            if _residual(c, *x0) <= tol:
-                found.append(tuple(x0))
-            else:
-                got = _newton_support(c, x0, (i,), tol)
-                if got is not None:
-                    found.append(got)
-
-    kept = []
-    for p in found:
-        if min(p) < -1e-9:
-            continue
-        kept.append(_snap_zeros(p, scale))
-    kept.sort()
-
-    reps: list[tuple] = []
-    for p in kept:
-        for idx, q in enumerate(reps):
-            if max(abs(p[0] - q[0]), abs(p[1] - q[1]), abs(p[2] - q[2])) < DEDUP_TOL:
-                if _residual(c, *p) < _residual(c, *q):
-                    reps[idx] = p
-                break
-        else:
-            reps.append(p)
-
-    return [
-        EquilibriumRecord(point=np.array(p), label="NUMERICAL",
-                          feasible=bool(min(p) >= -FEASIBLE_TOL),
-                          residual=_residual(c, *p))
-        for p in reps
-    ]
+    return _oracle_many([params], n_starts, seed, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -834,11 +742,31 @@ def find_all_equilibria(topo: str, params: ModelParams, n_starts: int = 64,
     ConsistencyError
         If a *feasible* catalog point is absent from the oracle set —
         that combination means a transcribed formula is wrong.
+    ValueError
+        If ``n_starts < 1`` or ``tol`` is not finite and positive.
     """
     params = apply_topology(params, topo)
+    oracle = brute_force_equilibria(params, n_starts=n_starts, seed=seed, tol=tol)
+    return _merge(topo, params, oracle)
+
+
+def _find_all_many(topo: str, params_list, n_starts: int = 64, seed: int = 0,
+                   tol: float = 1e-8) -> list[list[EquilibriumRecord]]:
+    """``find_all_equilibria`` of every set in ``params_list``.
+
+    The oracle solves all sets in one batch; the closed forms, polish,
+    merge and cross-check then run set by set.
+    """
+    params_list = [apply_topology(p, topo) for p in params_list]
+    oracles = _oracle_many(params_list, n_starts, seed, tol)
+    return [_merge(topo, p, o) for p, o in zip(params_list, oracles)]
+
+
+def _merge(topo: str, params: ModelParams, oracle: list[EquilibriumRecord]
+           ) -> list[EquilibriumRecord]:
+    """Polish the catalog and the oracle points of a projected set and merge."""
     c = _coeffs(params)
     catalog = [_polish(c, rec) for rec in closed_form_equilibria(topo, params)]
-    oracle = brute_force_equilibria(params, n_starts=n_starts, seed=seed, tol=tol)
 
     # Polish oracle points before matching: near a transcritical the
     # Jacobian is close to singular, so a raw residual of 1e-8 can leave

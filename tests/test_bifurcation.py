@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from tripatch import bifurcation
 from tripatch.bifurcation import (
     Crossing,
     SweepRecord,
@@ -218,3 +219,53 @@ class TestSweep:
         assert c.param_value == pytest.approx(2.0, abs=1e-9)
         assert abs(c.eig_im) == pytest.approx(math.sqrt(3.0), abs=1e-6)
         assert abs(c.eig_re) <= 1e-6
+
+
+def record_bits(rec: SweepRecord):
+    """A sweep record as a comparable tuple, equilibria by their exact bits."""
+    eqs = [(e.label, e.feasible, float(e.residual).hex(),
+            [v.hex() for v in e.point.tolist()]) for e in rec.equilibria]
+    return (rec.param_name, rec.param_value.hex(), eqs, rec.reports,
+            rec.crossings)
+
+
+class TestBatchedGrid:
+    """sweep's one-batch grid solve against one find_all per grid point."""
+
+    @staticmethod
+    def assert_matches_per_point(monkeypatch, topo, p, tok, lo, hi, steps):
+        got = sweep(topo, p, tok, lo, hi, steps)
+        with monkeypatch.context() as m:
+            m.setattr(bifurcation, "_find_all_many",
+                      lambda topo, ps: [find_all_equilibria(topo, q)
+                                        for q in ps])
+            ref = sweep(topo, p, tok, lo, hi, steps)
+        assert [record_bits(r) for r in got] == [record_bits(r) for r in ref]
+        return [c for r in got for c in r.crossings]
+
+    def test_r_sweep_through_an_exchange(self, monkeypatch):
+        p = apply_topology(draw_params(np.random.default_rng(13), m_lo=0.2),
+                           "EX6")
+        thr = float(p.m[0, 1] + p.m[2, 1])
+        cross = self.assert_matches_per_point(monkeypatch, "EX6", p, "r2",
+                                              0.52 * thr, 1.48 * thr, 14)
+        assert cross, "the sweep should cross the threshold"
+
+    def test_m_sweep_through_an_exchange(self, monkeypatch):
+        # CHAIN's W3/COEX exchange sits at r1 = m21.
+        p = apply_topology(draw_params(np.random.default_rng(14), m_lo=0.2),
+                           "CHAIN")
+        r1 = float(p.r[0])
+        cross = self.assert_matches_per_point(monkeypatch, "CHAIN", p, "m21",
+                                              0.52 * r1, 1.48 * r1, 14)
+        assert cross, "the sweep should cross the threshold"
+
+    def test_k_sweep_moves_the_start_box(self, monkeypatch):
+        # Sweeping the largest capacity upward rescales the oracle's
+        # start box [0, 2·max k]³ at every grid point.
+        p = apply_topology(draw_params(np.random.default_rng(15), m_lo=0.1),
+                           "CONVERGE")
+        i = int(np.argmax(p.k))
+        k = float(p.k[i])
+        self.assert_matches_per_point(monkeypatch, "CONVERGE", p, f"k{i + 1}",
+                                      k, 3.0 * k, 14)

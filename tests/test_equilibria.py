@@ -2,22 +2,29 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripatch import equilibria as eq
+from tripatch import newton
 from tripatch.equilibria import (
+    _BATCH_SETS,
     ADMITTED_LABELS,
     DEDUP_TOL,
     EQUILIBRIUM_LABELS,
+    _find_all_many,
+    _oracle_many,
     brute_force_equilibria,
     closed_form_equilibria,
     coexistence_by_construction,
     find_all_equilibria,
     newton_coexistence,
 )
-from tripatch.model import ModelParams, rhs, with_param
+from tripatch.model import ModelParams, _coeffs, rhs, with_param
 from tripatch.topology import TOPOLOGIES, apply_topology
 from tripatch.verification import draw_params
 
@@ -215,3 +222,257 @@ class TestFindAll:
         gap = float(np.max(np.abs(by_label[partner].point
                                   - by_label["COEX"].point)))
         assert gap <= 1e-9, f"exchanging pair should coincide, gap {gap}"
+
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
+        # tol=inf used to accept every start as a root; NaN, 0 and -1
+        # used to drop every root but the origin.
+        p = draw_params(np.random.default_rng(41))
+        with pytest.raises(ValueError, match="tol must be finite"):
+            brute_force_equilibria(p, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            find_all_equilibria("FULL", p, tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# The batched oracle against a one-start-at-a-time scalar reference.
+# ---------------------------------------------------------------------------
+
+
+def reference_roots(params, n_starts=64, seed=0, tol=1e-8):
+    """The oracle's roots before dedup, one scalar Newton solve per start.
+
+    Roots below -1e-9 are dropped, near-zero components snapped to 0, and
+    the rest sorted.
+    """
+    c = _coeffs(params)
+    box = 2.0 * float(np.max(params.k))
+    found = [(0.0, 0.0, 0.0)]
+    interior = eq._halton(3, n_starts, seed) * box
+    corners = [(a, b, d) for a in (0.0, box) for b in (0.0, box)
+               for d in (0.0, box)]
+    for x0 in list(interior) + corners:
+        got = newton._newton_full(c, tuple(x0), tol, 60)
+        if got is not None:
+            found.append(got[0])
+    for fi, free in enumerate(((0, 1), (0, 2), (1, 2))):
+        plane = eq._halton(2, 12, seed * 8 + fi + 1) * box
+        starts = [tuple(row) for row in plane]
+        starts += [(box, box), (box, 0.25 * box), (0.25 * box, box)]
+        for s in starts:
+            x0 = [0.0, 0.0, 0.0]
+            x0[free[0]], x0[free[1]] = s[0], s[1]
+            got = newton._newton_support(c, x0, free, tol)
+            if got is not None:
+                found.append(got)
+    for i in range(3):
+        root = eq._logistic_root(c[i], c[3 + i], c[12 + i])
+        if root > 0.0:
+            x0 = [0.0, 0.0, 0.0]
+            x0[i] = root
+            if newton._residual(c, *x0) <= tol:
+                found.append(tuple(x0))
+            else:
+                got = newton._newton_support(c, x0, (i,), tol)
+                if got is not None:
+                    found.append(got)
+    scale = max(1.0, box)
+    return sorted(tuple(0.0 if abs(v) <= 1e-12 * scale else v for v in p)
+                  for p in found if min(p) >= -1e-9)
+
+
+def reference_oracle(params, n_starts=64, seed=0, tol=1e-8):
+    """brute_force_equilibria with one scalar Newton solve per start."""
+    c = _coeffs(params)
+    reps = []
+    for p in reference_roots(params, n_starts, seed, tol):
+        for idx, q in enumerate(reps):
+            if max(abs(p[0] - q[0]), abs(p[1] - q[1]),
+                   abs(p[2] - q[2])) < DEDUP_TOL:
+                if newton._residual(c, *p) < newton._residual(c, *q):
+                    reps[idx] = p
+                break
+        else:
+            reps.append(p)
+    return [eq.EquilibriumRecord(point=np.array(p), label="NUMERICAL",
+                                 feasible=bool(min(p) >= -eq.FEASIBLE_TOL),
+                                 residual=newton._residual(c, *p)) for p in reps]
+
+
+def bits(records):
+    """Records as comparable tuples, every float by its exact bits."""
+    return [(r.label, r.feasible, float(r.residual).hex(),
+             [v.hex() for v in r.point.tolist()]) for r in records]
+
+
+def batched_roots(monkeypatch, params_list, seed=0):
+    """_oracle_many's records and, set by set, its sorted roots before dedup."""
+    roots = []
+    dedup = eq._dedup
+
+    def capturing_dedup(points, residuals):
+        roots.append([tuple(p) for p in points])
+        return dedup(points, residuals)
+
+    with monkeypatch.context() as m:
+        m.setattr(eq, "_dedup", capturing_dedup)
+        return _oracle_many(params_list, seed=seed), roots
+
+
+def assert_matches_reference(got, roots, params_list, seed=0):
+    """The batch's roots and records (see batched_roots) equal the reference's."""
+    assert len(got) == len(roots) == len(params_list)
+    for j, p in enumerate(params_list):
+        assert [tuple(v.hex() for v in x) for x in roots[j]] == \
+            [tuple(v.hex() for v in x) for x in reference_roots(p, seed=seed)], \
+            f"set {j}"
+        assert bits(got[j]) == bits(reference_oracle(p, seed=seed)), f"set {j}"
+
+
+def reference_find_all(monkeypatch, topo, params, seed=0):
+    """find_all_equilibria with the scalar reference as its oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(eq, "brute_force_equilibria", reference_oracle)
+        return find_all_equilibria(topo, params, seed=seed)
+
+
+def full_start_branches(monkeypatch, c, x0, tol=1e-8):
+    """Branches ``_newton_full(c, x0, tol, 60)`` takes, seen via its kernels."""
+    seen, residuals = set(), [0]
+    solve3, residual = newton._solve3, newton._residual
+
+    def counting_solve3(j, *f):
+        step, cond = solve3(j, *f)
+        if step is None:
+            seen.add("zero determinant")
+        elif cond > newton._COND_LIMIT:
+            seen.add("condition estimate")
+        residuals.append(0)
+        return step, cond
+
+    def counting_residual(c, *p):
+        residuals[-1] += 1
+        return residual(c, *p)
+
+    with monkeypatch.context() as m:
+        m.setattr(newton, "_solve3", counting_solve3)
+        m.setattr(newton, "_residual", counting_residual)
+        got = newton._newton_full(c, x0, tol, 60)
+    if max(residuals) == 7:  # the full step and six halvings
+        seen.add("six halvings")
+    if got is None and not seen & {"zero determinant", "condition estimate"}:
+        seen.add("iteration cap")
+    return seen
+
+
+class TestBatchedOracle:
+    """The batched oracle equals the scalar reference, record for record."""
+
+    def test_acceptance_03_draws_match_bit_for_bit(self, monkeypatch):
+        # Every 8th draw of acceptance 03, all 13 topologies.
+        rng = np.random.default_rng(3003)
+        for topo in TOPOLOGIES:
+            for i in range(200):
+                p = apply_topology(draw_params(rng), topo)
+                if i % 8 == 0:
+                    assert_matches_reference(
+                        *batched_roots(monkeypatch, [p], seed=i), [p], seed=i)
+
+    @pytest.mark.parametrize("topo", TOPOLOGIES)
+    def test_batched_sets_match_find_all_per_set(self, monkeypatch, topo):
+        rng = np.random.default_rng([45, TOPOLOGIES.index(topo)])
+        params = [draw_params(rng) for _ in range(6)]
+        many = _find_all_many(topo, params)
+        for j, p in enumerate(params):
+            ref = bits(reference_find_all(monkeypatch, topo, p))
+            assert bits(find_all_equilibria(topo, p)) == ref, f"draw {j}"
+            assert bits(many[j]) == ref, f"draw {j}"
+
+    def test_more_sets_than_one_batch(self):
+        rng = np.random.default_rng(44)
+        params = [draw_params(rng) for _ in range(_BATCH_SETS + 3)]
+        got = _oracle_many(params, n_starts=16, seed=3)
+        assert len(got) == len(params)
+        for j, p in enumerate(params):
+            assert bits(got[j]) == \
+                bits(reference_oracle(p, n_starts=16, seed=3)), f"draw {j}"
+
+    @pytest.mark.parametrize("handoff", [0, 10**6])
+    def test_all_batch_or_all_scalar(self, monkeypatch, handoff):
+        # No handoff runs every lane to the end in the batch; a handoff
+        # larger than the batch gives every start to the scalar Newton at
+        # once, with the whole iteration budget.
+        budgets = set()
+        newton_full, newton_support = newton._newton_full, newton._newton_support
+
+        def handed_full(c, x0, tol, max_iter, *args, **kwargs):
+            budgets.add(("full", max_iter))
+            return newton_full(c, x0, tol, max_iter, *args, **kwargs)
+
+        def handed_support(c, x0, free, tol, max_iter=60, *args, **kwargs):
+            if len(free) == 2:
+                budgets.add(("face", max_iter))
+            return newton_support(c, x0, free, tol, max_iter, *args, **kwargs)
+
+        rng = np.random.default_rng(3003)
+        draws = [draw_params(rng) for _ in range(3 * 200)]
+        for i in (0, 400):  # FULL draw 0 and HUB0 draw 0 of acceptance 03
+            p = apply_topology(draws[i], TOPOLOGIES[i // 200])
+            with monkeypatch.context() as m:
+                m.setattr(newton, "_HANDOFF_LANES", handoff)
+                m.setattr(newton, "_newton_full", handed_full)
+                m.setattr(newton, "_newton_support", handed_support)
+                got = batched_roots(monkeypatch, [p])
+            assert_matches_reference(*got, [p])
+        assert budgets == (set() if handoff == 0 else
+                           {("full", 60), ("face", 60)})
+
+    def test_every_branch_is_reached_and_matches(self, monkeypatch):
+        # CONVERGE at r1 = m21 has a zero Jacobian determinant at the box
+        # corners with p1 = 0, and one ulp above it a condition estimate
+        # past the limit.  Together, FULL draws 2, 7, 23, 47 and 49 of
+        # acceptance 03 have more non-converging starts than the handoff
+        # takes, so the batch itself runs them to the iteration cap.
+        rng = np.random.default_rng(3003)
+        draws = [apply_topology(draw_params(rng), "FULL") for _ in range(50)]
+        conv = apply_topology(draws[0], "CONVERGE")
+        batches = [[draws[i] for i in (2, 7, 23, 47, 49)],
+                   [with_param(conv, "r1", float(conv.m[1, 0]))],
+                   [with_param(conv, "r1", float(np.nextafter(conv.m[1, 0], 9)))]]
+        batches += [[p] for p in draws[:4]]
+        seen = set()
+        newton_full, newton_support = newton._newton_full, newton._newton_support
+
+        def handed_full(*args, **kwargs):
+            seen.add("full-space handoff")
+            return newton_full(*args, **kwargs)
+
+        def handed_support(c, x0, free, *args, **kwargs):
+            if len(free) == 2:
+                seen.add("face handoff")
+            return newton_support(c, x0, free, *args, **kwargs)
+
+        for batch in batches:
+            capped = 0
+            for p in batch:
+                c = _coeffs(p)
+                box = 2.0 * float(np.max(p.k))
+                starts = [tuple(x) for x in eq._halton(3, 64, 0) * box]
+                starts += [(a, b, d) for a in (0.0, box) for b in (0.0, box)
+                           for d in (0.0, box)]
+                for x0 in starts:
+                    branches = full_start_branches(monkeypatch, c, x0)
+                    capped += "iteration cap" in branches
+                    seen |= branches
+            if capped > newton._HANDOFF_LANES:
+                seen.add("iteration cap in the batch")
+            with monkeypatch.context() as m:
+                m.setattr(newton, "_newton_full", handed_full)
+                m.setattr(newton, "_newton_support", handed_support)
+                got = batched_roots(monkeypatch, batch)
+            assert_matches_reference(*got, batch)
+        assert seen == {"zero determinant", "condition estimate",
+                        "six halvings", "iteration cap",
+                        "iteration cap in the batch", "full-space handoff",
+                        "face handoff"}
