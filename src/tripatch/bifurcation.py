@@ -27,10 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import EquilibriumRecord, _find_all_many
-from .model import ModelParams, PARAM_TOKENS, ParameterError, _coeffs, _jac, with_param
+from .model import (ModelParams, PARAM_TOKENS, ParameterError, _coeffs, _gap, _jac,
+                    _with_coeff, with_param)
 from .newton import _newton_support
 from .stability import StabilityReport, _margin, classify, eigenvalues_3x3
-from .topology import apply_topology
+from .topology import apply_topology, zeroed_rates
 # Unused since sweep batches its grid: bench/test_bench.py checks that the
 # benchmark tracer wraps this binding.
 from .equilibria import find_all_equilibria  # noqa: F401
@@ -168,49 +169,42 @@ def _continue_point(c, xa, xb, t, scale):
     endpoints stay pinned).  Falls back to the interpolant if Newton
     stalls — near a collision the interpolant is already accurate.
     """
-    x = [xa[i] + t * (xb[i] - xa[i]) for i in range(3)]
+    x = tuple(xa[i] + t * (xb[i] - xa[i]) for i in range(3))
     free = tuple(i for i in range(3)
                  if max(abs(xa[i]), abs(xb[i])) > 1e-9 * scale)
     if not free:
-        return tuple(x)
-    for i in range(3):
-        if i not in free:
-            x[i] = 0.0
+        return x
     got = _newton_support(c, x, free, 1e-10)
-    return got if got is not None else tuple(x)
-
-
-def _grid_params(params: ModelParams, topo: str, param: str, value: float
-                 ) -> ModelParams:
-    return apply_topology(with_param(params, param, value), topo)
+    return got if got is not None else tuple(
+        v if i in free else 0.0 for i, v in enumerate(x))
 
 
 def _detect_crossings(topo, params, param, a_val, b_val, eqs_a, eqs_b,
                       reps_a, reps_b) -> list[Crossing]:
     scale = max(1.0, float(np.max(params.k)))
+    base = _coeffs(apply_topology(params, topo))
+    zeroed = zeroed_rates(topo)
+    pts_a = [e.point.tolist() for e in eqs_a]
+    pts_b = [e.point.tolist() for e in eqs_b]
     # Distance cap: half the minimum separation between distinct
     # equilibria at the left endpoint (branch identity is ambiguous
     # beyond that).
-    pts = [e.point for e in eqs_a]
     min_sep = math.inf
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            min_sep = min(min_sep, float(np.max(np.abs(pts[i] - pts[j]))))
+    for i in range(len(pts_a)):
+        for j in range(i + 1, len(pts_a)):
+            min_sep = min(min_sep, _gap(pts_a[i], pts_a[j]))
     cap = 0.5 * min_sep
-
-    by_label: dict[str, list[int]] = {}
-    for j, e in enumerate(eqs_b):
-        by_label.setdefault(e.label, []).append(j)
 
     crossings: list[Crossing] = []
     taken: set[int] = set()
     for i, ea in enumerate(eqs_a):
-        cands = [j for j in by_label.get(ea.label, ()) if j not in taken]
+        cands = [j for j, eb in enumerate(eqs_b)
+                 if eb.label == ea.label and j not in taken]
         if not cands:
             continue
-        j = min(cands, key=lambda j: float(np.max(np.abs(eqs_b[j].point - ea.point))))
-        dist = float(np.max(np.abs(eqs_b[j].point - ea.point)))
-        if dist > cap:
+        xa = pts_a[i]
+        j = min(cands, key=lambda j: _gap(pts_b[j], xa))
+        if _gap(pts_b[j], xa) > cap:
             continue
         taken.add(j)
         na = _unstable_count(reps_a[i].eigenvalues)
@@ -218,31 +212,24 @@ def _detect_crossings(topo, params, param, a_val, b_val, eqs_a, eqs_b,
         if na == nb:
             continue
         idx = min(na, nb)
-        xa = tuple(float(v) for v in ea.point)
-        xb = tuple(float(v) for v in eqs_b[j].point)
 
         def re_at(theta: float):
-            p = _grid_params(params, topo, param, theta)
-            c = _coeffs(p)
+            c = _with_coeff(base, param, theta, zeroed)
             t = (theta - a_val) / (b_val - a_val)
-            x = _continue_point(c, xa, xb, t, scale)
-            eig = eigenvalues_3x3(
-                np.array(_jac(c, *x)).reshape(3, 3))
+            x = _continue_point(c, xa, pts_b[j], t, scale)
+            eig = eigenvalues_3x3(np.array(_jac(c, *x)).reshape(3, 3))
             return eig[idx].real, x, eig
 
         fa, _, eig_a = re_at(a_val)
         fb, _, eig_b = re_at(b_val)
+        lo, hi = a_val, b_val
         if abs(fa) <= _margin(eig_a):
-            # A grid value landed on the crossing itself.
-            lo = hi = a_val
+            hi = a_val  # a grid value landed on the crossing itself
         elif abs(fb) <= _margin(eig_b):
-            lo = hi = b_val
-        elif fa * fb > 0.0:
-            # The count changed but the idx-th real part does not
-            # bracket zero (coincident crossings); report the midpoint.
-            lo, hi = a_val, b_val
-        else:
-            lo, hi = a_val, b_val
+            lo = b_val
+        elif not fa * fb > 0.0:
+            # Bisect.  If the count changed but the idx-th real part does
+            # not bracket zero (coincident crossings), report the midpoint.
             flo = fa
             while hi - lo > CROSSING_REFINE:
                 mid = 0.5 * (lo + hi)
@@ -296,19 +283,19 @@ def sweep(topo: str, params: ModelParams, param: str, lo: float, hi: float,
             f"{param} must stay nonnegative; sweep range [{lo}, {hi}] leaves its domain")
 
     grid = [float(theta) for theta in np.linspace(lo, hi, steps)]
-    points = [_grid_params(params, topo, param, theta) for theta in grid]
+    points = [apply_topology(with_param(params, param, theta), topo)
+              for theta in grid]
     records: list[SweepRecord] = []
-    prev: tuple | None = None
     for theta, p, eqs in zip(grid, points, _find_all_many(topo, points)):
         eqs = tuple(eqs)
         reps = tuple(classify(topo, e, p) for e in eqs)
         crossings: tuple[Crossing, ...] = ()
-        if prev is not None:
-            a_val, eqs_a, reps_a = prev
+        if records:
+            a = records[-1]
             crossings = tuple(_detect_crossings(
-                topo, params, param, a_val, theta, eqs_a, eqs, reps_a, reps))
+                topo, params, param, a.param_value, theta, a.equilibria, eqs,
+                a.reports, reps))
         records.append(SweepRecord(
             param_name=param, param_value=theta,
             equilibria=eqs, reports=reps, crossings=crossings))
-        prev = (theta, eqs, reps)
     return records

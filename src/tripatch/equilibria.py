@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _coeffs
+from .model import ModelParams, _coeffs, _gap
 from .newton import (
     ConvergenceError,
     SingularJacobianError,
@@ -141,6 +141,20 @@ def _make_record(c, point, label, conditions_ok: bool = True) -> EquilibriumReco
 # ---------------------------------------------------------------------------
 
 
+def _halton_table(base: int):
+    """Digit rows, identity permutations, weights, place values of ``base``."""
+    depth = math.ceil(54 / math.log2(base)) - 1
+    # Running quotients, not base**-j: the two differ in the last bit.
+    weights = [1.0 / base]
+    for _ in range(depth - 1):
+        weights.append(weights[-1] / base)
+    return (np.arange(depth), np.tile(np.arange(base), (depth, 1)),
+            np.array(weights)[:, None], base ** np.arange(depth))
+
+
+_HALTON_TABLES = {base: _halton_table(base) for base in (2, 3, 5)}
+
+
 def _halton(d: int, n: int, seed: int) -> np.ndarray:
     """First ``n`` points of a scrambled Halton sequence in [0, 1)^d, d ≤ 3.
 
@@ -152,19 +166,13 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
     and the digit terms are summed left to right.
     """
     rng = np.random.default_rng(seed)
-    index = np.arange(n)
+    index = np.arange(n)[:, None]
     cols = []
     for base in (2, 3, 5)[:d]:
-        depth = math.ceil(54 / math.log2(base)) - 1
-        perms = rng.permuted(np.tile(np.arange(base), (depth, 1)), axis=1)
-        digits = index[:, None] // base ** np.arange(depth) % base
-        # Running quotients, not base**-j: the two differ in the last bit.
-        weights = np.empty(depth)
-        binv = 1.0 / base
-        for j in range(depth):
-            weights[j] = binv
-            binv /= base
-        terms = perms[np.arange(depth), digits] * weights
+        rows, identity, weights, places = _HALTON_TABLES[base]
+        # Weighting before the gather multiplies the same digit-weight pairs.
+        table = rng.permuted(identity, axis=1) * weights
+        terms = table[rows, index // places % base]
         cols.append(np.add.accumulate(terms, axis=1)[:, -1])
     return np.stack(cols, axis=1)
 
@@ -708,15 +716,15 @@ def _polish(c, record: EquilibriumRecord, tol: float = 1e-10) -> EquilibriumReco
     residual drops below ``tol``.  If polishing cannot improve the
     point, the original is kept.
     """
-    p = record.point
+    p = record.point.tolist()
     free = tuple(i for i in range(3) if p[i] != 0.0)
     if not free:
         return record
     if len(free) == 3:
-        got = _newton_full(c, tuple(p), tol, 40, settle=40)
+        got = _newton_full(c, p, tol, 40, settle=40)
         better = got[0] if got is not None else None
     else:
-        better = _newton_support(c, list(p), free, tol, settle=40)
+        better = _newton_support(c, p, free, tol, settle=40)
     if better is None:
         return record
     res = _residual(c, *better)
@@ -772,35 +780,34 @@ def _merge(topo: str, params: ModelParams, oracle: list[EquilibriumRecord]
     # Jacobian is close to singular, so a raw residual of 1e-8 can leave
     # the point several 1e-6 away from the closed form.  Polished points
     # may also collapse onto one root, so dedup again.
-    polished = []
+    polished, points = [], []
     for rec in sorted((_polish(c, rec) for rec in oracle),
                       key=lambda r: tuple(r.point)):
-        dup = next((i for i, q in enumerate(polished)
-                    if float(np.max(np.abs(rec.point - q.point))) < DEDUP_TOL),
+        p = rec.point.tolist()
+        dup = next((i for i, q in enumerate(points) if _gap(p, q) < DEDUP_TOL),
                    None)
         if dup is None:
             polished.append(rec)
+            points.append(p)
         elif rec.residual < polished[dup].residual:
-            polished[dup] = rec
+            polished[dup], points[dup] = rec, p
     oracle = polished
 
     scale = max(1.0, float(np.max(params.k)))
     merged = list(catalog)
-    matched = [False] * len(catalog)
+    matched: set[int] = set()
     extras = []
-    for rec in oracle:
-        hit = False
-        # No break: at a branch crossing two catalog labels coincide and
-        # one oracle point must vouch for both.
-        for i, cf in enumerate(catalog):
-            if float(np.max(np.abs(rec.point - cf.point))) < DEDUP_TOL:
-                matched[i] = True
-                hit = True
-        if not hit:
+    catalog_points = [cf.point.tolist() for cf in catalog]
+    for rec, p in zip(oracle, points):
+        # Every hit, not the first: at a branch crossing two catalog labels
+        # coincide and one oracle point must vouch for both.
+        hits = [i for i, q in enumerate(catalog_points) if _gap(p, q) < DEDUP_TOL]
+        matched.update(hits)
+        if not hits:
             extras.append(rec)
 
     for i, cf in enumerate(catalog):
-        if cf.feasible and not matched[i]:
+        if cf.feasible and i not in matched:
             raise ConsistencyError(
                 f"feasible closed-form equilibrium {cf.label} at "
                 f"{cf.point.tolist()} not found by the brute-force oracle "

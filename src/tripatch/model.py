@@ -16,6 +16,7 @@ package, so ``m12 == m[0][1]`` is the rate into patch 1 from patch 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,21 +71,26 @@ class ModelParams:
             raise ParameterError(f"k must have shape (3,), got {k.shape}")
         if m.shape != (3, 3):
             raise ParameterError(f"m must have shape (3, 3), got {m.shape}")
-        for name, arr in (("r", r), ("k", k), ("m", m)):
-            if not np.all(np.isfinite(arr)):
-                raise ParameterError(f"{name} contains non-finite entries")
-        for i in range(3):
-            if r[i] <= 0.0:
-                raise ParameterError(f"r[{i}] must be strictly positive, got {r[i]}")
-            if k[i] <= 0.0:
-                raise ParameterError(f"k[{i}] must be strictly positive, got {k[i]}")
-            if m[i, i] != 0.0:
-                raise ParameterError(f"m[{i}][{i}] must be zero, got {m[i, i]}")
-            for j in range(3):
-                if i != j and m[i, j] < 0.0:
-                    raise ParameterError(
-                        f"m[{i}][{j}] must be nonnegative, got {m[i, j]}"
-                    )
+        # One test on plain floats; the entry checks only name the first fault.
+        rk, ms = r.tolist() + k.tolist(), m.ravel().tolist()
+        if not (all(0.0 < v < math.inf for v in rk)
+                and all(0.0 <= v < math.inf for v in ms)
+                and ms[0] == ms[4] == ms[8] == 0.0):
+            for name, arr in (("r", r), ("k", k), ("m", m)):
+                if not np.all(np.isfinite(arr)):
+                    raise ParameterError(f"{name} contains non-finite entries")
+            for i in range(3):
+                if r[i] <= 0.0:
+                    raise ParameterError(f"r[{i}] must be strictly positive, got {r[i]}")
+                if k[i] <= 0.0:
+                    raise ParameterError(f"k[{i}] must be strictly positive, got {k[i]}")
+                if m[i, i] != 0.0:
+                    raise ParameterError(f"m[{i}][{i}] must be zero, got {m[i, i]}")
+                for j in range(3):
+                    if i != j and m[i, j] < 0.0:
+                        raise ParameterError(
+                            f"m[{i}][{j}] must be nonnegative, got {m[i, j]}"
+                        )
         for name, arr in (("r", r), ("k", k), ("m", m)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -132,17 +138,10 @@ def with_param(params: ModelParams, name: str, value: float) -> ModelParams:
     """
     if name not in PARAM_TOKENS:
         raise ParameterError(f"unknown parameter token {name!r}")
-    r = np.array(params.r)
-    k = np.array(params.k)
-    m = np.array(params.m)
-    kind = name[0]
-    if kind == "r":
-        r[int(name[1]) - 1] = value
-    elif kind == "k":
-        k[int(name[1]) - 1] = value
-    else:
-        m[int(name[1]) - 1, int(name[2]) - 1] = value
-    return ModelParams(r, k, m)
+    arrays = {"r": np.array(params.r), "k": np.array(params.k),
+              "m": np.array(params.m)}
+    arrays[name[0]][tuple(int(d) - 1 for d in name[1:])] = value
+    return ModelParams(**arrays)
 
 
 def as_state(state) -> np.ndarray:
@@ -175,17 +174,32 @@ def as_state(state) -> np.ndarray:
 
 
 def _coeffs(params: ModelParams) -> tuple:
-    """Unpack params to flat floats: rates, capacities, m entries, outflows."""
-    r1, r2, r3 = (float(x) for x in params.r)
-    k1, k2, k3 = (float(x) for x in params.k)
-    m = params.m
-    m12, m13 = float(m[0, 1]), float(m[0, 2])
-    m21, m23 = float(m[1, 0]), float(m[1, 2])
-    m31, m32 = float(m[2, 0]), float(m[2, 1])
+    """Unpack params to flat floats: the PARAM_TOKENS values, then outflows."""
+    (_, m12, m13), (m21, _, m23), (m31, m32, _) = params.m.tolist()
+    return _with_outflows(*params.r.tolist(), *params.k.tolist(),
+                          m12, m13, m21, m23, m31, m32)
+
+
+def _with_outflows(r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32) -> tuple:
     o1 = m21 + m31   # total per-capita outflow of patch 1
     o2 = m12 + m32
     o3 = m13 + m23
     return (r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3)
+
+
+def _with_coeff(c: tuple, name: str, value: float, zeroed) -> tuple:
+    """``c`` with ``name`` set to ``value`` and outflows recomputed, like an
+    unvalidated :func:`with_param`; a rate whose entry is in ``zeroed`` stays 0."""
+    v = list(c[:12])
+    if tuple(int(d) - 1 for d in name[1:]) not in zeroed:
+        v[PARAM_TOKENS.index(name)] = value
+    return _with_outflows(*v)
+
+
+def _gap(a, b) -> float:
+    """``float(np.max(np.abs(a - b)))`` of two 3-points on plain floats (NaN wins)."""
+    d1, d2, d3 = abs(a[0] - b[0]), abs(a[1] - b[1]), abs(a[2] - b[2])
+    return math.nan if math.isnan(d1 + d2 + d3) else max(d1, d2, d3)
 
 
 def _rhs(c: tuple, p1: float, p2: float, p3: float) -> tuple:

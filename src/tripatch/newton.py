@@ -2,7 +2,8 @@
 
 The scalar solvers (``_newton_full`` on the full system, ``_newton_support``
 on a boundary face or edge) serve polishing, ``newton_coexistence``, sweep
-continuation and single leftover starts.  The batched ones
+continuation and single leftover starts; they evaluate the rhs once per
+trial point and carry it into the next Newton step.  The batched ones
 (``_full_lanes`` and ``_face_lanes``) serve the multi-start oracle: they
 hold every start of every parameter set as a lane with its own
 coefficient column, and stop lanes by mask once they converge or turn
@@ -92,13 +93,13 @@ def _newton_full(c, x0, tol, max_iter, positive=False, raise_errors=False,
     iteration there instead of converging quadratically).
     """
     p1, p2, p3 = (float(v) for v in x0)
-    res = _residual(c, p1, p2, p3)
+    f = _rhs(c, p1, p2, p3)
+    res = max(abs(f[0]), abs(f[1]), abs(f[2]))
     for _ in range(max_iter + settle):
         converged = res <= tol
         if converged and settle <= 0:
             return (p1, p2, p3), res
-        f1, f2, f3 = _rhs(c, p1, p2, p3)
-        step, cond = _solve3(_jac(c, p1, p2, p3), f1, f2, f3)
+        step, cond = _solve3(_jac(c, p1, p2, p3), *f)
         if step is None or cond > _COND_LIMIT:
             if converged:
                 return (p1, p2, p3), res  # cannot settle further
@@ -108,29 +109,30 @@ def _newton_full(c, x0, tol, max_iter, positive=False, raise_errors=False,
                     f"at point ({p1}, {p2}, {p3})"
                 )
             return None
+        s1, s2, s3 = step
         if converged:
             settle -= 1
             scale = 1.0 + max(abs(p1), abs(p2), abs(p3))
-            if max(abs(s) for s in step) <= 1e-13 * scale:
+            if max(abs(s1), abs(s2), abs(s3)) <= 1e-13 * scale:
                 return (p1, p2, p3), res
         lam = 1.0
         if positive:
             for _ in range(60):
-                if p1 + lam * step[0] > 0 and p2 + lam * step[1] > 0 \
-                        and p3 + lam * step[2] > 0:
+                if p1 + lam * s1 > 0 and p2 + lam * s2 > 0 and p3 + lam * s3 > 0:
                     break
                 lam *= 0.5
-        q = (p1 + lam * step[0], p2 + lam * step[1], p3 + lam * step[2])
-        new_res = _residual(c, *q)
+        q1, q2, q3 = p1 + lam * s1, p2 + lam * s2, p3 + lam * s3
+        f = _rhs(c, q1, q2, q3)
+        new_res = max(abs(f[0]), abs(f[1]), abs(f[2]))
         if not positive:
-            halvings = 0
-            while new_res > res and halvings < 6:
+            for _ in range(6):
+                if not new_res > res:
+                    break
                 lam *= 0.5
-                q = (p1 + lam * step[0], p2 + lam * step[1], p3 + lam * step[2])
-                new_res = _residual(c, *q)
-                halvings += 1
-        p1, p2, p3 = q
-        res = new_res
+                q1, q2, q3 = p1 + lam * s1, p2 + lam * s2, p3 + lam * s3
+                f = _rhs(c, q1, q2, q3)
+                new_res = max(abs(f[0]), abs(f[1]), abs(f[2]))
+        p1, p2, p3, res = q1, q2, q3, new_res
     if res <= tol:
         return (p1, p2, p3), res
     if raise_errors:
@@ -150,43 +152,37 @@ def _newton_support(c, x0, free, tol, max_iter=60, settle=0):
     the residual test is met, ending only when the step reaches
     round-off — see :func:`_newton_full`.
     """
+    i, j = free * 2 if len(free) == 1 else free  # i == j on an edge
     p = [0.0, 0.0, 0.0]
-    for i in free:
-        p[i] = float(x0[i])
-    n = len(free)
+    p[i], p[j] = float(x0[i]), float(x0[j])
     for _ in range(max_iter + settle):
         f = _rhs(c, p[0], p[1], p[2])
-        converged = max(abs(f[i]) for i in free) <= 0.25 * tol
+        fi, fj = f[i], f[j]
+        converged = max(abs(fi), abs(fj)) <= 0.25 * tol
         if converged and settle <= 0:
             break
         jfull = _jac(c, p[0], p[1], p[2])
-        if n == 1:
-            i = free[0]
-            d = jfull[4 * i]
-            if d == 0.0:
-                if converged:
-                    break
-                return None
-            steps = {i: -f[i] / d}
+        a, b = jfull[3 * i + i], jfull[3 * i + j]
+        d, e = jfull[3 * j + i], jfull[3 * j + j]
+        det = a if i == j else a * e - b * d
+        if det == 0.0:
+            if converged:
+                break
+            return None
+        if i == j:
+            si = sj = -fi / det
         else:
-            i, j = free
-            a, b = jfull[3 * i + i], jfull[3 * i + j]
-            d, e = jfull[3 * j + i], jfull[3 * j + j]
-            det = a * e - b * d
-            if det == 0.0:
-                if converged:
-                    break
-                return None
-            steps = {i: -(e * f[i] - b * f[j]) / det,
-                     j: -(-d * f[i] + a * f[j]) / det}
+            si = -(e * fi - b * fj) / det
+            sj = -(-d * fi + a * fj) / det
         if converged:
             settle -= 1
-            scale = 1.0 + max(abs(v) for v in p)
-            if max(abs(s) for s in steps.values()) <= 1e-13 * scale:
+            scale = 1.0 + max(abs(p[0]), abs(p[1]), abs(p[2]))
+            if max(abs(si), abs(sj)) <= 1e-13 * scale:
                 break
-        for i, s in steps.items():
-            p[i] += s
-        if not all(math.isfinite(v) for v in p):
+        p[i] += si
+        if j != i:
+            p[j] += sj
+        if not (math.isfinite(p[i]) and math.isfinite(p[j])):
             return None
     if _residual(c, p[0], p[1], p[2]) <= tol:
         return tuple(p)

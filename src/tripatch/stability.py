@@ -1,10 +1,12 @@
 """Eigenvalue classification and the closed-form stability catalog.
 
-Ground truth is always the spectrum of the 3×3 Jacobian, computed by an
-explicit Cardano/trigonometric cubic solver.  Alongside it, every
-equilibrium gets the literature's algebraic tests evaluated numerically:
-the coarse trace/minor-sum/determinant sign test (which is necessary but
-not sufficient — see the ``{-1, ±i}`` counterexample in the tests), the
+Ground truth is always the spectrum of the 3×3 Jacobian, computed on
+plain floats by an explicit Cardano/trigonometric cubic solver from the
+characteristic coefficients, which a classification computes once and
+also reports.  Alongside it, every equilibrium gets the literature's
+algebraic tests evaluated numerically: the coarse
+trace/minor-sum/determinant sign test (which is necessary but not
+sufficient — see the ``{-1, ±i}`` counterexample in the tests), the
 full cubic Routh–Hurwitz criterion, and the per-topology closed-form
 inequalities keyed by stable condition-id tokens.
 
@@ -93,22 +95,34 @@ def characteristic(j) -> CharacteristicCoefficients:
     a = np.asarray(j, dtype=float)
     if a.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
-    tr = a[0, 0] + a[1, 1] + a[2, 2]
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
+    tr = a00 + a11 + a22
     m_j = (
-        a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
-        + a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-        + a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        a11 * a22 - a12 * a21
+        + a00 * a22 - a02 * a20
+        + a00 * a11 - a01 * a10
     )
     det = (
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+        a00 * (a11 * a22 - a12 * a21)
+        - a01 * (a10 * a22 - a12 * a20)
+        + a02 * (a10 * a21 - a11 * a20)
     )
-    return CharacteristicCoefficients(trace=float(tr), m_j=float(m_j), det=float(det))
+    return CharacteristicCoefficients(trace=tr, m_j=m_j, det=det)
 
 
-def _cubic_roots(b: float, c: float, d: float) -> list[complex]:
-    """Roots of λ³ + bλ² + cλ + d via depressed-cubic Cardano/trig formulas."""
+def eigenvalues_3x3(j) -> tuple[complex, complex, complex]:
+    """Spectrum of a 3×3 matrix from its characteristic cubic.
+
+    Closed-form (Cardano / trigonometric) roots, each polished by one
+    Newton step on the polynomial, returned sorted by descending real
+    part (ties broken by descending imaginary part).
+    """
+    return _spectrum(characteristic(j))
+
+
+def _spectrum(co: CharacteristicCoefficients) -> tuple[complex, complex, complex]:
+    """eigenvalues_3x3 from the coefficients, via the depressed cubic in λ + b/3."""
+    b, c, d = -co.trace, co.m_j, -co.det  # λ³ + bλ² + cλ + d
     shift = b / 3.0
     p = c - b * b / 3.0
     q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
@@ -132,21 +146,9 @@ def _cubic_roots(b: float, c: float, d: float) -> list[complex]:
             complex(2.0 * rho * math.cos((theta - 2.0 * math.pi * kk) / 3.0))
             for kk in range(3)
         ]
-    return [t - shift for t in roots]
-
-
-def eigenvalues_3x3(j) -> tuple[complex, complex, complex]:
-    """Spectrum of a 3×3 matrix from its characteristic cubic.
-
-    Closed-form (Cardano / trigonometric) roots, each polished by one
-    Newton step on the polynomial, returned sorted by descending real
-    part (ties broken by descending imaginary part).
-    """
-    co = characteristic(j)
-    b, c, d = -co.trace, co.m_j, -co.det
-    roots = _cubic_roots(b, c, d)
     polished = []
-    for z in roots:
+    for t in roots:
+        z = t - shift
         f = ((z + b) * z + c) * z + d
         fp = (3.0 * z + 2.0 * b) * z + c
         if abs(fp) > 0.0:
@@ -197,8 +199,9 @@ def _classification(eigenvalues) -> str:
 
 def classify_matrix(j) -> tuple[str, tuple[complex, ...], CharacteristicCoefficients]:
     """Classify an arbitrary Jacobian; shared by classify() and the sweeps."""
-    eig = eigenvalues_3x3(j)
-    return _classification(eig), eig, characteristic(j)
+    co = characteristic(j)
+    eig = _spectrum(co)
+    return _classification(eig), eig, co
 
 
 # ---------------------------------------------------------------------------
@@ -373,24 +376,17 @@ def classify(topo: str, eq: EquilibriumRecord, params: ModelParams) -> Stability
             f"record {eq.label} has residual {eq.residual:.2e} > {RESIDUAL_LIMIT:.0e}"
         )
     c = _coeffs(params)
-    p = eq.point
-    jac = np.array(_jac(c, float(p[0]), float(p[1]), float(p[2]))).reshape(3, 3)
-    classification, eig, co = classify_matrix(jac)
-    rows = [
-        ConditionRow("traceJ", co.trace < 0.0, co.trace, 0.0, "sign_test"),
-        ConditionRow("MJ", co.m_j > 0.0, co.m_j, 0.0, "sign_test"),
-        ConditionRow("detJ", co.det < 0.0, co.det, 0.0, "sign_test"),
-    ]
+    p = np.asarray(eq.point, dtype=float).tolist()
+    classification, eig, co = classify_matrix(np.array(_jac(c, *p)).reshape(3, 3))
+    signs = zip(("traceJ", "MJ", "detJ"), sign_conditions(co),
+                (co.trace, co.m_j, co.det))
+    rows = [ConditionRow(cid, holds, lhs, 0.0, "sign_test") for cid, holds, lhs in signs]
     builder = _CONDITION_TABLE.get((topo, eq.label))
     if builder is not None:
         for cid, kind, (lhs, rhs, holds) in builder(c, p):
             rows.append(ConditionRow(cid, bool(holds), float(lhs), float(rhs), kind))
-    return StabilityReport(
-        eigenvalues=eig,
-        coefficients=co,
-        classification=classification,
-        conditions=tuple(rows),
-    )
+    return StabilityReport(eigenvalues=eig, coefficients=co,
+                           classification=classification, conditions=tuple(rows))
 
 
 def origin_never_stable_scan(topo: str, n_draws: int, seed: int):

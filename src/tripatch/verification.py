@@ -87,7 +87,7 @@ def check_existence_theorem(seed: int, n: int) -> PropertyResult:
         p = draw_params(rng)
         a = newton_coexistence(p)
         b = coexistence_by_construction(p)
-        gap = float(np.max(np.abs(a.point - b.point)))
+        gap = model._gap(a.point.tolist(), b.point.tolist())
         worst = max(worst, gap)
         if gap > 1e-6 or a.residual > 1e-10 or float(np.min(a.point)) <= 0.0:
             return PropertyResult(

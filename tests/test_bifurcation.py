@@ -16,8 +16,8 @@ from tripatch.bifurcation import (
     transcritical_thresholds,
 )
 from tripatch.equilibria import find_all_equilibria
-from tripatch.model import ModelParams, ParameterError, with_param
-from tripatch.stability import classify
+from tripatch.model import ModelParams, ParameterError, _coeffs, _jac, with_param
+from tripatch.stability import _margin, classify
 from tripatch.topology import apply_topology
 from tripatch.verification import draw_params
 
@@ -269,3 +269,135 @@ class TestBatchedGrid:
         k = float(p.k[i])
         self.assert_matches_per_point(monkeypatch, "CONVERGE", p, f"k{i + 1}",
                                       k, 3.0 * k, 14)
+
+
+def reference_detect_crossings(topo, params, param, a_val, b_val, eqs_a, eqs_b,
+                               reps_a, reps_b):
+    """_detect_crossings as it was: a validated parameter set per
+    bisection evaluation and NumPy max-norms."""
+    scale = max(1.0, float(np.max(params.k)))
+    pts = [e.point for e in eqs_a]
+    min_sep = math.inf
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            min_sep = min(min_sep, float(np.max(np.abs(pts[i] - pts[j]))))
+    cap = 0.5 * min_sep
+
+    by_label: dict[str, list[int]] = {}
+    for j, e in enumerate(eqs_b):
+        by_label.setdefault(e.label, []).append(j)
+
+    crossings = []
+    taken: set[int] = set()
+    for i, ea in enumerate(eqs_a):
+        cands = [j for j in by_label.get(ea.label, ()) if j not in taken]
+        if not cands:
+            continue
+        j = min(cands, key=lambda j: float(np.max(np.abs(eqs_b[j].point - ea.point))))
+        dist = float(np.max(np.abs(eqs_b[j].point - ea.point)))
+        if dist > cap:
+            continue
+        taken.add(j)
+        na = bifurcation._unstable_count(reps_a[i].eigenvalues)
+        nb = bifurcation._unstable_count(reps_b[j].eigenvalues)
+        if na == nb:
+            continue
+        idx = min(na, nb)
+        xa = tuple(float(v) for v in ea.point)
+        xb = tuple(float(v) for v in eqs_b[j].point)
+
+        def re_at(theta: float):
+            p = apply_topology(with_param(params, param, theta), topo)
+            c = _coeffs(p)
+            t = (theta - a_val) / (b_val - a_val)
+            x = bifurcation._continue_point(c, xa, xb, t, scale)
+            eig = bifurcation.eigenvalues_3x3(
+                np.array(_jac(c, *x)).reshape(3, 3))
+            return eig[idx].real, x, eig
+
+        fa, _, eig_a = re_at(a_val)
+        fb, _, eig_b = re_at(b_val)
+        if abs(fa) <= _margin(eig_a):
+            lo = hi = a_val
+        elif abs(fb) <= _margin(eig_b):
+            lo = hi = b_val
+        elif fa * fb > 0.0:
+            lo, hi = a_val, b_val
+        else:
+            lo, hi = a_val, b_val
+            flo = fa
+            while hi - lo > bifurcation.CROSSING_REFINE:
+                mid = 0.5 * (lo + hi)
+                fm, _, _ = re_at(mid)
+                if fm == 0.0:
+                    lo = hi = mid
+                    break
+                if (fm > 0.0) == (flo > 0.0):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+        theta_star = 0.5 * (lo + hi)
+        _, x_star, eig_star = re_at(theta_star)
+        lam = eig_star[idx]
+        kind = ("REAL_ZERO" if abs(lam.imag) < bifurcation.PAIR_IMAG_TOL
+                else "COMPLEX_PAIR")
+        crossings.append(Crossing(
+            label=ea.label, eig_index=idx, kind=kind,
+            param_value=float(theta_star),
+            point=tuple(float(v) for v in x_star),
+            eig_re=float(lam.real), eig_im=float(lam.imag),
+        ))
+    return crossings
+
+
+class TestBisectionOnTuples:
+    """Crossings refined on coefficient tuples equal the parameter-set path."""
+
+    @staticmethod
+    def sweep_both(monkeypatch, topo, p, tok, lo, hi, steps=14):
+        evals = []
+        eigenvalues_3x3 = bifurcation.eigenvalues_3x3
+
+        def counted(j):
+            evals[-1] += 1
+            return eigenvalues_3x3(j)
+
+        runs = []
+        for detect in (bifurcation._detect_crossings, reference_detect_crossings):
+            evals.append(0)
+            with monkeypatch.context() as m:
+                m.setattr(bifurcation, "_detect_crossings", detect)
+                m.setattr(bifurcation, "eigenvalues_3x3", counted)
+                runs.append([record_bits(r) + (repr(r.crossings),)
+                             for r in sweep(topo, p, tok, lo, hi, steps)])
+        assert runs[0] == runs[1]
+        assert evals[0] == evals[1]
+        return evals[0]
+
+    @pytest.mark.parametrize("topo", ("EX6", "EX7", "EX7N", "EX8", "EX2N",
+                                      "CHAIN", "CONVERGE", "DIVERGE"))
+    def test_every_analytic_threshold(self, monkeypatch, topo):
+        rng = np.random.default_rng(["EX6", "EX7", "EX7N", "EX8", "EX2N", "CHAIN",
+                                     "CONVERGE", "DIVERGE"].index(topo) + 70)
+        evals = 0
+        for _ in range(3):
+            p = apply_topology(draw_params(rng, m_lo=0.1), topo)
+            for tok, thr, _ in transcritical_thresholds(topo, p):
+                evals += self.sweep_both(monkeypatch, topo, p, tok,
+                                         0.52 * thr, 1.48 * thr)
+        assert evals > 0, "no sweep refined a crossing"
+
+    def test_rate_and_capacity_sweeps(self, monkeypatch):
+        p = apply_topology(draw_params(np.random.default_rng(14), m_lo=0.2),
+                           "CHAIN")
+        r1 = float(p.r[0])
+        assert self.sweep_both(monkeypatch, "CHAIN", p, "m21", 0.52 * r1,
+                               1.48 * r1) > 0
+        self.sweep_both(monkeypatch, "CONVERGE", p, "k2", 0.5, 4.0, 6)
+        assert self.sweep_both(monkeypatch, "EX1", ex1_ring(), "m21", 1.5,
+                               2.5, 11) > 0
+
+    def test_zeroed_rate_stays_zero(self, monkeypatch):
+        # EX6 zeroes m21: every grid point is the same parameter set.
+        p = draw_params(np.random.default_rng(16), m_lo=0.2)
+        self.sweep_both(monkeypatch, "EX6", p, "m21", 0.0, 3.0, 4)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,17 @@ from tripatch.model import (
     PARAM_TOKENS,
     ModelParams,
     ParameterError,
+    _coeffs,
+    _gap,
+    _with_coeff,
     as_state,
     growth_terms,
     jacobian,
     rhs,
     with_param,
 )
-from tripatch.topology import permute_params
+from tripatch.topology import TOPOLOGIES, apply_topology, permute_params, zeroed_rates
+from tripatch.verification import draw_params
 
 rates = st.floats(0.1, 5.0)
 capacities = st.floats(0.1, 5.0)
@@ -116,6 +122,155 @@ class TestModelParams:
         p = ModelParams(np.ones(3), np.ones(3), hollow(1))
         with pytest.raises(ParameterError):
             with_param(p, "r2", 0.0)
+
+
+def reference_validate(r, k, m) -> None:
+    """The per-entry checks ModelParams ran on every input before the
+    whole-array test, as the reference for its error messages."""
+    for name, arr in (("r", r), ("k", k), ("m", m)):
+        if not np.all(np.isfinite(arr)):
+            raise ParameterError(f"{name} contains non-finite entries")
+    for i in range(3):
+        if r[i] <= 0.0:
+            raise ParameterError(f"r[{i}] must be strictly positive, got {r[i]}")
+        if k[i] <= 0.0:
+            raise ParameterError(f"k[{i}] must be strictly positive, got {k[i]}")
+        if m[i, i] != 0.0:
+            raise ParameterError(f"m[{i}][{i}] must be zero, got {m[i, i]}")
+        for j in range(3):
+            if i != j and m[i, j] < 0.0:
+                raise ParameterError(
+                    f"m[{i}][{j}] must be nonnegative, got {m[i, j]}"
+                )
+
+
+def reference_coeffs(params: ModelParams) -> tuple:
+    """_coeffs as it read the arrays entry by entry through NumPy scalars."""
+    r1, r2, r3 = (float(x) for x in params.r)
+    k1, k2, k3 = (float(x) for x in params.k)
+    m = params.m
+    m12, m13 = float(m[0, 1]), float(m[0, 2])
+    m21, m23 = float(m[1, 0]), float(m[1, 2])
+    m31, m32 = float(m[2, 0]), float(m[2, 1])
+    o1 = m21 + m31
+    o2 = m12 + m32
+    o3 = m13 + m23
+    return (r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3)
+
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestValidationMessages:
+    """The whole-array test passes valid input; faults keep their messages."""
+
+    KINDS = ("non-finite", "r[", "k[", "must be zero", "nonnegative")
+
+    def test_every_fault_combination_names_the_same_first_fault(self):
+        rng = np.random.default_rng(0)
+        values = [0.0, -0.0, -1.0, 1e-300, -1e-300, 2.5, np.nan, np.inf, -np.inf]
+        seen = set()
+        for _ in range(1500):
+            r, k, m = np.ones(3), np.full(3, 2.0), hollow(0.5)
+            for _ in range(int(rng.integers(1, 4))):
+                v = values[int(rng.integers(len(values)))]
+                which = int(rng.integers(3))
+                if which == 0:
+                    r[rng.integers(3)] = v
+                elif which == 1:
+                    k[rng.integers(3)] = v
+                else:
+                    m[rng.integers(3), rng.integers(3)] = v
+            try:
+                reference_validate(r, k, m)
+                expected = None
+            except ParameterError as exc:
+                expected = str(exc)
+            try:
+                got = ModelParams(r, k, m)
+            except ParameterError as exc:
+                assert str(exc) == expected
+            else:
+                assert expected is None
+                assert np.array_equal(got.m, m) and np.array_equal(got.r, r)
+            seen.add(expected and next(
+                kind for kind in self.KINDS if kind in expected))
+        # Valid sets, and each message kind, were all drawn.
+        assert seen == {None, *self.KINDS}
+
+    def test_message_kinds_in_order(self):
+        m = hollow(1.0)
+        m[2, 1], m[1, 1] = -1.0, 3.0
+        cases = [
+            ((np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, np.inf]), m),
+             "k contains non-finite entries"),
+            ((np.array([1.0, -1.0, 1.0]), np.array([1.0, 0.0, 1.0]), m),
+             "r[1] must be strictly positive, got -1.0"),
+            ((np.ones(3), np.array([1.0, -0.0, 1.0]), m),
+             "k[1] must be strictly positive, got -0.0"),
+            ((np.ones(3), np.ones(3), m), "m[1][1] must be zero, got 3.0"),
+            ((np.ones(3), np.ones(3), m * (1.0 - np.eye(3))),
+             "m[2][1] must be nonnegative, got -1.0"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ParameterError) as info:
+                ModelParams(*args)
+            assert str(info.value) == message
+
+    def test_signed_zero_rates_are_valid(self):
+        m = hollow(1.0)
+        m[0, 0], m[1, 2] = -0.0, -0.0
+        ModelParams(np.ones(3), np.ones(3), m)
+
+
+class TestCoefficientTuples:
+    def test_coeffs_match_the_entrywise_reference(self):
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            p = draw_params(rng)
+            assert bits(_coeffs(p)) == bits(reference_coeffs(p))
+        q = ModelParams.unchecked(np.zeros(3), [1.0, -0.0, 2.0], hollow(-0.0))
+        assert bits(_coeffs(q)) == bits(reference_coeffs(q))
+
+    @pytest.mark.parametrize("topo", TOPOLOGIES)
+    def test_with_coeff_matches_rebuilt_params(self, topo):
+        # Every token, the topology's zeroed rates included: those stay 0.
+        rng = np.random.default_rng(TOPOLOGIES.index(topo))
+        zeroed = zeroed_rates(topo)
+        for _ in range(4):
+            p = draw_params(rng)
+            c = _coeffs(apply_topology(p, topo))
+            for tok in PARAM_TOKENS:
+                if tok[0] == "m":
+                    values = (0.0, float(rng.uniform(0.0, 2.0)))
+                else:
+                    values = (float(rng.uniform(0.1, 5.0)), 1e-300)
+                for v in values:
+                    want = _coeffs(apply_topology(with_param(p, tok, v), topo))
+                    assert bits(_with_coeff(c, tok, v, zeroed)) == bits(want), (
+                        topo, tok, v)
+
+
+class TestGap:
+    def test_matches_numpy_max_norm(self):
+        rng = np.random.default_rng(0)
+        values = [0.0, -0.0, 1.0, -2.5, 1e-300, math.inf, -math.inf, math.nan]
+        pairs = [(rng.normal(size=3), rng.normal(size=3)) for _ in range(200)]
+        pairs += [(np.array([values[i], values[j], values[k]]),
+                   np.array([values[k], 1.0, values[i]]))
+                  for i in range(8) for j in range(8) for k in range(8)]
+        for a, b in pairs:
+            with np.errstate(invalid="ignore"):
+                want = float(np.max(np.abs(a - b)))
+            assert repr(_gap(a.tolist(), b.tolist())) == repr(want), (a, b)
+
+    def test_nan_anywhere_is_never_close(self):
+        for i in range(3):
+            a = [0.0, 0.0, 0.0]
+            a[i] = math.nan
+            assert math.isnan(_gap(a, [0.0, 0.0, 0.0]))
+            assert not _gap([0.0, 0.0, 0.0], a) < 1e-6
 
 
 class TestAsState:

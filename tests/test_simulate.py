@@ -10,7 +10,8 @@ import pytest
 from tripatch.equilibria import _halton, find_all_equilibria
 from tripatch.model import ModelParams, _coeffs
 from tripatch.simulate import (HANDOFF_LANES, StepUnderflowError, Trajectory,
-                               _integrate_lanes, basin_sample, integrate)
+                               _integrate_lanes, _row_max, _row_min, basin_sample,
+                               integrate)
 from tripatch.topology import apply_topology
 from tripatch.verification import draw_params
 
@@ -169,6 +170,22 @@ class TestLanes:
             p = draw_params(rng, m_lo=0.1)
             assert basin_sample(topo, p, n=n, seed=5) == \
                 scalar_basin(topo, p, n, seed=5), topo
+
+
+class TestRowExtrema:
+    ROWS = [
+        [math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan],
+        [2.0, math.nan, 1.0], [math.nan, math.nan, 1.0], [math.nan] * 3,
+        [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [1.0, -math.inf, math.nan],
+    ]
+
+    def test_python_tie_rule(self):
+        # A NaN first wins, a later one is skipped; ties keep the first.
+        a = np.array(self.ROWS)
+        assert [repr(v) for v in _row_max(a).tolist()] == \
+            [repr(max(row)) for row in self.ROWS]
+        assert [repr(v) for v in _row_min(a).tolist()] == \
+            [repr(min(row)) for row in self.ROWS]
 
 
 class TestBasinSample:

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
+from tripatch import stability
 from tripatch.equilibria import EquilibriumRecord, find_all_equilibria
-from tripatch.model import ModelParams, with_param
+from tripatch.model import ModelParams, _coeffs, _jac, with_param
 from tripatch.stability import (
     CharacteristicCoefficients,
+    ConditionRow,
+    StabilityReport,
     StaleEquilibriumError,
     characteristic,
     classify,
@@ -25,6 +31,149 @@ from tripatch.verification import draw_params
 def sorted_eigs(j):
     e = sorted(np.linalg.eigvals(j), key=lambda z: (-z.real, -z.imag))
     return np.array(e)
+
+
+def reference_characteristic(j) -> CharacteristicCoefficients:
+    """characteristic as it was, on NumPy scalars."""
+    a = np.asarray(j, dtype=float)
+    if a.shape != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
+    tr = a[0, 0] + a[1, 1] + a[2, 2]
+    m_j = (
+        a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
+        + a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
+        + a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    )
+    det = (
+        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+    )
+    return CharacteristicCoefficients(trace=float(tr), m_j=float(m_j), det=float(det))
+
+
+def reference_cubic_roots(b: float, c: float, d: float) -> list[complex]:
+    """The Cardano/trigonometric roots eigenvalues_3x3 polished, as they were."""
+    shift = b / 3.0
+    p = c - b * b / 3.0
+    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
+    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    if disc > 0.0:
+        s = math.sqrt(disc)
+        u = math.copysign(abs(-q / 2.0 + s) ** (1.0 / 3.0), -q / 2.0 + s)
+        v = math.copysign(abs(-q / 2.0 - s) ** (1.0 / 3.0), -q / 2.0 - s)
+        t1 = u + v
+        quad_disc = t1 * t1 - 4.0 * (t1 * t1 + p)
+        rt = cmath.sqrt(quad_disc)
+        roots = [complex(t1), (-t1 + rt) / 2.0, (-t1 - rt) / 2.0]
+    elif p == 0.0:
+        roots = [0j, 0j, 0j]
+    else:
+        rho = math.sqrt(-p / 3.0)
+        arg = max(-1.0, min(1.0, 3.0 * q / (2.0 * p * rho)))
+        theta = math.acos(arg)
+        roots = [
+            complex(2.0 * rho * math.cos((theta - 2.0 * math.pi * kk) / 3.0))
+            for kk in range(3)
+        ]
+    return [t - shift for t in roots]
+
+
+def reference_eigenvalues_3x3(j):
+    """eigenvalues_3x3 as it was, on reference_characteristic."""
+    co = reference_characteristic(j)
+    b, c, d = -co.trace, co.m_j, -co.det
+    roots = reference_cubic_roots(b, c, d)
+    polished = []
+    for z in roots:
+        f = ((z + b) * z + c) * z + d
+        fp = (3.0 * z + 2.0 * b) * z + c
+        if abs(fp) > 0.0:
+            zn = z - f / fp
+            fn = ((zn + b) * zn + c) * zn + d
+            if abs(fn) < abs(f):
+                z = zn
+        if abs(z.imag) < 1e-14 * (1.0 + abs(z.real)):
+            z = complex(z.real, 0.0)
+        polished.append(z)
+    polished.sort(key=lambda z: (-z.real, -z.imag))
+    return tuple(polished)
+
+
+def reference_classify_matrix(j):
+    """classify_matrix as it was: the characteristic computed twice."""
+    eig = reference_eigenvalues_3x3(j)
+    return stability._classification(eig), eig, reference_characteristic(j)
+
+
+def reference_classify(topo, eq, params):
+    """classify as it was, reading the point through NumPy scalars."""
+    c = _coeffs(params)
+    p = eq.point
+    jac = np.array(_jac(c, float(p[0]), float(p[1]), float(p[2]))).reshape(3, 3)
+    classification, eig, co = reference_classify_matrix(jac)
+    rows = [
+        ConditionRow("traceJ", co.trace < 0.0, co.trace, 0.0, "sign_test"),
+        ConditionRow("MJ", co.m_j > 0.0, co.m_j, 0.0, "sign_test"),
+        ConditionRow("detJ", co.det < 0.0, co.det, 0.0, "sign_test"),
+    ]
+    builder = stability._CONDITION_TABLE.get((topo, eq.label))
+    if builder is not None:
+        for cid, kind, (lhs, rhs, holds) in builder(c, p):
+            rows.append(ConditionRow(cid, bool(holds), float(lhs), float(rhs), kind))
+    return StabilityReport(eigenvalues=eig, coefficients=co,
+                           classification=classification, conditions=tuple(rows))
+
+
+def reference_outcome(fn, j):
+    """repr of fn(j) (exact for floats and complex), or the error raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return repr(fn(j))
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+def matrices():
+    """Random, structured, degenerate, non-finite and list-valued 3x3 inputs."""
+    rng = np.random.default_rng(7)
+    out = [rng.normal(0.0, 3.0, (3, 3)) for _ in range(300)]
+    out += [rng.integers(-3, 4, (3, 3)).astype(float) for _ in range(100)]
+    out += [np.diag([-1.0, -2.0, -3.0]), np.zeros((3, 3)), np.eye(3),
+            np.array([[-3.0, 1, 1], [1, -3.0, 1], [1, 1, -3.0]]),
+            np.array([[0.0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+            np.array([[0.0, -1, 0], [1, 0, 0], [0, 0, -1]]),
+            np.diag([-1.0, -2.0, 1e-12]), np.diag([-0.0, 0.0, -0.0]),
+            np.full((3, 3), 1e200), np.array([[np.nan, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            np.array([[np.inf, 1, 0], [0, 1, 0], [0, 0, 1]]),
+            [[1, 2, 3], [4, 5, 6], [7, 8, 10]], np.eye(2)]
+    for topo in TOPOLOGIES:
+        p = apply_topology(draw_params(rng), topo)
+        for _ in range(5):
+            x = rng.uniform(0.0, 2.0 * float(np.max(p.k)), 3)
+            out.append(np.array(_jac(_coeffs(p), *x.tolist())).reshape(3, 3))
+    return out
+
+
+class TestAgainstReference:
+    """The float-based characteristic and single-pass classify_matrix and
+    classify equal their NumPy-scalar forms exactly."""
+
+    def test_characteristic_and_classify_matrix(self):
+        for j in matrices():
+            for fn, ref in ((characteristic, reference_characteristic),
+                            (eigenvalues_3x3, reference_eigenvalues_3x3),
+                            (classify_matrix, reference_classify_matrix)):
+                assert reference_outcome(fn, j) == reference_outcome(ref, j), j
+
+    def test_classify_on_every_record(self):
+        rng = np.random.default_rng(8)
+        for topo in TOPOLOGIES:
+            for _ in range(4):
+                p = apply_topology(draw_params(rng), topo)
+                for rec in find_all_equilibria(topo, p):
+                    assert repr(classify(topo, rec, p)) == \
+                        repr(reference_classify(topo, rec, p))
 
 
 class TestCharacteristic:
