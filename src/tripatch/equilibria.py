@@ -28,6 +28,7 @@ its grid values in one such batch.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -660,11 +661,24 @@ def _dedup(points, residuals):
             for p, res in reps]
 
 
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``, or a ValueError naming it.
+
+    ``operator.index`` takes NumPy integers but not floats, even whole ones.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def _oracle_many(params_list, n_starts: int = 64, seed: int = 0,
                  tol: float = 1e-8) -> list[list[EquilibriumRecord]]:
     """``brute_force_equilibria`` of every set in ``params_list``, batched."""
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
+    n_starts, seed = _count("n_starts", n_starts, 1), _count("seed", seed, 0)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     out = []
@@ -698,7 +712,8 @@ def brute_force_equilibria(params: ModelParams, n_starts: int = 64,
     Raises
     ------
     ValueError
-        If ``n_starts < 1`` or ``tol`` is not finite and positive.
+        If ``n_starts`` is not an integer >= 1, ``seed`` not an integer
+        >= 0, or ``tol`` not finite and positive.
     """
     return _oracle_many([params], n_starts, seed, tol)[0]
 
@@ -751,7 +766,8 @@ def find_all_equilibria(topo: str, params: ModelParams, n_starts: int = 64,
         If a *feasible* catalog point is absent from the oracle set —
         that combination means a transcribed formula is wrong.
     ValueError
-        If ``n_starts < 1`` or ``tol`` is not finite and positive.
+        If ``n_starts`` is not an integer >= 1, ``seed`` not an integer
+        >= 0, or ``tol`` not finite and positive.
     """
     params = apply_topology(params, topo)
     oracle = brute_force_equilibria(params, n_starts=n_starts, seed=seed, tol=tol)

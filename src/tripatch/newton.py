@@ -245,6 +245,14 @@ def _col_max(a):
     return m
 
 
+def _col_min(a):
+    """Python's ``min`` over the rows of each column of ``a`` (see _col_max)."""
+    m = a[0]
+    for row in a[1:]:
+        m = np.where(row < m, row, m)
+    return m
+
+
 def _solve3_lanes(K, diag, F):
     """``_solve3`` on every lane: the step and the condition estimate.
 

@@ -13,14 +13,18 @@ equilibrium is reached.
 
 The stepper is written twice: in scalar form (``_advance``, behind
 ``integrate``) and batched over starts (``_integrate_lanes``, behind
-``basin_sample``).  The batch holds each start as a lane with its own
-time, step, stage cache and steady-state streak, and accepts, rejects and
-retires lanes by mask.  Every lane performs the scalar stepper's float
-operations in the same order (Python's ``**`` for the controller powers,
-Python's ``max``/``min`` tie rules), so each start ends in the same
-terminal state as ``integrate`` from it, bit for bit.  The last few live
-lanes finish in ``_advance``, because a handful of slow starts would
-otherwise keep a nearly empty batch stepping.
+``basin_sample``).  ``_advance`` is unrolled over the three patches on
+plain floats.  The batch holds its lanes in the oracle's layout, a (3, n)
+state with one column per start, and shares ``newton``'s lane kernels:
+``_rhs_lanes`` with one coefficient column broadcast over every lane,
+and ``_col_max``/``_col_min`` for the extrema over the patches.  Each
+lane has its own time, step, stage cache and steady-state streak, and
+lanes are accepted, rejected and retired by mask.  Both forms perform
+the same float operations in the same order (Python's ``**`` for the
+controller powers, Python's ``max``/``min`` tie rules), so each start
+ends in the same terminal state as ``integrate`` from it, bit for bit.
+The last few live lanes finish in ``_advance``, because a handful of
+slow starts would otherwise keep a nearly empty batch stepping.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import _halton, find_all_equilibria
+from .equilibria import _count, _halton, find_all_equilibria
 from .model import ModelParams, _coeffs, _rhs, as_state
+from .newton import _col_max, _col_min, _lane_coeffs, _rhs_lanes
 from .topology import apply_topology
 
 __all__ = [
@@ -58,9 +63,12 @@ SLOW_TOL = 1e-5
 DIVERGE_NORM = 1e12
 
 #: ``_integrate_lanes`` finishes its last this-many live lanes one at a
-#: time: a few starts take ~40x the median step count, and a batch of a
-#: handful of lanes costs more per step than the scalar stepper.
-HANDOFF_LANES = 8
+#: time in ``_advance``: a few starts take ~40x the median step count, and
+#: a batch step costs about 30 scalar ones (≈0.33 ms against ≈12 µs on a
+#: 2-vCPU x86_64 VM).  CPU ms per 200-start draw over the 50 acceptance-10
+#: draws, median of 9, by handoff: 8: 64.7, 16: 60.7, 24: 60.2, 32: 59.9,
+#: 48: 61.2.
+HANDOFF_LANES = 24
 
 # Dormand–Prince 5(4) tableau (Hairer, Nørsett & Wanner, 2nd ed., p. 178).
 _A2 = (1 / 5,)
@@ -129,6 +137,12 @@ def _advance(c: tuple, t: float, y: tuple, k1: tuple, h: float, streak: int,
     times, states = ([t], [y]) if record else ([], [])
     h_min = 1e-14 * t_end
     terminal = "MAX_TIME"
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _A2, _A3, _A4, _A5, _A6
+    b1, _, b3, b4, b5, b6 = _B
+    e1, _, e3, e4, e5, e6, e7 = _E
+    y1, y2, y3 = y
+    k11, k12, k13 = k1
 
     while t < t_end:
         h = min(h, t_end - t)
@@ -136,30 +150,41 @@ def _advance(c: tuple, t: float, y: tuple, k1: tuple, h: float, streak: int,
             raise StepUnderflowError(
                 f"step size {h:.3e} fell below {h_min:.3e} at t={t:.6g}")
 
-        k2 = _rhs(c, *(y[i] + h * _A2[0] * k1[i] for i in range(3)))
-        k3 = _rhs(c, *(y[i] + h * (_A3[0] * k1[i] + _A3[1] * k2[i])
-                       for i in range(3)))
-        k4 = _rhs(c, *(y[i] + h * (_A4[0] * k1[i] + _A4[1] * k2[i]
-                                   + _A4[2] * k3[i]) for i in range(3)))
-        k5 = _rhs(c, *(y[i] + h * (_A5[0] * k1[i] + _A5[1] * k2[i]
-                                   + _A5[2] * k3[i] + _A5[3] * k4[i])
-                       for i in range(3)))
-        k6 = _rhs(c, *(y[i] + h * (_A6[0] * k1[i] + _A6[1] * k2[i]
-                                   + _A6[2] * k3[i] + _A6[3] * k4[i]
-                                   + _A6[4] * k5[i]) for i in range(3)))
-        y_new = tuple(y[i] + h * (_B[0] * k1[i] + _B[2] * k3[i]
-                                  + _B[3] * k4[i] + _B[4] * k5[i]
-                                  + _B[5] * k6[i]) for i in range(3))
-        k7 = _rhs(c, *y_new)
+        k21, k22, k23 = _rhs(c, y1 + h * a21 * k11, y2 + h * a21 * k12,
+                             y3 + h * a21 * k13)
+        k31, k32, k33 = _rhs(c, y1 + h * (a31 * k11 + a32 * k21),
+                             y2 + h * (a31 * k12 + a32 * k22),
+                             y3 + h * (a31 * k13 + a32 * k23))
+        k41, k42, k43 = _rhs(c, y1 + h * (a41 * k11 + a42 * k21 + a43 * k31),
+                             y2 + h * (a41 * k12 + a42 * k22 + a43 * k32),
+                             y3 + h * (a41 * k13 + a42 * k23 + a43 * k33))
+        k51, k52, k53 = _rhs(
+            c, y1 + h * (a51 * k11 + a52 * k21 + a53 * k31 + a54 * k41),
+            y2 + h * (a51 * k12 + a52 * k22 + a53 * k32 + a54 * k42),
+            y3 + h * (a51 * k13 + a52 * k23 + a53 * k33 + a54 * k43))
+        k61, k62, k63 = _rhs(
+            c, y1 + h * (a61 * k11 + a62 * k21 + a63 * k31 + a64 * k41
+                         + a65 * k51),
+            y2 + h * (a61 * k12 + a62 * k22 + a63 * k32 + a64 * k42
+                      + a65 * k52),
+            y3 + h * (a61 * k13 + a62 * k23 + a63 * k33 + a64 * k43
+                      + a65 * k53))
+        z1 = y1 + h * (b1 * k11 + b3 * k31 + b4 * k41 + b5 * k51 + b6 * k61)
+        z2 = y2 + h * (b1 * k12 + b3 * k32 + b4 * k42 + b5 * k52 + b6 * k62)
+        z3 = y3 + h * (b1 * k13 + b3 * k33 + b4 * k43 + b5 * k53 + b6 * k63)
+        k71, k72, k73 = _rhs(c, z1, z2, z3)
 
-        err = 0.0
-        for i in range(3):
-            e_i = h * (_E[0] * k1[i] + _E[2] * k3[i] + _E[3] * k4[i]
-                       + _E[4] * k5[i] + _E[5] * k6[i] + _E[6] * k7[i])
-            sc = abs_tol + rel_tol * max(abs(y[i]), abs(y_new[i]))
-            err = max(err, abs(e_i) / sc)
+        err = max(0.0, abs(h * (e1 * k11 + e3 * k31 + e4 * k41 + e5 * k51
+                                + e6 * k61 + e7 * k71))
+                  / (abs_tol + rel_tol * max(abs(y1), abs(z1))),
+                  abs(h * (e1 * k12 + e3 * k32 + e4 * k42 + e5 * k52
+                           + e6 * k62 + e7 * k72))
+                  / (abs_tol + rel_tol * max(abs(y2), abs(z2))),
+                  abs(h * (e1 * k13 + e3 * k33 + e4 * k43 + e5 * k53
+                           + e6 * k63 + e7 * k73))
+                  / (abs_tol + rel_tol * max(abs(y3), abs(z3))))
 
-        low = min(y_new)
+        low = min(z1, z2, z3)
         if err > 1.0 or low < -abs_tol:
             # Reject: error too large, or the orthant was left by more
             # than the absolute tolerance.
@@ -169,21 +194,22 @@ def _advance(c: tuple, t: float, y: tuple, k1: tuple, h: float, streak: int,
             continue
 
         if low < 0.0:
-            y_new = tuple(max(0.0, v) for v in y_new)
-            k7 = _rhs(c, *y_new)
+            z1, z2, z3 = max(0.0, z1), max(0.0, z2), max(0.0, z3)
+            k71, k72, k73 = _rhs(c, z1, z2, z3)
 
         t += h
-        y = y_new
-        k1 = k7  # first-same-as-last
+        y1, y2, y3 = z1, z2, z3
+        k11, k12, k13 = k71, k72, k73  # first-same-as-last
         if record:
             times.append(t)
-            states.append(y)
+            states.append((y1, y2, y3))
 
-        norm = max(abs(v) for v in y)
-        if not all(math.isfinite(v) for v in y) or norm > DIVERGE_NORM:
+        norm = max(abs(y1), abs(y2), abs(y3))
+        if not (math.isfinite(y1) and math.isfinite(y2)
+                and math.isfinite(y3)) or norm > DIVERGE_NORM:
             terminal = "DIVERGED"
             break
-        rhs_norm = max(abs(v) for v in k7)
+        rhs_norm = max(abs(k11), abs(k12), abs(k13))
         if rhs_norm < RHS_TOL * (1.0 + norm):
             streak += 1
             if streak >= STEADY_STEPS:
@@ -202,27 +228,7 @@ def _advance(c: tuple, t: float, y: tuple, k1: tuple, h: float, streak: int,
         prev_rhs = rhs_norm
         h *= grow
 
-    return terminal, y, times, states
-
-
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """Python's ``max`` over each row of an (n, 3) array.
-
-    Like ``max(a, b)``, a later entry wins only if it is greater, so a
-    NaN after the first entry is skipped where ``np.max`` would return it.
-    """
-    m = a[:, 0]
-    for j in (1, 2):
-        m = np.where(a[:, j] > m, a[:, j], m)
-    return m
-
-
-def _row_min(a: np.ndarray) -> np.ndarray:
-    """Python's ``min`` over each row of an (n, 3) array (see _row_max)."""
-    m = a[:, 0]
-    for j in (1, 2):
-        m = np.where(a[:, j] < m, a[:, j], m)
-    return m
+    return terminal, (y1, y2, y3), times, states
 
 
 def _inv_fifth_root(x: np.ndarray) -> np.ndarray:
@@ -242,22 +248,13 @@ def _integrate_lanes(c: tuple, starts: np.ndarray, t_end: float,
     Returns the terminals and the (n, 3) end states, in row order.
     """
     n = len(starts)
-    r, k, o = np.array(c[0:3]), np.array(c[3:6]), np.array(c[12:15])
-    # f_i = r_i·p_i·(1 - p_i/k_i) + m_ia·p_a + m_ib·p_b - o_i·p_i, with
-    # (a, b) the other two patches in _rhs's order.
-    m12, m13, m21, m23, m31, m32 = c[6:12]
-    ma, mb = np.array([m12, m21, m31]), np.array([m13, m23, m32])
-    ia, ib = [1, 0, 0], [2, 2, 1]
-
-    def rhs(p):
-        return r * p * (1.0 - p / k) + ma * p[:, ia] + mb * p[:, ib] - o * p
-
+    K = _lane_coeffs([c])  # one coefficient column for every lane
     terminals: list[str] = [""] * n
     ends = np.empty((n, 3))
     lane = np.arange(n)
-    y = np.array(starts, dtype=float)
-    k1 = rhs(y)
-    h = 0.01 * (1.0 + _row_max(np.abs(y))) / (1.0 + _row_max(np.abs(k1)))
+    y = np.array(starts, dtype=float).T.copy()
+    k1 = _rhs_lanes(K, y)
+    h = 0.01 * (1.0 + _col_max(np.abs(y))) / (1.0 + _col_max(np.abs(k1)))
     h = np.where(h < t_end, h, t_end)
     t = np.zeros(n)
     streak = np.zeros(n, dtype=int)
@@ -272,28 +269,27 @@ def _integrate_lanes(c: tuple, starts: np.ndarray, t_end: float,
             raise StepUnderflowError(f"step size {h[i]:.3e} fell below "
                                      f"{h_min:.3e} at t={t[i]:.6g}")
 
-        hc = h[:, None]
-        k2 = rhs(y + hc * _A2[0] * k1)
-        k3 = rhs(y + hc * (_A3[0] * k1 + _A3[1] * k2))
-        k4 = rhs(y + hc * (_A4[0] * k1 + _A4[1] * k2 + _A4[2] * k3))
-        k5 = rhs(y + hc * (_A5[0] * k1 + _A5[1] * k2 + _A5[2] * k3
-                           + _A5[3] * k4))
-        k6 = rhs(y + hc * (_A6[0] * k1 + _A6[1] * k2 + _A6[2] * k3
-                           + _A6[3] * k4 + _A6[4] * k5))
-        y_new = y + hc * (_B[0] * k1 + _B[2] * k3 + _B[3] * k4 + _B[4] * k5
-                          + _B[5] * k6)
-        k7 = rhs(y_new)
+        k2 = _rhs_lanes(K, y + h * _A2[0] * k1)
+        k3 = _rhs_lanes(K, y + h * (_A3[0] * k1 + _A3[1] * k2))
+        k4 = _rhs_lanes(K, y + h * (_A4[0] * k1 + _A4[1] * k2 + _A4[2] * k3))
+        k5 = _rhs_lanes(K, y + h * (_A5[0] * k1 + _A5[1] * k2 + _A5[2] * k3
+                                    + _A5[3] * k4))
+        k6 = _rhs_lanes(K, y + h * (_A6[0] * k1 + _A6[1] * k2 + _A6[2] * k3
+                                    + _A6[3] * k4 + _A6[4] * k5))
+        y_new = y + h * (_B[0] * k1 + _B[2] * k3 + _B[3] * k4 + _B[4] * k5
+                         + _B[5] * k6)
+        k7 = _rhs_lanes(K, y_new)
 
-        e = hc * (_E[0] * k1 + _E[2] * k3 + _E[3] * k4 + _E[4] * k5
-                  + _E[5] * k6 + _E[6] * k7)
+        e = h * (_E[0] * k1 + _E[2] * k3 + _E[3] * k4 + _E[4] * k5
+                 + _E[5] * k6 + _E[6] * k7)
         ay, ay_new = np.abs(y), np.abs(y_new)
         q = np.abs(e) / (abs_tol + rel_tol * np.where(ay_new > ay, ay_new,
                                                       ay))
         err = np.zeros(len(lane))
-        for j in range(3):
-            err = np.where(q[:, j] > err, q[:, j], err)
+        for row in q:
+            err = np.where(row > err, row, err)
 
-        low = _row_min(y_new)
+        low = _col_min(y_new)
         out = low < -abs_tol
         reject = (err > 1.0) | out
         factor = np.full(len(lane), 0.5)
@@ -306,15 +302,16 @@ def _integrate_lanes(c: tuple, starts: np.ndarray, t_end: float,
         acc = ~reject
         clamp = acc & (low < 0.0)
         if clamp.any():
-            y_new[clamp] = np.where(y_new[clamp] > 0.0, y_new[clamp], 0.0)
-            k7[clamp] = rhs(y_new[clamp])
+            z = y_new[:, clamp]
+            y_new[:, clamp] = z = np.where(z > 0.0, z, 0.0)
+            k7[:, clamp] = _rhs_lanes(K, z)
         t = np.where(acc, t + h, t)
-        y = np.where(acc[:, None], y_new, y)
-        k1 = np.where(acc[:, None], k7, k1)
+        y = np.where(acc, y_new, y)
+        k1 = np.where(acc, k7, k1)
 
-        norm = _row_max(np.abs(y))
-        diverged = acc & (~np.isfinite(y).all(axis=1) | (norm > DIVERGE_NORM))
-        rhs_norm = _row_max(np.abs(k1))
+        norm = _col_max(np.abs(y))
+        diverged = acc & (~np.isfinite(y).all(axis=0) | (norm > DIVERGE_NORM))
+        rhs_norm = _col_max(np.abs(k1))
         small = rhs_norm < RHS_TOL * (1.0 + norm)
         streak = np.where(acc, np.where(small, streak + 1, 0), streak)
         steady = acc & small & (streak >= STEADY_STEPS)
@@ -334,17 +331,16 @@ def _integrate_lanes(c: tuple, starts: np.ndarray, t_end: float,
             for i in np.flatnonzero(done).tolist():
                 terminals[lane[i]] = ("DIVERGED" if diverged[i] else
                                       "STEADY" if steady[i] else "MAX_TIME")
-            ends[lane[done]] = y[done]
+            ends[lane[done]] = y[:, done].T
             keep = ~done
-            lane, t, y, k1, h = lane[keep], t[keep], y[keep], k1[keep], h[keep]
+            lane, t, y, k1, h = (lane[keep], t[keep], y[:, keep], k1[:, keep],
+                                 h[keep])
             streak, prev_rhs = streak[keep], prev_rhs[keep]
 
     for i, j in enumerate(lane.tolist()):
-        terminals[j], end, _, _ = _advance(
-            c, float(t[i]), tuple(y[i].tolist()), tuple(k1[i].tolist()),
-            float(h[i]), int(streak[i]), float(prev_rhs[i]), t_end, rel_tol,
-            abs_tol, False)
-        ends[j] = end
+        terminals[j], ends[j], _, _ = _advance(
+            c, float(t[i]), y[:, i].tolist(), k1[:, i].tolist(), float(h[i]),
+            int(streak[i]), float(prev_rhs[i]), t_end, rel_tol, abs_tol, False)
     return terminals, ends
 
 
@@ -360,8 +356,7 @@ def basin_sample(topo: str, params: ModelParams, n: int, seed: int,
     ending otherwise contribute to the MAX_TIME / DIVERGED keys, so the
     fractions always sum to 1.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _count("n", n, 1)
     _check_run(t_end, rel_tol, abs_tol)
     if not (math.isfinite(match_tol) and match_tol >= 0.0):
         raise ValueError(

@@ -234,6 +234,29 @@ class TestFindAll:
         with pytest.raises(ValueError, match="tol must be finite"):
             find_all_equilibria("FULL", p, tol=tol)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"n_starts": 2.5}, "n_starts must be an integer"),
+        ({"n_starts": 64.0}, "n_starts must be an integer"),
+        ({"n_starts": 0}, "n_starts must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"seed": 1.0}, "seed must be an integer"),
+    ])
+    def test_rejects_a_count_or_seed_that_is_not_a_whole_number(self, kwargs,
+                                                                 match):
+        # n_starts=2.5 used to raise IndexError inside the Halton sampler,
+        # seed=-1 NumPy's error, which did not name the argument.
+        p = draw_params(np.random.default_rng(41))
+        with pytest.raises(ValueError, match=match):
+            find_all_equilibria("FULL", p, **kwargs)
+
+    def test_numpy_integers_count_as_integers(self):
+        p = draw_params(np.random.default_rng(41))
+        got = find_all_equilibria("FULL", p, n_starts=np.int64(64),
+                                  seed=np.uint8(3))
+        want = find_all_equilibria("FULL", p, n_starts=64, seed=3)
+        assert [(r.label, r.point.tobytes()) for r in got] == \
+            [(r.label, r.point.tobytes()) for r in want]
+
 
 # ---------------------------------------------------------------------------
 # The batched oracle against a one-start-at-a-time scalar reference.

@@ -7,11 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from tripatch import simulate
 from tripatch.equilibria import _halton, find_all_equilibria
-from tripatch.model import ModelParams, _coeffs
-from tripatch.simulate import (HANDOFF_LANES, StepUnderflowError, Trajectory,
-                               _integrate_lanes, _row_max, _row_min, basin_sample,
-                               integrate)
+from tripatch.model import ModelParams, _coeffs, _rhs
+from tripatch.newton import _col_max, _col_min
+from tripatch.simulate import (_A2, _A3, _A4, _A5, _A6, _B, _E, DIVERGE_NORM,
+                               HANDOFF_LANES, RHS_TOL, SLOW_TOL, STEADY_STEPS,
+                               StepUnderflowError, Trajectory, _integrate_lanes,
+                               basin_sample, integrate)
 from tripatch.topology import apply_topology
 from tripatch.verification import draw_params
 
@@ -100,6 +103,169 @@ class TestIntegrate:
             integrate(symmetric_full(), [-0.5, 1.0, 1.0], t_end=1.0)
 
 
+def acceptance_10_case(i):
+    """Acceptance-10 draw ``i`` on FULL and its 200 basin starts."""
+    rng = np.random.default_rng(1010)
+    p = apply_topology([draw_params(rng) for _ in range(i + 1)][i], "FULL")
+    box = 2.0 * float(np.max(p.k))
+    return p, np.maximum(_halton(3, 200, i) * box, 1e-9 * box)
+
+
+def loose_case():
+    """A draw and 24 starts for tolerances of 0.5 over t_end = 5.
+
+    Tolerances this loose leave the orthant, clamp back into it and let
+    some starts run away, so every reject and terminal path runs.
+    """
+    rng = np.random.default_rng(12)
+    p = draw_params(rng)
+    starts = rng.uniform(0.0, 20.0, (24, 3)) * float(p.k.max())
+    starts[rng.uniform(size=(24, 3)) < 0.3] = 0.0
+    return p, starts
+
+
+def reference_advance(c: tuple, t: float, y: tuple, k1: tuple, h: float,
+                      streak: int, prev_rhs: float, t_end: float,
+                      rel_tol: float, abs_tol: float,
+                      record: bool) -> tuple[str, tuple, list, list]:
+    """The generator-based scalar stepper, kept as the unrolled one's reference.
+
+    Step one trajectory from a step attempt's state to its terminus.
+
+    ``k1`` is the rhs at ``y`` (first-same-as-last), ``h`` the step to
+    try next, ``streak`` the count of consecutive small-rhs steps and
+    ``prev_rhs`` the rhs norm of the last accepted step.  Returns
+    ``(terminal, y, times, states)``; with ``record`` the lists hold the
+    given state and every accepted one, otherwise they are empty.
+    """
+    times, states = ([t], [y]) if record else ([], [])
+    h_min = 1e-14 * t_end
+    terminal = "MAX_TIME"
+
+    while t < t_end:
+        h = min(h, t_end - t)
+        if h < h_min:
+            raise StepUnderflowError(
+                f"step size {h:.3e} fell below {h_min:.3e} at t={t:.6g}")
+
+        k2 = _rhs(c, *(y[i] + h * _A2[0] * k1[i] for i in range(3)))
+        k3 = _rhs(c, *(y[i] + h * (_A3[0] * k1[i] + _A3[1] * k2[i])
+                       for i in range(3)))
+        k4 = _rhs(c, *(y[i] + h * (_A4[0] * k1[i] + _A4[1] * k2[i]
+                                   + _A4[2] * k3[i]) for i in range(3)))
+        k5 = _rhs(c, *(y[i] + h * (_A5[0] * k1[i] + _A5[1] * k2[i]
+                                   + _A5[2] * k3[i] + _A5[3] * k4[i])
+                       for i in range(3)))
+        k6 = _rhs(c, *(y[i] + h * (_A6[0] * k1[i] + _A6[1] * k2[i]
+                                   + _A6[2] * k3[i] + _A6[3] * k4[i]
+                                   + _A6[4] * k5[i]) for i in range(3)))
+        y_new = tuple(y[i] + h * (_B[0] * k1[i] + _B[2] * k3[i]
+                                  + _B[3] * k4[i] + _B[4] * k5[i]
+                                  + _B[5] * k6[i]) for i in range(3))
+        k7 = _rhs(c, *y_new)
+
+        err = 0.0
+        for i in range(3):
+            e_i = h * (_E[0] * k1[i] + _E[2] * k3[i] + _E[3] * k4[i]
+                       + _E[4] * k5[i] + _E[5] * k6[i] + _E[6] * k7[i])
+            sc = abs_tol + rel_tol * max(abs(y[i]), abs(y_new[i]))
+            err = max(err, abs(e_i) / sc)
+
+        low = min(y_new)
+        if err > 1.0 or low < -abs_tol:
+            # Reject: error too large, or the orthant was left by more
+            # than the absolute tolerance.
+            shrink = 0.5 if low < -abs_tol else max(
+                0.2, 0.9 * err ** -0.2)
+            h *= min(shrink, 0.9)
+            continue
+
+        if low < 0.0:
+            y_new = tuple(max(0.0, v) for v in y_new)
+            k7 = _rhs(c, *y_new)
+
+        t += h
+        y = y_new
+        k1 = k7  # first-same-as-last
+        if record:
+            times.append(t)
+            states.append(y)
+
+        norm = max(abs(v) for v in y)
+        if not all(math.isfinite(v) for v in y) or norm > DIVERGE_NORM:
+            terminal = "DIVERGED"
+            break
+        rhs_norm = max(abs(v) for v in k7)
+        if rhs_norm < RHS_TOL * (1.0 + norm):
+            streak += 1
+            if streak >= STEADY_STEPS:
+                terminal = "STEADY"
+                break
+        else:
+            streak = 0
+
+        grow = min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))
+        if rhs_norm < SLOW_TOL * (1.0 + norm):
+            # Freeze growth near an attractor — and if the field norm
+            # stopped falling, the step is parked at the edge of the
+            # stability region (neutral wobble the error test cannot
+            # see), so shrink until contraction resumes.
+            grow = min(grow, 1.0 if rhs_norm < 0.999 * prev_rhs else 0.7)
+        prev_rhs = rhs_norm
+        h *= grow
+
+    return terminal, y, times, states
+
+
+class TestUnrolledStepper:
+    """The unrolled ``_advance`` against the generator-based one it replaced."""
+
+    @staticmethod
+    def outcomes(p, starts, t_end, rel_tol, abs_tol):
+        # Bytes, so that NaN and signed zeros are compared as well.
+        got = []
+        for x0 in starts:
+            try:
+                traj = integrate(p, x0, t_end, rel_tol=rel_tol,
+                                 abs_tol=abs_tol)
+            except StepUnderflowError as exc:
+                got.append(("StepUnderflowError", str(exc)))
+            else:
+                got.append((traj.terminal, traj.times.tobytes(),
+                            traj.states.tobytes()))
+        return got
+
+    def assert_same(self, monkeypatch, p, starts, t_end, rel_tol, abs_tol):
+        got = self.outcomes(p, starts, t_end, rel_tol, abs_tol)
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_advance", reference_advance)
+            want = self.outcomes(p, starts, t_end, rel_tol, abs_tol)
+        for j, (a, b) in enumerate(zip(got, want)):
+            assert a == b, f"start {j}"
+        return {a[0] for a in got}
+
+    def test_acceptance_10_draws(self, monkeypatch):
+        seen = set()
+        # Every 5th start of every 5th draw; start 103 of draw 40 ends at
+        # MAX_TIME.
+        for i in range(0, 50, 5):
+            p, starts = acceptance_10_case(i)
+            seen |= self.assert_same(monkeypatch, p, starts[3::5], 2000.0,
+                                     1e-6, 1e-9)
+        assert seen == {"STEADY", "MAX_TIME"}
+
+    def test_loose_tolerances(self, monkeypatch):
+        seen = self.assert_same(monkeypatch, *loose_case(), 5.0, 0.5, 0.5)
+        assert seen == {"DIVERGED", "MAX_TIME", "STEADY"}
+
+    def test_step_underflow_message(self, monkeypatch):
+        p = ModelParams.unchecked(np.ones(3), np.array([-1.0, 1.0, 1.0]),
+                                  np.zeros((3, 3)))
+        got = self.assert_same(monkeypatch, p, [[1.0, 1.0, 1.0]], 50.0, 1e-6,
+                               1e-9)
+        assert got == {"StepUnderflowError"}
+
+
 def scalar_basin(topo, params, n, seed):
     """basin_sample at its default tolerances, one integrate per start."""
     params = apply_topology(params, topo)
@@ -132,36 +298,36 @@ class TestLanes:
         return set(terminals)
 
     def test_acceptance_10_draws_match_bit_for_bit(self):
-        rng = np.random.default_rng(1010)
-        draws = [draw_params(rng) for _ in range(50)]
         seen = set()
         # Every 5th draw; draw 40 has a start that ends at MAX_TIME.
         for i in range(0, 50, 5):
-            p = apply_topology(draws[i], "FULL")
-            box = 2.0 * float(np.max(p.k))
-            starts = np.maximum(_halton(3, 200, i) * box, 1e-9 * box)
-            seen |= self.assert_lanes_match(p, starts, 2000.0, 1e-6, 1e-9)
+            seen |= self.assert_lanes_match(*acceptance_10_case(i), 2000.0,
+                                            1e-6, 1e-9)
         assert seen == {"STEADY", "MAX_TIME"}
 
     def test_loose_tolerances_match_on_every_branch(self):
-        # Tolerances this loose leave the orthant, clamp back into it and
-        # let some starts run away, so every reject and terminal path runs.
-        rng = np.random.default_rng(12)
-        p = draw_params(rng)
-        starts = rng.uniform(0.0, 20.0, (24, 3)) * float(p.k.max())
-        starts[rng.uniform(size=(24, 3)) < 0.3] = 0.0
-        seen = self.assert_lanes_match(p, starts, 5.0, 0.5, 0.5)
+        seen = self.assert_lanes_match(*loose_case(), 5.0, 0.5, 0.5)
         assert seen == {"DIVERGED", "MAX_TIME", "STEADY"}
 
     def test_step_underflow_raises(self):
         # A negative capacity makes p1 blow up in finite time.
         p = ModelParams.unchecked(np.ones(3), np.array([-1.0, 1.0, 1.0]),
                                   np.zeros((3, 3)))
-        starts = 1.0 + 1e-3 * _halton(3, 24, 0)
+        starts = 1.0 + 1e-3 * _halton(3, HANDOFF_LANES + 16, 0)
         with pytest.raises(StepUnderflowError, match="fell below"):
             integrate(p, starts[0], t_end=50.0)
         with pytest.raises(StepUnderflowError, match="fell below"):
             _integrate_lanes(_coeffs(p), starts, 50.0, 1e-6, 1e-9)
+
+    @pytest.mark.parametrize("handoff", [0, 10**6])
+    def test_handoff_extremes_match_integrate(self, monkeypatch, handoff):
+        # 0: the batch runs every lane to its end; 10**6: no lane is batched.
+        monkeypatch.setattr(simulate, "HANDOFF_LANES", handoff)
+        seen = self.assert_lanes_match(*loose_case(), 5.0, 0.5, 0.5)
+        assert seen == {"DIVERGED", "MAX_TIME", "STEADY"}
+        seen = self.assert_lanes_match(*acceptance_10_case(40), 2000.0, 1e-6,
+                                       1e-9)
+        assert seen == {"STEADY", "MAX_TIME"}
 
     @pytest.mark.parametrize("n", [1, HANDOFF_LANES, HANDOFF_LANES + 1])
     def test_basin_sample_matches_scalar_reference(self, n):
@@ -173,6 +339,8 @@ class TestLanes:
 
 
 class TestRowExtrema:
+    """The lane stepper's extrema over the three patches of each lane."""
+
     ROWS = [
         [math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan],
         [2.0, math.nan, 1.0], [math.nan, math.nan, 1.0], [math.nan] * 3,
@@ -181,10 +349,11 @@ class TestRowExtrema:
 
     def test_python_tie_rule(self):
         # A NaN first wins, a later one is skipped; ties keep the first.
-        a = np.array(self.ROWS)
-        assert [repr(v) for v in _row_max(a).tolist()] == \
+        # Each row of the table is one lane, a column of the (3, n) state.
+        a = np.array(self.ROWS).T
+        assert [repr(v) for v in _col_max(a).tolist()] == \
             [repr(max(row)) for row in self.ROWS]
-        assert [repr(v) for v in _row_min(a).tolist()] == \
+        assert [repr(v) for v in _col_min(a).tolist()] == \
             [repr(min(row)) for row in self.ROWS]
 
 
@@ -210,6 +379,23 @@ class TestBasinSample:
     def test_rejects_empty_sample(self):
         with pytest.raises(ValueError, match="n must be"):
             basin_sample("FULL", symmetric_full(), n=0, seed=0)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"n": 2.5, "seed": 0}, "n must be an integer"),
+        ({"n": 4, "seed": -1}, "seed must be >= 0"),
+        ({"n": 4, "seed": 0.5}, "seed must be an integer"),
+    ])
+    def test_rejects_a_count_or_seed_that_is_not_a_whole_number(self, kwargs,
+                                                                 match):
+        # n=2.5 used to raise IndexError inside the Halton sampler, seed=-1
+        # NumPy's error, which did not name the argument.
+        with pytest.raises(ValueError, match=match):
+            basin_sample("FULL", symmetric_full(), **kwargs)
+
+    def test_numpy_integers_count_as_integers(self):
+        p = draw_params(np.random.default_rng(17), m_lo=0.1)
+        assert basin_sample("EX6", p, n=np.int32(20), seed=np.int64(9)) == \
+            basin_sample("EX6", p, n=20, seed=9)
 
     def test_rejects_bad_horizon_and_tolerances(self):
         p = symmetric_full()
