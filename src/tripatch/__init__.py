@@ -53,6 +53,7 @@ from .equilibria import (
 from .stability import (
     CharacteristicCoefficients,
     ConditionRow,
+    SpectrumOverflowError,
     StabilityReport,
     StaleEquilibriumError,
     characteristic,
@@ -115,6 +116,7 @@ __all__ = [
     "newton_coexistence",
     "CharacteristicCoefficients",
     "ConditionRow",
+    "SpectrumOverflowError",
     "StabilityReport",
     "StaleEquilibriumError",
     "characteristic",

@@ -15,8 +15,8 @@ collects every violated invariant before failing, and a parsed
 configuration re-serializes to a canonical form that is byte-identical
 across runs.  Exit codes: 0 success, 1 property failure, 2 usage or
 configuration error, 3 numerical failure (a solver did not converge, a
-bracket or the oracle cross-check failed, or the integrator's step
-underflowed).
+bracket or the oracle cross-check failed, an equilibrium record was
+stale, a spectrum overflowed, or the integrator's step underflowed).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .equilibria import (
 )
 from .model import PARAM_TOKENS, ModelParams, ParameterError
 from .simulate import StepUnderflowError, basin_sample, integrate
-from .stability import classify
+from .stability import SpectrumOverflowError, StaleEquilibriumError, classify
 from .topology import (
     InadmissibleArcsError,
     TOPOLOGIES,
@@ -346,8 +346,6 @@ def canonical_json(cfg: RunConfig) -> str:
 def _resolve(cfg: RunConfig, args) -> tuple[str, ModelParams, int]:
     """Topology token, projected parameters, and effective seed."""
     topo = args.topology or cfg.topology or "FULL"
-    if topo not in TOPOLOGIES:
-        raise ConfigError(f"unknown topology token {topo!r}")
     seed = cfg.seed if args.seed is None else args.seed
     return topo, apply_topology(cfg.params, topo), seed
 
@@ -454,8 +452,7 @@ def cmd_sweep(args) -> tuple[str, int]:
                                   _fmt(c.point[2]), "",
                                   "CROSSING", _fmt(c.eig_re), _fmt(c.eig_im),
                                   c.kind])
-    for row in crossing_rows:
-        w.writerow(row)
+    w.writerows(crossing_rows)
     return buf.getvalue(), 0
 
 
@@ -582,14 +579,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text, code = args.handler(args)
+    except (ConsistencyError, ConvergenceError, BracketError, StepUnderflowError,
+            SpectrumOverflowError, StaleEquilibriumError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ParameterError, InadmissibleArcsError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConsistencyError, ConvergenceError, BracketError,
-            StepUnderflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

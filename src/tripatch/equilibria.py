@@ -47,7 +47,7 @@ from .newton import (
     _residual,
     _rhs_lanes,
 )
-from .topology import apply_topology
+from .topology import _check_topology, apply_topology
 
 __all__ = [
     "ADMITTED_LABELS",
@@ -440,21 +440,24 @@ def _cf_ex7(c):
     """Patch 2 is a pure source: its level at coexistence is explicit."""
     r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
     out = []
-    if m13 <= 0.0 or m31 <= 0.0:
-        # Degenerate rates turn this into a sparser flow pattern; the
-        # parabola construction (which divides by both) does not apply.
+    d1, d3 = k1 * m13, k3 * m31
+    if not (d1 > 0.0 and d3 > 0.0 and 0.0 < r1 / d1 < math.inf
+            and 0.0 < r3 / d3 < math.inf):
+        # The parabolae need finite, positive leading coefficients: a zero rate,
+        # or a k·m or r/(k·m) outside the float range, leaves Q1 and COEX to
+        # the oracle.
         return out
     scale = max(k1, k2, k3)
     # Patch-2-free point: intersection of the two face parabolae.
     if not (r1 < m31 and r3 < m13):
-        qa = (r1 / (k1 * m13), (m31 - r1) / m13, 0.0)
-        qb = (r3 / (k3 * m31), (m13 - r3) / m31, 0.0)
+        qa = (r1 / d1, (m31 - r1) / m13, 0.0)
+        qb = (r3 / d3, (m13 - r3) / m31, 0.0)
         x, y = _parabola_intersection(qa, qb, scale)
         out.append((np.array([x, 0.0, y]), "Q1", True))
     p2 = _logistic_root(r2, k2, m12 + m32)
     if p2 > 0.0:
-        qa = (r1 / (k1 * m13), (m31 - r1) / m13, -m12 * p2 / m13)
-        qb = (r3 / (k3 * m31), (m13 - r3) / m31, -m32 * p2 / m31)
+        qa = (r1 / d1, (m31 - r1) / m13, -m12 * p2 / m13)
+        qb = (r3 / d3, (m13 - r3) / m31, -m32 * p2 / m31)
         x, y = _parabola_intersection(qa, qb, scale)
         out.append((np.array([x, p2, y]), "COEX", p2 > 0.0))
     return out
@@ -557,8 +560,7 @@ def closed_form_equilibria(topo: str, params: ModelParams) -> list[EquilibriumRe
     does not exist in the reals and is omitted; points that exist but
     violate their side conditions are returned with ``feasible=False``.
     """
-    if topo not in _CLOSED_FORMS:
-        raise ValueError(f"unknown topology token {topo!r}")
+    _check_topology(topo)
     c = _coeffs(params)
     records = [EquilibriumRecord(point=np.zeros(3), label="ORIGIN",
                                  feasible=True, residual=0.0)]
@@ -635,30 +637,31 @@ def _oracle_batch(params_list, n_starts, seed, tol):
     res = _col_max(np.abs(_rhs_lanes(coef[:, rsid], X))).tolist()
     points = X.T.tolist()
     bounds = np.searchsorted(rsid, np.arange(n_sets + 1)).tolist()
-    return [_dedup(points[lo:hi], res[lo:hi])
+    keep = [[lo + n for n in _dedup(points[lo:hi], res[lo:hi])]
             for lo, hi in zip(bounds, bounds[1:])]
+    return [[EquilibriumRecord(point=np.array(points[n]), label="NUMERICAL",
+                               feasible=bool(min(points[n]) >= -FEASIBLE_TOL),
+                               residual=res[n]) for n in ns] for ns in keep]
 
 
 def _dedup(points, residuals):
-    """Oracle records of sorted ``points``, one per DEDUP_TOL cluster.
+    """Indices into sorted ``points`` of one representative per DEDUP_TOL cluster.
 
     Each point joins the first earlier representative within DEDUP_TOL
     (max-norm) and replaces it if its residual is smaller.  Identical
     points may come in any order: a repeat never changes a representative.
     """
     reps: list[tuple] = []
-    for p, res in zip(points, residuals):
-        for idx, (q, res_q) in enumerate(reps):
+    for n, (p, res) in enumerate(zip(points, residuals)):
+        for idx, (q, res_q, _) in enumerate(reps):
             if abs(p[0] - q[0]) < DEDUP_TOL and abs(p[1] - q[1]) < DEDUP_TOL \
                     and abs(p[2] - q[2]) < DEDUP_TOL:
                 if res < res_q:
-                    reps[idx] = (p, res)
+                    reps[idx] = (p, res, n)
                 break
         else:
-            reps.append((p, res))
-    return [EquilibriumRecord(point=np.array(p), label="NUMERICAL",
-                              feasible=bool(min(p) >= -FEASIBLE_TOL), residual=res)
-            for p, res in reps]
+            reps.append((p, res, n))
+    return [n for _, _, n in reps]
 
 
 def _count(name: str, value, least: int) -> int:
@@ -796,31 +799,27 @@ def _merge(topo: str, params: ModelParams, oracle: list[EquilibriumRecord]
     # Jacobian is close to singular, so a raw residual of 1e-8 can leave
     # the point several 1e-6 away from the closed form.  Polished points
     # may also collapse onto one root, so dedup again.
-    polished, points = [], []
-    for rec in sorted((_polish(c, rec) for rec in oracle),
-                      key=lambda r: tuple(r.point)):
-        p = rec.point.tolist()
-        dup = next((i for i, q in enumerate(points) if _gap(p, q) < DEDUP_TOL),
-                   None)
-        if dup is None:
-            polished.append(rec)
-            points.append(p)
-        elif rec.residual < polished[dup].residual:
-            polished[dup], points[dup] = rec, p
-    oracle = polished
+    polished = sorted((_polish(c, rec) for rec in oracle),
+                      key=lambda r: tuple(r.point))
+    points = [rec.point.tolist() for rec in polished]
+    keep = _dedup(points, [rec.residual for rec in polished])
+    oracle, points = [polished[n] for n in keep], [points[n] for n in keep]
 
     scale = max(1.0, float(np.max(params.k)))
     merged = list(catalog)
     matched: set[int] = set()
-    extras = []
     catalog_points = [cf.point.tolist() for cf in catalog]
     for rec, p in zip(oracle, points):
         # Every hit, not the first: at a branch crossing two catalog labels
         # coincide and one oracle point must vouch for both.
         hits = [i for i, q in enumerate(catalog_points) if _gap(p, q) < DEDUP_TOL]
         matched.update(hits)
-        if not hits:
-            extras.append(rec)
+        if hits:
+            continue
+        if float(np.min(rec.point)) > 1e-7 * scale:
+            rec = EquilibriumRecord(point=rec.point, label="COEX",
+                                    feasible=rec.feasible, residual=rec.residual)
+        merged.append(rec)
 
     for i, cf in enumerate(catalog):
         if cf.feasible and i not in matched:
@@ -829,10 +828,4 @@ def _merge(topo: str, params: ModelParams, oracle: list[EquilibriumRecord]
                 f"{cf.point.tolist()} not found by the brute-force oracle "
                 f"({topo}); a transcribed formula is suspect"
             )
-
-    for rec in extras:
-        if float(np.min(rec.point)) > 1e-7 * scale:
-            rec = EquilibriumRecord(point=rec.point, label="COEX",
-                                    feasible=rec.feasible, residual=rec.residual)
-        merged.append(rec)
     return merged

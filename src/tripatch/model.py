@@ -127,6 +127,9 @@ PARAM_TOKENS = (
     "m12", "m13", "m21", "m23", "m31", "m32",
 )
 
+#: 0-based index of each token's entry in its array: ``r2`` → (1,), ``m13`` → (0, 2).
+_ENTRY = {name: tuple(int(d) - 1 for d in name[1:]) for name in PARAM_TOKENS}
+
 
 def with_param(params: ModelParams, name: str, value: float) -> ModelParams:
     """Return a copy of ``params`` with one named scalar replaced.
@@ -140,7 +143,7 @@ def with_param(params: ModelParams, name: str, value: float) -> ModelParams:
         raise ParameterError(f"unknown parameter token {name!r}")
     arrays = {"r": np.array(params.r), "k": np.array(params.k),
               "m": np.array(params.m)}
-    arrays[name[0]][tuple(int(d) - 1 for d in name[1:])] = value
+    arrays[name[0]][_ENTRY[name]] = value
     return ModelParams(**arrays)
 
 
@@ -191,7 +194,7 @@ def _with_coeff(c: tuple, name: str, value: float, zeroed) -> tuple:
     """``c`` with ``name`` set to ``value`` and outflows recomputed, like an
     unvalidated :func:`with_param`; a rate whose entry is in ``zeroed`` stays 0."""
     v = list(c[:12])
-    if tuple(int(d) - 1 for d in name[1:]) not in zeroed:
+    if _ENTRY[name] not in zeroed:
         v[PARAM_TOKENS.index(name)] = value
     return _with_outflows(*v)
 

@@ -285,9 +285,7 @@ def _integrate_lanes(c: tuple, starts: np.ndarray, t_end: float,
         ay, ay_new = np.abs(y), np.abs(y_new)
         q = np.abs(e) / (abs_tol + rel_tol * np.where(ay_new > ay, ay_new,
                                                       ay))
-        err = np.zeros(len(lane))
-        for row in q:
-            err = np.where(row > err, row, err)
+        err = _col_max(np.concatenate((np.zeros((1, len(lane))), q)))
 
         low = _col_min(y_new)
         out = low < -abs_tol

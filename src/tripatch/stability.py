@@ -33,6 +33,7 @@ from .equilibria import EquilibriumRecord
 __all__ = [
     "CharacteristicCoefficients",
     "ConditionRow",
+    "SpectrumOverflowError",
     "StabilityReport",
     "StaleEquilibriumError",
     "characteristic",
@@ -54,6 +55,10 @@ RESIDUAL_LIMIT = 1e-8
 
 class StaleEquilibriumError(ValueError):
     """classify() was handed a record whose residual exceeds 1e-8."""
+
+
+class SpectrumOverflowError(OverflowError):
+    """A Jacobian's characteristic cubic leaves the float range."""
 
 
 @dataclass(frozen=True)
@@ -121,8 +126,20 @@ def eigenvalues_3x3(j) -> tuple[complex, complex, complex]:
 
 
 def _spectrum(co: CharacteristicCoefficients) -> tuple[complex, complex, complex]:
-    """eigenvalues_3x3 from the coefficients, via the depressed cubic in λ + b/3."""
-    b, c, d = -co.trace, co.m_j, -co.det  # λ³ + bλ² + cλ + d
+    """eigenvalues_3x3 from the coefficients; SpectrumOverflowError if one is
+    not finite or a float power or complex modulus overflows in the solver."""
+    if all(map(math.isfinite, (co.trace, co.m_j, co.det))):
+        try:
+            return _cubic_roots(-co.trace, co.m_j, -co.det)
+        except OverflowError:
+            pass
+    raise SpectrumOverflowError(
+        f"characteristic coefficients leave the float range: trace "
+        f"{co.trace:.3e}, minor sum {co.m_j:.3e}, det {co.det:.3e}")
+
+
+def _cubic_roots(b: float, c: float, d: float) -> tuple[complex, complex, complex]:
+    """Roots of λ³ + bλ² + cλ + d via the depressed cubic in λ + b/3."""
     shift = b / 3.0
     p = c - b * b / 3.0
     q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
@@ -393,10 +410,10 @@ def origin_never_stable_scan(topo: str, n_draws: int, seed: int):
     """Random search for parameters that stabilize the origin under ``topo``.
 
     Draws r, k uniform in [0.1, 5] and rates uniform in [0, 2] (zeroed
-    per topology), classifies the origin of each draw in a vectorized
-    batch, and returns the first stabilizing ModelParams — or None,
-    which is the expected outcome: every admissible topology keeps some
-    escape route from total extinction.
+    per topology), classifies the origin of each draw in turn with
+    ``classify_matrix``, and returns the first stabilizing ModelParams —
+    or None, which is the expected outcome: every admissible topology
+    keeps some escape route from total extinction.
     """
     from .topology import zeroed_rates
 
@@ -413,12 +430,7 @@ def origin_never_stable_scan(topo: str, n_draws: int, seed: int):
     outflow = m.sum(axis=1)  # column sums: total outflow of each patch
     for i in range(3):
         jac[:, i, i] = r[:, i] - outflow[:, i]
-    eig = np.linalg.eigvals(jac)
-    margins = np.maximum(MARGINAL_FLOOR,
-                         MARGINAL_BAND * np.max(np.abs(eig), axis=1))
-    stable = np.all(eig.real < -margins[:, None], axis=1)
-    idx = np.flatnonzero(stable)
-    if idx.size == 0:
-        return None
-    i = int(idx[0])
-    return ModelParams(r[i], k[i], m[i])
+    for i in range(n_draws):
+        if classify_matrix(jac[i])[0] == "STABLE":
+            return ModelParams(r[i], k[i], m[i])
+    return None

@@ -15,7 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, _ENTRY
 
 __all__ = [
     "TOPOLOGIES",
@@ -63,14 +63,10 @@ _ZEROED = {
 _ALL_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
-def _token_entry(token: str) -> tuple[int, int]:
-    return int(token[1]) - 1, int(token[2]) - 1
-
-
 def zeroed_rates(topo: str) -> tuple[tuple[int, int], ...]:
     """Rate-matrix entries (0-based ``(into, from)``) pinned to zero."""
     _check_topology(topo)
-    return tuple(_token_entry(t) for t in _ZEROED[topo])
+    return tuple(_ENTRY[t] for t in _ZEROED[topo])
 
 
 def arcs_of_topology(topo: str) -> frozenset[tuple[int, int]]:
@@ -96,44 +92,28 @@ def iter_arc_sets():
         yield frozenset(a for b, a in enumerate(all_arcs) if mask >> b & 1)
 
 
+def _reaches_all(arcs, start: int) -> bool:
+    """True iff every patch is reachable from ``start`` along ``arcs``."""
+    seen, stack = {start}, [start]
+    while stack:
+        here = stack.pop()
+        for s, d in arcs:
+            if s == here and d not in seen:
+                seen.add(d)
+                stack.append(d)
+    return len(seen) == 3
+
+
 def is_admissible(arcs: frozenset[tuple[int, int]]) -> bool:
     """True iff no patch is isolated and the undirected graph is connected."""
-    touched = [False] * 3
-    neighbors: list[set[int]] = [set(), set(), set()]
-    for s, d in arcs:
-        touched[s] = touched[d] = True
-        neighbors[s].add(d)
-        neighbors[d].add(s)
-    if not all(touched):
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        for n in neighbors[stack.pop()]:
-            if n not in seen:
-                seen.add(n)
-                stack.append(n)
-    return len(seen) == 3
+    return _reaches_all({*arcs, *((d, s) for s, d in arcs)}, 0)
 
 
 def is_strongly_connected(arcs: frozenset[tuple[int, int]]) -> bool:
     """True iff every patch is reachable from every other along arcs."""
     if not is_admissible(arcs):
         raise InadmissibleArcsError(f"arc set {sorted(arcs)} is not admissible")
-    out: list[set[int]] = [set(), set(), set()]
-    for s, d in arcs:
-        out[s].add(d)
-    for start in range(3):
-        seen = {start}
-        stack = [start]
-        while stack:
-            for n in out[stack.pop()]:
-                if n not in seen:
-                    seen.add(n)
-                    stack.append(n)
-        if len(seen) != 3:
-            return False
-    return True
+    return all(_reaches_all(arcs, start) for start in range(3))
 
 
 def _flags(arcs: frozenset[tuple[int, int]]) -> tuple[bool, ...]:

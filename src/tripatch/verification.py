@@ -9,7 +9,6 @@ must surface here as a failed conservation law with a printed witness.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +62,7 @@ def check_topology_census(seed: int, n: int) -> PropertyResult:
     if len(classes) != 13:
         return PropertyResult("topology census", False,
                               f"expected 13 classes, got {len(classes)}")
-    tokens = set()
-    for arcs in iter_arc_sets():
-        if is_admissible(arcs):
-            token, _ = canonical_form(arcs)
-            tokens.add(token)
+    tokens = {canonical_form(a)[0] for a in iter_arc_sets() if is_admissible(a)}
     if tokens != {t for t, _ in classes}:
         return PropertyResult("topology census", False,
                               f"orbit scan found {sorted(tokens)}")

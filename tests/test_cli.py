@@ -133,6 +133,19 @@ class TestAnalyze:
         _, direct, _ = run(capsys, ["analyze", "--config", cfg])
         assert dest.read_text() == direct
 
+    def test_underflowing_rate_product_gives_a_table(self, capsys, tmp_path):
+        # k1·m13 underflows to 0, so the EX7 parabolae do not exist in
+        # floats; the oracle's table stands on its own.
+        doc = {"r": [1e6, 0.1, 1.0], "k": [1e-300, 1.0, 1e-300],
+               "m": [[0.0, 0.5, 1e-300], [1e-12, 0.0, 0.5], [1e12, 1e6, 0.0]],
+               "topology": "EX7"}
+        code, out, err = run(capsys, ["analyze", "--config",
+                                      write_config(tmp_path, doc)])
+        assert code == 0 and err == ""
+        rows = json.loads(out)["equilibria"]
+        assert [row["label"] for row in rows] == ["ORIGIN"]
+        assert rows[0]["residual"] == 0.0
+
     def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
         cfg = write_config(tmp_path, symmetric_doc())
         code, _, err = run(capsys, ["analyze", "--config", cfg,
@@ -413,3 +426,31 @@ class TestNumericalFailures:
         code, out, err = run(capsys, argv)
         assert code == 3 and out == ""
         assert err == "error: injected failure\n"
+
+    @pytest.mark.parametrize("doc, argv, message", [
+        # A closed-form COEX that polishing cannot bring below 1e-8.
+        ({"r": [0.1, 1e-6, 1e-12], "k": [1.0, 1e300, 1e-300],
+          "m": [[0.0, 0.0, 2.0], [0.5, 0.0, 1e-6], [0.0, 0.5, 0.0]],
+          "topology": "CHAIN"}, ["analyze"], "record COEX has residual"),
+        # |trace J| ≈ 1e300 and infinite minors at the origin.
+        ({"r": [1e12, 0.1, 1e300], "k": [1e-300, 1e6, 3.0],
+          "m": [[0.0, 1e6, 0.0], [0.5, 0.0, 1e-12], [1e-6, 0.0, 0.0]],
+          "topology": "EX7"}, ["analyze"], "leave the float range"),
+        ({"r": [1e300, 1e-6, 1e-12], "k": [1e300, 1.0, 1e-300],
+          "m": [[0.0, 1e-300, 1e-300], [0.0, 0.0, 1e12], [0.0, 0.5, 0.0]],
+          "topology": "EX3"},
+         ["sweep", "--param", "r2", "--lo", "0.1", "--hi", "3", "--steps", "4"],
+         "leave the float range"),
+        # k1·m13 overflows; the catalog skips Q1 and COEX, and the origin's
+        # minors are infinite.
+        ({"r": [1e6, 1e300, 3.0], "k": [1e300, 1e-6, 1e12],
+          "m": [[0.0, 1e300, 1e300], [1e-6, 0.0, 2.0], [1e-300, 2.0, 0.0]],
+          "topology": "EX7N"}, ["analyze"], "leave the float range"),
+    ])
+    def test_real_failures_exit_3_with_one_line(self, capsys, tmp_path, doc,
+                                                argv, message):
+        argv = [argv[0], "--config", write_config(tmp_path, doc), *argv[1:]]
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err

@@ -120,6 +120,23 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="unknown topology"):
             closed_form_equilibria("RING", p)
 
+    @pytest.mark.parametrize("topo, r, k, m", [
+        # k1·m13 underflows to 0.
+        ("EX7", [1e6, 0.1, 1.0], [1e-300, 1.0, 1e-300],
+         [[0.0, 0.5, 1e-300], [1e-12, 0.0, 0.5], [1e12, 1e6, 0.0]]),
+        # k1·m13 overflows, so r1/(k1·m13) is 0.
+        ("EX7N", [1e6, 1e300, 3.0], [1e300, 1e-6, 1e12],
+         [[0.0, 1e300, 1e300], [1e-6, 0.0, 2.0], [1e-300, 2.0, 0.0]]),
+    ])
+    def test_ex7_parabolae_outside_the_float_range_are_skipped(self, topo, r, k, m):
+        # Q1 and COEX need finite, positive leading coefficients; without
+        # them the catalog leaves those points to the oracle.
+        p = apply_topology(ModelParams(r, k, m), topo)
+        assert [rec.label for rec in closed_form_equilibria(topo, p)] == ["ORIGIN"]
+        recs = find_all_equilibria(topo, p)
+        assert [rec.label for rec in recs] == ["ORIGIN"]
+        assert recs[0].residual == 0.0
+
 
 class TestBruteForce:
     def test_symmetric_full_finds_exactly_two(self):
@@ -142,6 +159,16 @@ class TestBruteForce:
                     assert gap >= DEDUP_TOL, (
                         f"draw {i}: records {a},{b} within {gap}"
                     )
+
+    def test_dedup_keeps_the_lowest_residual_of_each_cluster(self):
+        # Each point joins the first earlier representative within
+        # DEDUP_TOL and replaces it only with a smaller residual; a NaN
+        # difference never joins.
+        points = [(0.0, 0.0, 0.0), (0.0, 0.0, 5e-7), (1.0, 1.0, 1.0),
+                  (1.0, 1.0, 1.0 + 5e-7), (math.nan, 1.0, 1.0), (2.0, 2.0, 2.0)]
+        residuals = [2e-9, 1e-9, 1e-9, 1e-9, 0.0, 1e-9]
+        assert eq._dedup(points, residuals) == [1, 2, 4, 5]
+        assert eq._dedup([], []) == []
 
     def test_seeded_runs_are_reproducible(self):
         p = draw_params(np.random.default_rng(12))

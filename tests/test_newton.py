@@ -15,6 +15,7 @@ from tripatch.newton import (
     ConvergenceError,
     SingularJacobianError,
     _col_max,
+    _col_min,
     _jac,
     _residual,
     _rhs,
@@ -262,9 +263,14 @@ class TestColMax:
         [math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan],
         [2.0, math.nan, 1.0], [math.nan, math.nan, 1.0], [math.nan] * 3,
         [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [1.0, math.inf, math.nan],
+        [1.0, -math.inf, math.nan],
+        # A leading 0 row, as in the lane stepper's error norm: max is 2.0.
+        [0.0, math.nan, 2.0],
     ])
     def test_python_max_tie_rule(self, column):
-        # A NaN first wins, a later one is skipped; ties keep the first.
-        got = _col_max(np.array(column)[:, None])
-        assert got.shape == (1,)
-        assert repr(float(got[0])) == repr(max(column))
+        # Python's max and min: a NaN first wins, a later one is skipped;
+        # ties keep the first.  The column is one lane of a (3, n) array.
+        for fn, want in ((_col_max, max(column)), (_col_min, min(column))):
+            got = fn(np.array(column)[:, None])
+            assert got.shape == (1,)
+            assert repr(float(got[0])) == repr(want), fn.__name__

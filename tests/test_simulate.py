@@ -10,7 +10,6 @@ import pytest
 from tripatch import simulate
 from tripatch.equilibria import _halton, find_all_equilibria
 from tripatch.model import ModelParams, _coeffs, _rhs
-from tripatch.newton import _col_max, _col_min
 from tripatch.simulate import (_A2, _A3, _A4, _A5, _A6, _B, _E, DIVERGE_NORM,
                                HANDOFF_LANES, RHS_TOL, SLOW_TOL, STEADY_STEPS,
                                StepUnderflowError, Trajectory, _integrate_lanes,
@@ -336,25 +335,6 @@ class TestLanes:
             p = draw_params(rng, m_lo=0.1)
             assert basin_sample(topo, p, n=n, seed=5) == \
                 scalar_basin(topo, p, n, seed=5), topo
-
-
-class TestRowExtrema:
-    """The lane stepper's extrema over the three patches of each lane."""
-
-    ROWS = [
-        [math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan],
-        [2.0, math.nan, 1.0], [math.nan, math.nan, 1.0], [math.nan] * 3,
-        [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [1.0, -math.inf, math.nan],
-    ]
-
-    def test_python_tie_rule(self):
-        # A NaN first wins, a later one is skipped; ties keep the first.
-        # Each row of the table is one lane, a column of the (3, n) state.
-        a = np.array(self.ROWS).T
-        assert [repr(v) for v in _col_max(a).tolist()] == \
-            [repr(max(row)) for row in self.ROWS]
-        assert [repr(v) for v in _col_min(a).tolist()] == \
-            [repr(min(row)) for row in self.ROWS]
 
 
 class TestBasinSample:

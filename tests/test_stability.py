@@ -14,6 +14,7 @@ from tripatch.model import ModelParams, _coeffs, _jac, with_param
 from tripatch.stability import (
     CharacteristicCoefficients,
     ConditionRow,
+    SpectrumOverflowError,
     StabilityReport,
     StaleEquilibriumError,
     characteristic,
@@ -134,6 +135,25 @@ def reference_outcome(fn, j):
         return type(exc).__name__
 
 
+def spectrum_outcome(ref, j):
+    """reference_outcome of a spectrum reference, with its overflows named.
+
+    The reference raised a bare OverflowError where the cubic solver
+    overflowed, and returned NaN or infinite eigenvalues where a
+    characteristic coefficient was not finite; both now raise
+    SpectrumOverflowError.
+    """
+    out = reference_outcome(ref, j)
+    if out == "ValueError":
+        return out
+    with np.errstate(all="ignore"):
+        co = reference_characteristic(j)
+    if out == "OverflowError" or not all(map(math.isfinite,
+                                             (co.trace, co.m_j, co.det))):
+        return "SpectrumOverflowError"
+    return out
+
+
 def matrices():
     """Random, structured, degenerate, non-finite and list-valued 3x3 inputs."""
     rng = np.random.default_rng(7)
@@ -161,10 +181,11 @@ class TestAgainstReference:
 
     def test_characteristic_and_classify_matrix(self):
         for j in matrices():
-            for fn, ref in ((characteristic, reference_characteristic),
-                            (eigenvalues_3x3, reference_eigenvalues_3x3),
+            assert reference_outcome(characteristic, j) == \
+                reference_outcome(reference_characteristic, j), j
+            for fn, ref in ((eigenvalues_3x3, reference_eigenvalues_3x3),
                             (classify_matrix, reference_classify_matrix)):
-                assert reference_outcome(fn, j) == reference_outcome(ref, j), j
+                assert reference_outcome(fn, j) == spectrum_outcome(ref, j), j
 
     def test_classify_on_every_record(self):
         rng = np.random.default_rng(8)
@@ -188,6 +209,18 @@ class TestCharacteristic:
 
 
 class TestEigenvalues:
+    @pytest.mark.parametrize("j", [
+        np.diag([1e103, 0.0, 0.0]),  # finite coefficients; b ** 3 overflows
+        np.diag([1e200, 1e200, -1e200]),  # infinite minor sum
+        np.array([[np.nan, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ])
+    def test_overflow_is_a_named_error(self, j):
+        for fn in (eigenvalues_3x3, classify_matrix):
+            with pytest.raises(SpectrumOverflowError,
+                               match="leave the float range"):
+                fn(j)
+        assert issubclass(SpectrumOverflowError, OverflowError)
+
     def test_matches_numpy_on_random_matrices(self):
         rng = np.random.default_rng(42)
         for i in range(300):

@@ -92,6 +92,19 @@ class TestAdmissibility:
         with pytest.raises(InadmissibleArcsError):
             is_strongly_connected(frozenset({(0, 1)}))
 
+    def test_every_arc_set_against_the_reachability_matrix(self):
+        # On three patches every reachable patch is at most two arcs away,
+        # so (I + A)^2 > 0 is the reachability relation.
+        for arcs in iter_arc_sets():
+            a = np.eye(3, dtype=int)
+            for s, d in arcs:
+                a[s, d] = 1
+            directed = np.linalg.matrix_power(a, 2) > 0
+            undirected = np.linalg.matrix_power(a + a.T, 2) > 0
+            assert is_admissible(arcs) == bool(undirected.all()), arcs
+            if is_admissible(arcs):
+                assert is_strongly_connected(arcs) == bool(directed.all()), arcs
+
 
 class TestCanonicalForm:
     @given(st.sampled_from(TOPOLOGIES), st.permutations([0, 1, 2]))
