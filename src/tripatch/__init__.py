@@ -7,134 +7,23 @@ equilibria where they exist, independent numerical solvers to keep the
 formulas honest, eigenvalue-based stability classification with the
 literature's algebraic criteria evaluated alongside, parameter sweeps
 with bifurcation detection, an adaptive integrator, and a CLI.
+
+The public names are those in each module's ``__all__``.
 """
 
 from __future__ import annotations
 
-from .model import (
-    BOUNDARY_TOL,
-    PARAM_TOKENS,
-    ModelParams,
-    ParameterError,
-    as_state,
-    growth_terms,
-    jacobian,
-    rhs,
-    with_param,
-)
-from .topology import (
-    TOPOLOGIES,
-    InadmissibleArcsError,
-    apply_topology,
-    arc_labels,
-    arcs_of_topology,
-    canonical_form,
-    enumerate_canonical,
-    is_admissible,
-    is_strongly_connected,
-    iter_arc_sets,
-    permute_params,
-    zeroed_rates,
-)
-from .equilibria import (
-    ADMITTED_LABELS,
-    EQUILIBRIUM_LABELS,
-    BracketError,
-    ConsistencyError,
-    ConvergenceError,
-    EquilibriumRecord,
-    SingularJacobianError,
-    brute_force_equilibria,
-    closed_form_equilibria,
-    coexistence_by_construction,
-    find_all_equilibria,
-    newton_coexistence,
-)
-from .stability import (
-    CharacteristicCoefficients,
-    ConditionRow,
-    SpectrumOverflowError,
-    StabilityReport,
-    StaleEquilibriumError,
-    characteristic,
-    classify,
-    eigenvalues_3x3,
-    origin_never_stable_scan,
-    sign_conditions,
-    routh_hurwitz,
-)
-from .bifurcation import (
-    Crossing,
-    SweepRecord,
-    hopf_candidate,
-    sweep,
-    transcritical_thresholds,
-)
-from .simulate import (
-    StepUnderflowError,
-    Trajectory,
-    basin_sample,
-    integrate,
-)
-from .verification import PropertyResult, run_battery
+from . import bifurcation, equilibria, model, simulate, stability, topology, verification
+from .bifurcation import *  # noqa: F403
+from .equilibria import *  # noqa: F403
+from .model import *  # noqa: F403
+from .simulate import *  # noqa: F403
+from .stability import *  # noqa: F403
+from .topology import *  # noqa: F403
+from .verification import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOUNDARY_TOL",
-    "PARAM_TOKENS",
-    "ModelParams",
-    "ParameterError",
-    "as_state",
-    "growth_terms",
-    "jacobian",
-    "rhs",
-    "with_param",
-    "TOPOLOGIES",
-    "InadmissibleArcsError",
-    "apply_topology",
-    "arc_labels",
-    "arcs_of_topology",
-    "canonical_form",
-    "enumerate_canonical",
-    "is_admissible",
-    "is_strongly_connected",
-    "iter_arc_sets",
-    "permute_params",
-    "zeroed_rates",
-    "ADMITTED_LABELS",
-    "EQUILIBRIUM_LABELS",
-    "BracketError",
-    "ConsistencyError",
-    "ConvergenceError",
-    "EquilibriumRecord",
-    "SingularJacobianError",
-    "brute_force_equilibria",
-    "closed_form_equilibria",
-    "coexistence_by_construction",
-    "find_all_equilibria",
-    "newton_coexistence",
-    "CharacteristicCoefficients",
-    "ConditionRow",
-    "SpectrumOverflowError",
-    "StabilityReport",
-    "StaleEquilibriumError",
-    "characteristic",
-    "classify",
-    "eigenvalues_3x3",
-    "origin_never_stable_scan",
-    "sign_conditions",
-    "routh_hurwitz",
-    "Crossing",
-    "SweepRecord",
-    "hopf_candidate",
-    "sweep",
-    "transcritical_thresholds",
-    "StepUnderflowError",
-    "Trajectory",
-    "basin_sample",
-    "integrate",
-    "PropertyResult",
-    "run_battery",
-    "__version__",
-]
+__all__ = [name for module in (model, topology, equilibria, stability, bifurcation,
+                               simulate, verification)
+           for name in module.__all__] + ["__version__"]

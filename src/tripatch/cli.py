@@ -14,9 +14,11 @@ optional ``topology``/``seed`` and per-command option blocks).  Parsing
 collects every violated invariant before failing, and a parsed
 configuration re-serializes to a canonical form that is byte-identical
 across runs.  Exit codes: 0 success, 1 property failure, 2 usage or
-configuration error, 3 numerical failure (a solver did not converge, a
-bracket or the oracle cross-check failed, an equilibrium record was
-stale, a spectrum overflowed, or the integrator's step underflowed).
+configuration error (a ``ParameterError``), 3 numerical failure (a
+``NumericalError``: a solver did not converge, a bracket or the oracle
+cross-check failed, an equilibrium record was stale, a spectrum
+overflowed, or the integrator's step underflowed).  Any other exception
+is an internal error and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -31,18 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bifurcation import sweep as _sweep
-from .equilibria import (
-    ADMITTED_LABELS,
-    BracketError,
-    ConsistencyError,
-    ConvergenceError,
-    find_all_equilibria,
-)
-from .model import PARAM_TOKENS, ModelParams, ParameterError
-from .simulate import StepUnderflowError, basin_sample, integrate
-from .stability import SpectrumOverflowError, StaleEquilibriumError, classify
+from .equilibria import ADMITTED_LABELS, find_all_equilibria
+from .model import PARAM_TOKENS, ModelParams, NumericalError, ParameterError
+from .simulate import basin_sample, integrate
+from .stability import classify
 from .topology import (
-    InadmissibleArcsError,
     TOPOLOGIES,
     apply_topology,
     arc_labels,
@@ -65,7 +60,7 @@ __all__ = [
 ]
 
 
-class ConfigError(ValueError):
+class ConfigError(ParameterError):
     """A configuration document is malformed or violates invariants."""
 
 
@@ -579,12 +574,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text, code = args.handler(args)
-    except (ConsistencyError, ConvergenceError, BracketError, StepUnderflowError,
-            SpectrumOverflowError, StaleEquilibriumError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ParameterError, InadmissibleArcsError,
-            ValueError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:

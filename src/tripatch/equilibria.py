@@ -28,13 +28,13 @@ its grid values in one such batch.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _coeffs, _gap
+from .model import (ModelParams, NumericalError, ParameterError, _coeffs, _count,
+                    _gap, _positive)
 from .newton import (
     ConvergenceError,
     SingularJacobianError,
@@ -96,11 +96,11 @@ FEASIBLE_TOL = 1e-10
 DEDUP_TOL = 1e-6
 
 
-class BracketError(RuntimeError):
+class BracketError(NumericalError):
     """The coexistence construction found no sign change on [0, H]."""
 
 
-class ConsistencyError(RuntimeError):
+class ConsistencyError(NumericalError):
     """A feasible closed-form equilibrium is missing from the oracle set."""
 
 
@@ -261,17 +261,19 @@ def newton_coexistence(params: ModelParams, start=None, tol: float = 1e-10,
 
     Raises
     ------
+    ParameterError
+        If ``tol`` is not finite and positive, or ``start`` not strictly
+        positive.
     ConvergenceError
         If the residual target is not met within ``max_iter``.
     SingularJacobianError
         If a Newton system is numerically singular.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _positive("tol", tol)
     c = _coeffs(params)
     x0 = tuple(float(v) for v in params.k) if start is None else tuple(start)
     if min(x0) <= 0:
-        raise ValueError("start must be strictly positive")
+        raise ParameterError("start must be strictly positive")
     point, res = _newton_full(c, x0, tol, max_iter, positive=True, raise_errors=True)
     p = np.array(point)
     return EquilibriumRecord(point=p, label="COEX",
@@ -349,19 +351,20 @@ def coexistence_by_construction(params: ModelParams,
 
     Raises
     ------
-    ModelParams ``ParameterError``-style ``ValueError``
-        If any of m12, m21, m13, m23 is zero (the construction divides
-        by them).
+    ParameterError
+        If ``h_tol`` is not finite and positive, or any of m12, m21,
+        m13, m23 is zero (the construction divides by them).
     BracketError
         If ``g`` has no sign change on ``[0, H]`` — this would
         contradict existence of the interior equilibrium and must never
         fire for valid fully-coupled parameters.
     """
+    _positive("h_tol", h_tol)
     c = _coeffs(params)
     r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
     for name, val in (("m12", m12), ("m21", m21), ("m13", m13), ("m23", m23)):
         if val <= 0.0:
-            raise ValueError(
+            raise ParameterError(
                 f"coexistence construction requires {name} > 0, got {val}"
             )
     scale = max(k1, k2, k3)
@@ -423,11 +426,15 @@ def _sqrt_branch(r: float, k: float, loss: float, inflow: float):
     This quadratic shape (logistic minus linear loss plus constant
     inflow) recurs in every sparse-topology coexistence formula:
     p = k/(2r) [ (r-loss) + sqrt((r-loss)² + 4 r·inflow / k) ].
+    With r - loss < 0 that sum cancels, so the root is taken in the
+    conjugate form 2·inflow / (sqrt(...) - (r-loss)).
     """
     s = r - loss
     disc = s * s + 4.0 * r * inflow / k
     if disc < 0.0:
         return None
+    if s < 0.0:
+        return -2.0 * inflow / (s - math.sqrt(disc))
     return (k / (2.0 * r)) * (s + math.sqrt(disc))
 
 
@@ -664,26 +671,11 @@ def _dedup(points, residuals):
     return [n for _, _, n in reps]
 
 
-def _count(name: str, value, least: int) -> int:
-    """``value`` as an int of at least ``least``, or a ValueError naming it.
-
-    ``operator.index`` takes NumPy integers but not floats, even whole ones.
-    """
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return value
-
-
 def _oracle_many(params_list, n_starts: int = 64, seed: int = 0,
                  tol: float = 1e-8) -> list[list[EquilibriumRecord]]:
     """``brute_force_equilibria`` of every set in ``params_list``, batched."""
     n_starts, seed = _count("n_starts", n_starts, 1), _count("seed", seed, 0)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _positive("tol", tol)
     out = []
     with np.errstate(all="ignore"):  # overflow and NaN as in scalar floats
         for lo in range(0, len(params_list), _BATCH_SETS):
@@ -714,7 +706,7 @@ def brute_force_equilibria(params: ModelParams, n_starts: int = 64,
 
     Raises
     ------
-    ValueError
+    ParameterError
         If ``n_starts`` is not an integer >= 1, ``seed`` not an integer
         >= 0, or ``tol`` not finite and positive.
     """
@@ -768,7 +760,7 @@ def find_all_equilibria(topo: str, params: ModelParams, n_starts: int = 64,
     ConsistencyError
         If a *feasible* catalog point is absent from the oracle set —
         that combination means a transcribed formula is wrong.
-    ValueError
+    ParameterError
         If ``n_starts`` is not an integer >= 1, ``seed`` not an integer
         >= 0, or ``tol`` not finite and positive.
     """

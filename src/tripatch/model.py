@@ -17,6 +17,7 @@ package, so ``m12 == m[0][1]`` is the rate into patch 1 from patch 2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,9 @@ __all__ = [
     "BOUNDARY_TOL",
     "PARAM_TOKENS",
     "ModelParams",
+    "NumericalError",
     "ParameterError",
+    "TripatchError",
     "as_state",
     "growth_terms",
     "jacobian",
@@ -37,8 +40,39 @@ __all__ = [
 BOUNDARY_TOL = 1e-12
 
 
-class ParameterError(ValueError):
-    """Raised when model parameters or a sweep target are out of domain."""
+class TripatchError(Exception):
+    """Root of every error the package raises on purpose."""
+
+
+class ParameterError(TripatchError, ValueError):
+    """An argument, parameter set, configuration or sweep target is out of
+    domain: the caller's mistake, not a failed computation."""
+
+
+class NumericalError(TripatchError, RuntimeError):
+    """A computation on valid input failed: a solver did not converge, a
+    bracket or a cross-check failed, or a value left the float range."""
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``, or a ParameterError naming it.
+
+    ``operator.index`` takes NumPy integers but not floats, even whole ones.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _positive(name: str, *values: float) -> None:
+    """Raise a ParameterError naming ``name`` unless every value is finite and > 0."""
+    if not all(math.isfinite(v) and v > 0.0 for v in values):
+        got = ", ".join(map(str, values))
+        raise ParameterError(f"{name} must be finite and positive, got {got}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,12 +189,12 @@ def as_state(state) -> np.ndarray:
     """
     p = np.asarray(state, dtype=float)
     if p.shape != (3,):
-        raise ValueError(f"state must have shape (3,), got {p.shape}")
+        raise ParameterError(f"state must have shape (3,), got {p.shape}")
     if not np.all(np.isfinite(p)):
-        raise ValueError("state contains non-finite entries")
+        raise ParameterError("state contains non-finite entries")
     for i in range(3):
         if p[i] < -BOUNDARY_TOL:
-            raise ValueError(
+            raise ParameterError(
                 f"state component p{i + 1} = {p[i]} is negative beyond tolerance"
             )
     return p

@@ -21,12 +21,12 @@ import math
 
 import numpy as np
 
-from .model import _jac, _rhs
+from .model import NumericalError, _jac, _rhs
 
 __all__ = ["ConvergenceError", "SingularJacobianError"]
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericalError):
     """Newton iteration failed to reach the residual tolerance."""
 
 

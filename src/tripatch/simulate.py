@@ -35,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import _count, _halton, find_all_equilibria
-from .model import ModelParams, _coeffs, _rhs, as_state
+from .equilibria import _halton, find_all_equilibria
+from .model import (ModelParams, NumericalError, ParameterError, _coeffs, _count,
+                    _positive, _rhs, as_state)
 from .newton import _col_max, _col_min, _lane_coeffs, _rhs_lanes
 from .topology import apply_topology
 
@@ -82,7 +83,7 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
       -1 / 40)
 
 
-class StepUnderflowError(RuntimeError):
+class StepUnderflowError(NumericalError):
     """The adaptive step collapsed below 1e-14·t_end."""
 
 
@@ -99,18 +100,11 @@ class Trajectory:
     terminal: str
 
 
-def _check_run(t_end: float, rel_tol: float, abs_tol: float) -> None:
-    """Reject a horizon or a tolerance that is not finite and positive."""
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise ValueError(f"t_end must be finite and positive, got {t_end}")
-    if not all(math.isfinite(v) and v > 0.0 for v in (rel_tol, abs_tol)):
-        raise ValueError("tolerances must be finite and positive")
-
-
 def integrate(params: ModelParams, x0, t_end: float, rel_tol: float = 1e-8,
               abs_tol: float = 1e-10) -> Trajectory:
     """Integrate the flow from ``x0`` for up to ``t_end`` time units."""
-    _check_run(t_end, rel_tol, abs_tol)
+    _positive("t_end", t_end)
+    _positive("tolerances", rel_tol, abs_tol)
     y = tuple(float(v) for v in np.maximum(as_state(x0), 0.0))
     c = _coeffs(params)
     k1 = _rhs(c, *y)
@@ -355,9 +349,10 @@ def basin_sample(topo: str, params: ModelParams, n: int, seed: int,
     fractions always sum to 1.
     """
     n = _count("n", n, 1)
-    _check_run(t_end, rel_tol, abs_tol)
+    _positive("t_end", t_end)
+    _positive("tolerances", rel_tol, abs_tol)
     if not (math.isfinite(match_tol) and match_tol >= 0.0):
-        raise ValueError(
+        raise ParameterError(
             f"match_tol must be finite and >= 0, got {match_tol}")
     params = apply_topology(params, topo)
     known = find_all_equilibria(topo, params, seed=seed)

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _coeffs, _jac
+from .model import ModelParams, NumericalError, ParameterError, _coeffs, _count, _jac
 from .equilibria import EquilibriumRecord
+from .topology import zeroed_rates
 
 __all__ = [
     "CharacteristicCoefficients",
@@ -52,12 +53,15 @@ MARGINAL_FLOOR = 1e-12
 #: classify() refuses records whose residual exceeds this.
 RESIDUAL_LIMIT = 1e-8
 
+#: Root scale below which the cubic solver's products leave the normal range.
+_TINY = 2.0 ** -160
 
-class StaleEquilibriumError(ValueError):
+
+class StaleEquilibriumError(NumericalError, ValueError):
     """classify() was handed a record whose residual exceeds 1e-8."""
 
 
-class SpectrumOverflowError(OverflowError):
+class SpectrumOverflowError(NumericalError, OverflowError):
     """A Jacobian's characteristic cubic leaves the float range."""
 
 
@@ -99,7 +103,7 @@ def characteristic(j) -> CharacteristicCoefficients:
     """Trace, principal 2×2 minor sum, and determinant of a 3×3 matrix."""
     a = np.asarray(j, dtype=float)
     if a.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {a.shape}")
+        raise ParameterError(f"expected a 3x3 matrix, got shape {a.shape}")
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
     tr = a00 + a11 + a22
     m_j = (
@@ -122,15 +126,27 @@ def eigenvalues_3x3(j) -> tuple[complex, complex, complex]:
     Newton step on the polynomial, returned sorted by descending real
     part (ties broken by descending imaginary part).
     """
-    return _spectrum(characteristic(j))
+    return _spectrum(j, characteristic(j))
 
 
-def _spectrum(co: CharacteristicCoefficients) -> tuple[complex, complex, complex]:
-    """eigenvalues_3x3 from the coefficients; SpectrumOverflowError if one is
-    not finite or a float power or complex modulus overflows in the solver."""
-    if all(map(math.isfinite, (co.trace, co.m_j, co.det))):
+def _spectrum(j, co: CharacteristicCoefficients) -> tuple[complex, complex, complex]:
+    """eigenvalues_3x3 of ``j``, whose coefficients are ``co``.
+
+    With every coefficient below its power of _TINY the solver's sixth powers
+    and ``det`` underflow, so the roots of ``j·2**-e`` (exact) are scaled back.
+    SpectrumOverflowError if a coefficient is not finite or the solver overflows."""
+    b, c, d = -co.trace, co.m_j, -co.det
+    if all(map(math.isfinite, (b, c, d))):
         try:
-            return _cubic_roots(-co.trace, co.m_j, -co.det)
+            if not (abs(b) < _TINY and abs(c) < _TINY ** 2
+                    and abs(d) < _TINY ** 3 and (b or c or d)):
+                return _cubic_roots(b, c, d)
+            e = max(math.frexp(v)[1] // n for n, v in ((1, b), (2, c), (3, d)) if v)
+            rows = np.asarray(j, dtype=float).tolist()
+            small = characteristic([[math.ldexp(v, -e) for v in row] for row in rows])
+            roots = _cubic_roots(-small.trace, small.m_j, -small.det)
+            return tuple(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+                         for z in roots)
         except OverflowError:
             pass
     raise SpectrumOverflowError(
@@ -217,7 +233,7 @@ def _classification(eigenvalues) -> str:
 def classify_matrix(j) -> tuple[str, tuple[complex, ...], CharacteristicCoefficients]:
     """Classify an arbitrary Jacobian; shared by classify() and the sweeps."""
     co = characteristic(j)
-    eig = _spectrum(co)
+    eig = _spectrum(j, co)
     return _classification(eig), eig, co
 
 
@@ -415,10 +431,7 @@ def origin_never_stable_scan(topo: str, n_draws: int, seed: int):
     or None, which is the expected outcome: every admissible topology
     keeps some escape route from total extinction.
     """
-    from .topology import zeroed_rates
-
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
+    n_draws, seed = _count("n_draws", n_draws, 1), _count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     r = rng.uniform(0.1, 5.0, (n_draws, 3))
     k = rng.uniform(0.1, 5.0, (n_draws, 3))

@@ -15,7 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .model import ModelParams, _ENTRY
+from .model import ModelParams, ParameterError, _ENTRY
 
 __all__ = [
     "TOPOLOGIES",
@@ -28,11 +28,12 @@ __all__ = [
     "is_admissible",
     "is_strongly_connected",
     "iter_arc_sets",
+    "permute_params",
     "zeroed_rates",
 ]
 
 
-class InadmissibleArcsError(ValueError):
+class InadmissibleArcsError(ParameterError):
     """Raised for arc sets with an isolated patch or a disconnected graph."""
 
 
@@ -77,7 +78,7 @@ def arcs_of_topology(topo: str) -> frozenset[tuple[int, int]]:
 
 def _check_topology(topo: str) -> None:
     if topo not in _ZEROED:
-        raise ValueError(f"unknown topology token {topo!r}")
+        raise ParameterError(f"unknown topology token {topo!r}")
 
 
 def arc_labels(arcs: frozenset[tuple[int, int]]) -> list[str]:

@@ -20,7 +20,7 @@ from .equilibria import (
     find_all_equilibria,
     newton_coexistence,
 )
-from .model import ModelParams
+from .model import ModelParams, NumericalError
 from .stability import classify
 from .topology import (
     TOPOLOGIES,
@@ -102,7 +102,7 @@ def check_oracle_equivalence(seed: int, n: int) -> PropertyResult:
             p = draw_params(rng)
             try:
                 recs = find_all_equilibria(topo, p, seed=i)
-            except Exception as exc:  # ConsistencyError and kin
+            except NumericalError as exc:
                 return PropertyResult(
                     "oracle equivalence", False,
                     f"{topo} draw {i}: {exc}")

@@ -26,6 +26,7 @@ from tripatch.equilibria import (
 )
 from tripatch.model import ModelParams
 from tripatch.simulate import StepUnderflowError
+from tripatch.stability import StaleEquilibriumError
 
 
 def symmetric_doc() -> dict:
@@ -145,6 +146,35 @@ class TestAnalyze:
         rows = json.loads(out)["equilibria"]
         assert [row["label"] for row in rows] == ["ORIGIN"]
         assert rows[0]["residual"] == 0.0
+
+    def test_cancelling_sqrt_branch_gives_exact_records(self, capsys,
+                                                         tmp_path):
+        # r2 - m32 < 0 cancelled in the closed-form COEX's p2, whose
+        # residual 2.0 made classify refuse the whole table (exit 3).
+        doc = {"r": [0.1, 1e-6, 1e-12], "k": [1.0, 1e300, 1e-300],
+               "m": [[0.0, 0.0, 2.0], [0.5, 0.0, 1e-6], [0.0, 0.5, 0.0]],
+               "topology": "CHAIN"}
+        code, out, err = run(capsys, ["analyze", "--config",
+                                      write_config(tmp_path, doc)])
+        assert code == 0 and err == ""
+        rows = json.loads(out)["equilibria"]
+        assert [row["label"] for row in rows] == ["ORIGIN", "W2"]
+        assert all(row["residual"] <= 1e-8 for row in rows)
+
+    def test_tiny_jacobian_gives_a_table(self, capsys, tmp_path):
+        # Entries near 1e-110 used to underflow the cubic solver's 2·p·rho
+        # to 0 and crash with a ZeroDivisionError traceback.
+        doc = {"r": [1e-110, 2e-110, 3e-110], "k": [1, 1, 1],
+               "m": [[0, 1e-111, 1e-111], [1e-111, 0, 1e-111],
+                     [1e-111, 1e-111, 0]], "topology": "FULL"}
+        code, out, err = run(capsys, ["analyze", "--config",
+                                      write_config(tmp_path, doc)])
+        assert code == 0 and err == ""
+        rows = json.loads(out)["equilibria"]
+        assert "ORIGIN" in {row["label"] for row in rows}
+        for row in rows:
+            assert all(abs(z["re"]) < 1e-109 and z["im"] == 0.0
+                       for z in row["eigenvalues"])
 
     def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
         cfg = write_config(tmp_path, symmetric_doc())
@@ -411,6 +441,7 @@ class TestNumericalFailures:
         ("basin", "basin_sample", SingularJacobianError),
         ("verify", "run_battery", BracketError),
         ("simulate", "integrate", StepUnderflowError),
+        ("analyze", "classify", StaleEquilibriumError),
     ])
     def test_exit_code_3_without_traceback(self, capsys, monkeypatch,
                                            tmp_path, verb, callee, error):
@@ -428,10 +459,6 @@ class TestNumericalFailures:
         assert err == "error: injected failure\n"
 
     @pytest.mark.parametrize("doc, argv, message", [
-        # A closed-form COEX that polishing cannot bring below 1e-8.
-        ({"r": [0.1, 1e-6, 1e-12], "k": [1.0, 1e300, 1e-300],
-          "m": [[0.0, 0.0, 2.0], [0.5, 0.0, 1e-6], [0.0, 0.5, 0.0]],
-          "topology": "CHAIN"}, ["analyze"], "record COEX has residual"),
         # |trace J| ≈ 1e300 and infinite minors at the origin.
         ({"r": [1e12, 0.1, 1e300], "k": [1e-300, 1e6, 3.0],
           "m": [[0.0, 1e6, 0.0], [0.5, 0.0, 1e-12], [1e-6, 0.0, 0.0]],

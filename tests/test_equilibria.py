@@ -24,7 +24,7 @@ from tripatch.equilibria import (
     find_all_equilibria,
     newton_coexistence,
 )
-from tripatch.model import ModelParams, _coeffs, rhs, with_param
+from tripatch.model import ModelParams, ParameterError, _coeffs, rhs, with_param
 from tripatch.topology import TOPOLOGIES, apply_topology
 from tripatch.verification import draw_params
 
@@ -83,6 +83,21 @@ class TestCoexistenceSolvers:
         p = ModelParams(np.ones(3), np.ones(3), m)
         rec = newton_coexistence(p)
         assert np.allclose(rec.point, [1.0, 1.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("solve, kwargs", [
+        (newton_coexistence, {"tol": math.nan}),
+        (newton_coexistence, {"tol": 0.0}),
+        (coexistence_by_construction, {"h_tol": math.nan}),
+        (coexistence_by_construction, {"h_tol": -1.0}),
+    ])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, solve,
+                                                                 kwargs):
+        # tol=nan used to run 100 iterations into a ConvergenceError, and
+        # h_tol=nan to end in a BracketError.
+        p = draw_params(np.random.default_rng(41))
+        (name,) = kwargs
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            solve(p, **kwargs)
 
 
 class TestClosedForms:

@@ -10,7 +10,7 @@ import pytest
 
 from tripatch import stability
 from tripatch.equilibria import EquilibriumRecord, find_all_equilibria
-from tripatch.model import ModelParams, _coeffs, _jac, with_param
+from tripatch.model import ModelParams, ParameterError, _coeffs, _jac, with_param
 from tripatch.stability import (
     CharacteristicCoefficients,
     ConditionRow,
@@ -132,7 +132,9 @@ def reference_outcome(fn, j):
         with np.errstate(all="ignore"):
             return repr(fn(j))
     except (ValueError, OverflowError) as exc:
-        return type(exc).__name__
+        # A non-3x3 matrix raised a bare ValueError; it now raises
+        # ParameterError, which is a ValueError.
+        return "ValueError" if isinstance(exc, ParameterError) else type(exc).__name__
 
 
 def spectrum_outcome(ref, j):
@@ -220,6 +222,22 @@ class TestEigenvalues:
                                match="leave the float range"):
                 fn(j)
         assert issubclass(SpectrumOverflowError, OverflowError)
+
+    def test_tiny_matrices_are_solved_to_scale(self):
+        # Entries below about 1e-108 used to underflow 2·p·rho in the cubic
+        # solver to 0 and raise ZeroDivisionError; below about 1e-52 its
+        # discriminant underflowed and a complex pair broke math.sqrt.
+        assert eigenvalues_3x3(np.diag([1e-125, -1e-125, 0.0])) == \
+            (1e-125, 0.0, -1e-125)
+        rng = np.random.default_rng(43)
+        for scale in (1e-60, 1e-110, 1e-200, 1e-300):
+            for i in range(50):
+                j = rng.normal(0.0, 3.0, (3, 3))
+                ours = np.array(eigenvalues_3x3(j * scale)) / scale
+                ref = sorted_eigs(j)
+                scale_ref = 1.0 + float(np.max(np.abs(ref)))
+                err = float(np.max(np.abs(ours - ref))) / scale_ref
+                assert err < 1e-9, f"scale {scale}, matrix {i}: error {err:.2e}"
 
     def test_matches_numpy_on_random_matrices(self):
         rng = np.random.default_rng(42)
@@ -401,3 +419,8 @@ class TestOriginScan:
     def test_rejects_empty_scan(self):
         with pytest.raises(ValueError, match="n_draws"):
             origin_never_stable_scan("FULL", 0, seed=0)
+
+    def test_rejects_a_fractional_draw_count(self):
+        # n_draws=2.5 used to raise NumPy's TypeError.
+        with pytest.raises(ParameterError, match="n_draws must be an integer"):
+            origin_never_stable_scan("FULL", 2.5, 0)
