@@ -9,8 +9,14 @@ simulate    a single trajectory (CSV)
 basin       attractor fractions from scattered starts (JSON)
 verify      the randomized property battery (text report)
 
-Configurations are single JSON documents (fields ``r``, ``k``, ``m``,
-optional ``topology``/``seed`` and per-command option blocks).  Parsing
+Configurations are single JSON documents: fields ``r``, ``k``, ``m``,
+optional ``topology``/``seed`` and three option blocks, ``sweep``
+(``param``, ``lo``, ``hi``, ``steps``; all required), ``simulate``
+(``x0``, ``t_end``, ``rel_tol``, ``abs_tol``) and ``basin`` (``samples``,
+``t_end``, ``match_tol``).  A block's fields, their kinds and their
+defaults are written once, in its dataclass (:class:`SweepOptions`,
+:class:`SimulateOptions`, :class:`BasinOptions`); the parser and
+:func:`canonical_json` walk its ``dataclasses.fields``.  Parsing
 collects every violated invariant before failing, and a parsed
 configuration re-serializes to a canonical form that is byte-identical
 across runs.  Exit codes: 0 success, 1 property failure, 2 usage or
@@ -27,8 +33,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -64,33 +71,92 @@ class ConfigError(ParameterError):
     """A configuration document is malformed or violates invariants."""
 
 
+# ------------------------------------------------------------ field kinds
+#
+# Each kind maps a JSON value to a field value, or raises ValueError with
+# the text that follows "expected" in the problem it reports.
+
+
+def _float(v) -> float | None:
+    """``v`` as a float if it is a JSON number a float holds finitely."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            f = float(v)
+        except OverflowError:  # an integer beyond the float range
+            return None
+        if math.isfinite(f):
+            return f
+    return None
+
+
+def _finite(v) -> float:
+    if (f := _float(v)) is None:
+        raise ValueError("a finite number")
+    return f
+
+
+def _positive(v) -> float:
+    if (f := _float(v)) is None or f <= 0.0:
+        raise ValueError("a positive finite number")
+    return f
+
+
+def _integer(least: int):
+    def parse(v) -> int:
+        if not isinstance(v, int) or isinstance(v, bool) or v < least:
+            raise ValueError(f"an integer >= {least}")
+        return v
+    return parse
+
+
+def _token(v) -> str:
+    if v not in PARAM_TOKENS:
+        raise ValueError(f"one of {', '.join(PARAM_TOKENS)}")
+    return v
+
+
+def _state(v) -> tuple[float, float, float]:
+    if (not isinstance(v, list) or len(v) != 3
+            or any(_float(x) is None or x < 0.0 for x in v)):
+        raise ValueError("3 nonnegative numbers")
+    return tuple(float(x) for x in v)
+
+
+def _option(kind, default=MISSING):
+    """A block field read by ``kind``; without a default it is required."""
+    return field(default=default, metadata={"kind": kind})
+
+
+# The option blocks: each dataclass is the only place that names its
+# block's fields, their kinds and their defaults.
+
 @dataclass(frozen=True)
 class SweepOptions:
     """Parameter-sweep block of a configuration."""
 
-    param: str
-    lo: float
-    hi: float
-    steps: int
+    param: str = _option(_token)
+    lo: float = _option(_finite)
+    hi: float = _option(_finite)
+    steps: int = _option(_integer(2))
 
 
 @dataclass(frozen=True)
 class SimulateOptions:
     """Trajectory block of a configuration."""
 
-    x0: tuple[float, float, float] | None = None
-    t_end: float = 100.0
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
+    x0: tuple[float, float, float] | None = _option(_state, None)
+    t_end: float = _option(_positive, 100.0)
+    rel_tol: float = _option(_positive, 1e-8)
+    abs_tol: float = _option(_positive, 1e-10)
 
 
 @dataclass(frozen=True)
 class BasinOptions:
     """Basin-sampling block of a configuration."""
 
-    samples: int = 200
-    t_end: float = 2000.0
-    match_tol: float = 1e-4
+    samples: int = _option(_integer(1), 200)
+    t_end: float = _option(_positive, 2000.0)
+    match_tol: float = _option(_positive, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -107,12 +173,17 @@ class RunConfig:
 
 # ----------------------------------------------------------------- parsing
 
-_TOP_KEYS = {"r", "k", "m", "topology", "seed", "sweep", "simulate", "basin"}
+_BLOCKS = {"sweep": SweepOptions, "simulate": SimulateOptions,
+           "basin": BasinOptions}
 
 
-def _num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) \
-        and np.isfinite(x)
+def _read(problems: list[str], name: str, kind, v):
+    """``kind(v)``, or None with the problem recorded under ``name``."""
+    try:
+        return kind(v)
+    except ValueError as exc:
+        problems.append(f"{name}: expected {exc}, got {v!r}")
+        return None
 
 
 def _vector(problems: list[str], doc: dict, name: str) -> list[float] | None:
@@ -127,21 +198,18 @@ def _vector(problems: list[str], doc: dict, name: str) -> list[float] | None:
     if len(raw) > 3:
         problems.append(f"{name}: expected 3 entries, got {len(raw)}")
         return None
-    out, ok = [], True
+    out = []
     for i in range(3):
         token = f"{name}{i + 1}"
         if i >= len(raw):
             problems.append(f"{token}: required entry is missing")
-            ok = False
-        elif not _num(raw[i]):
-            problems.append(f"{token}: expected a finite number, got {raw[i]!r}")
-            ok = False
-        elif raw[i] <= 0.0:
-            problems.append(f"{token}: must be strictly positive, got {raw[i]}")
-            ok = False
-        else:
-            out.append(float(raw[i]))
-    return out if ok else None
+        elif (v := _read(problems, token, _finite, raw[i])) is not None:
+            if v > 0.0:
+                out.append(v)
+            else:
+                problems.append(f"{token}: must be strictly positive, "
+                                f"got {raw[i]}")
+    return out if len(out) == 3 else None
 
 
 def _matrix(problems: list[str], doc: dict) -> list[list[float]] | None:
@@ -154,58 +222,42 @@ def _matrix(problems: list[str], doc: dict) -> list[list[float]] | None:
             or any(not isinstance(row, list) or len(row) != 3 for row in raw)):
         problems.append("m: expected a 3x3 array of rates")
         return None
-    ok = True
+    before = len(problems)
     for i in range(3):
         for j in range(3):
             token = f"m{i + 1}{j + 1}"
             v = raw[i][j]
-            if not _num(v):
-                problems.append(f"{token}: expected a finite number, got {v!r}")
-                ok = False
-            elif i == j and v != 0.0:
+            if _read(problems, token, _finite, v) is None:
+                continue
+            if i == j and v != 0.0:
                 problems.append(f"{token}: diagonal rate must be zero, got {v}")
-                ok = False
             elif v < 0.0:
                 problems.append(f"{token}: must be nonnegative, got {v}")
-                ok = False
-    return [[float(v) for v in row] for row in raw] if ok else None
+    if len(problems) > before:
+        return None
+    return [[float(v) for v in row] for row in raw]
 
 
-def _opt_number(problems: list[str], blk: dict, scope: str, key: str,
-                default, positive: bool = True):
-    if key not in blk:
-        return default
-    v = blk[key]
-    if not _num(v) or (positive and v <= 0.0):
-        problems.append(f"{scope}.{key}: expected a positive finite number, "
-                        f"got {v!r}")
-        return default
-    return float(v)
-
-
-def _opt_int(problems: list[str], blk: dict, scope: str, key: str,
-             default, minimum: int):
-    if key not in blk:
-        return default
-    v = blk[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        problems.append(f"{scope}.{key}: expected an integer >= {minimum}, "
-                        f"got {v!r}")
-        return default
-    return v
-
-
-def _block(problems: list[str], doc: dict, name: str,
-           allowed: set[str]) -> dict | None:
+def _options(problems: list[str], doc: dict, name: str):
+    """Option block ``name`` of ``doc``, read field by field from its
+    dataclass; None when the block is absent or has a problem."""
     if name not in doc:
         return None
-    blk = doc[name]
+    blk, cls, before = doc[name], _BLOCKS[name], len(problems)
     if not isinstance(blk, dict):
         problems.append(f"{name}: expected an object, got {blk!r}")
         return None
-    for key in sorted(set(blk) - allowed):
+    known = fields(cls)
+    for key in sorted(set(blk) - {f.name for f in known}):
         problems.append(f"{name}.{key}: unknown field")
-    return blk
+    values = {}
+    for f in known:
+        if f.name in blk:
+            values[f.name] = _read(problems, f"{name}.{f.name}",
+                                   f.metadata["kind"], blk[f.name])
+        elif f.default is MISSING:
+            problems.append(f"{name}.{f.name}: required field is missing")
+    return cls(**values) if len(problems) == before else None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -221,11 +273,13 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
+    except ValueError as exc:  # an integer literal too long to convert
+        raise ConfigError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("top level must be a JSON object")
 
     problems: list[str] = []
-    for key in sorted(set(doc) - _TOP_KEYS):
+    for key in sorted(set(doc) - {"r", "k", "m", "topology", "seed", *_BLOCKS}):
         problems.append(f"{key}: unknown field")
 
     r = _vector(problems, doc, "r")
@@ -236,55 +290,10 @@ def parse_config(text: str) -> RunConfig:
     if topology is not None and topology not in TOPOLOGIES:
         problems.append(f"topology: unknown token {topology!r}; expected one "
                         f"of {', '.join(TOPOLOGIES)}")
-        topology = None
 
-    seed = _opt_int(problems, doc, "config", "seed", 0, 0)
-
-    sweep_opts = None
-    blk = _block(problems, doc, "sweep", {"param", "lo", "hi", "steps"})
-    if blk is not None:
-        param = blk.get("param")
-        if param not in PARAM_TOKENS:
-            problems.append(f"sweep.param: expected one of "
-                            f"{', '.join(PARAM_TOKENS)}, got {param!r}")
-        lo = _opt_number(problems, blk, "sweep", "lo", None, positive=False)
-        hi = _opt_number(problems, blk, "sweep", "hi", None, positive=False)
-        for key, v in (("lo", lo), ("hi", hi)):
-            if key not in blk:
-                problems.append(f"sweep.{key}: required field is missing")
-        steps = _opt_int(problems, blk, "sweep", "steps", None, 2)
-        if "steps" not in blk:
-            problems.append("sweep.steps: required field is missing")
-        if param in PARAM_TOKENS and lo is not None and hi is not None \
-                and steps is not None:
-            sweep_opts = SweepOptions(param, lo, hi, steps)
-
-    sim_opts = None
-    blk = _block(problems, doc, "simulate",
-                 {"x0", "t_end", "rel_tol", "abs_tol"})
-    if blk is not None:
-        x0 = None
-        if "x0" in blk:
-            raw = blk["x0"]
-            if (not isinstance(raw, list) or len(raw) != 3
-                    or any(not _num(v) or v < 0.0 for v in raw)):
-                problems.append(f"simulate.x0: expected 3 nonnegative "
-                                f"numbers, got {raw!r}")
-            else:
-                x0 = tuple(float(v) for v in raw)
-        sim_opts = SimulateOptions(
-            x0=x0,
-            t_end=_opt_number(problems, blk, "simulate", "t_end", 100.0),
-            rel_tol=_opt_number(problems, blk, "simulate", "rel_tol", 1e-8),
-            abs_tol=_opt_number(problems, blk, "simulate", "abs_tol", 1e-10))
-
-    basin_opts = None
-    blk = _block(problems, doc, "basin", {"samples", "t_end", "match_tol"})
-    if blk is not None:
-        basin_opts = BasinOptions(
-            samples=_opt_int(problems, blk, "basin", "samples", 200, 1),
-            t_end=_opt_number(problems, blk, "basin", "t_end", 2000.0),
-            match_tol=_opt_number(problems, blk, "basin", "match_tol", 1e-4))
+    seed = _read(problems, "config.seed", _integer(0),
+                 doc.get("seed", RunConfig.seed))
+    blocks = {name: _options(problems, doc, name) for name in _BLOCKS}
 
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
@@ -292,8 +301,7 @@ def parse_config(text: str) -> RunConfig:
         params = ModelParams(np.array(r), np.array(k), np.array(m))
     except ParameterError as exc:  # safety net; fields were pre-checked
         raise ConfigError(str(exc)) from None
-    return RunConfig(params=params, topology=topology, seed=seed,
-                     sweep=sweep_opts, simulate=sim_opts, basin=basin_opts)
+    return RunConfig(params=params, topology=topology, seed=seed, **blocks)
 
 
 def load_config(path: str) -> RunConfig:
@@ -319,20 +327,10 @@ def canonical_json(cfg: RunConfig) -> str:
     }
     if cfg.topology is not None:
         doc["topology"] = cfg.topology
-    if cfg.sweep is not None:
-        s = cfg.sweep
-        doc["sweep"] = {"param": s.param, "lo": s.lo, "hi": s.hi,
-                        "steps": s.steps}
-    if cfg.simulate is not None:
-        s = cfg.simulate
-        doc["simulate"] = {"t_end": s.t_end, "rel_tol": s.rel_tol,
-                           "abs_tol": s.abs_tol}
-        if s.x0 is not None:
-            doc["simulate"]["x0"] = list(s.x0)
-    if cfg.basin is not None:
-        b = cfg.basin
-        doc["basin"] = {"samples": b.samples, "t_end": b.t_end,
-                        "match_tol": b.match_tol}
+    for name in _BLOCKS:
+        opts = getattr(cfg, name)
+        if opts is not None:
+            doc[name] = {k: v for k, v in asdict(opts).items() if v is not None}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -411,18 +409,16 @@ def cmd_sweep(args) -> tuple[str, int]:
     """One-parameter sweep as CSV with appended crossing rows."""
     cfg = load_config(args.config)
     topo, params, seed = _resolve(cfg, args)
-    base = cfg.sweep
-    param = args.param or (base.param if base else None)
-    lo = args.lo if args.lo is not None else (base.lo if base else None)
-    hi = args.hi if args.hi is not None else (base.hi if base else None)
-    steps = args.steps if args.steps is not None else (
-        base.steps if base else None)
-    missing = [n for n, v in (("param", param), ("lo", lo), ("hi", hi),
-                              ("steps", steps)) if v is None]
+    # Each flag overrides its field of the config's sweep block.
+    flags = {f.name: getattr(args, f.name) for f in fields(SweepOptions)}
+    plan = {name: getattr(cfg.sweep, name, None) if v is None else v
+            for name, v in flags.items()}
+    missing = [name for name, v in plan.items() if v is None]
     if missing:
         raise ConfigError(
             "sweep needs " + ", ".join(f"--{n}" for n in missing)
             + " (flags or a sweep block in the config)")
+    param, lo, hi, steps = plan.values()
 
     records = _sweep(topo, params, param, float(lo), float(hi), int(steps))
     buf = io.StringIO()
@@ -555,13 +551,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("simulate", cmd_simulate, "integrate one trajectory (CSV)",
             config=True, seeded=True)
     p.add_argument("--t-end", type=float, default=None,
-                   help="integration horizon (default from config or 100)")
+                   help="integration horizon (default from config or "
+                        f"{SimulateOptions.t_end:g})")
 
     p = add("basin", cmd_basin, "basin fractions from scattered starts",
             config=True, seeded=True)
     p.add_argument("--samples", type=_at_least(1), default=None,
                    help="number of starting points (default from config "
-                        "or 200)")
+                        f"or {BasinOptions.samples})")
 
     p = add("verify", cmd_verify, "run the property battery", seeded=True)
     p.add_argument("--samples", type=_at_least(1), default=None,

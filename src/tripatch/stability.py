@@ -29,7 +29,7 @@ import numpy as np
 
 from .model import ModelParams, NumericalError, ParameterError, _coeffs, _count, _jac
 from .equilibria import EquilibriumRecord
-from .topology import zeroed_rates
+from .topology import apply_topology, zeroed_rates
 
 __all__ = [
     "CharacteristicCoefficients",
@@ -192,9 +192,11 @@ def _cubic_roots(b: float, c: float, d: float) -> tuple[complex, complex, comple
             # keep it only when the residual actually shrinks.
             if abs(fn) < abs(f):
                 z = zn
-        if abs(z.imag) < 1e-14 * (1.0 + abs(z.real)):
-            z = complex(z.real, 0.0)
         polished.append(z)
+    # An imaginary part at round-off level of the spectrum's scale is noise.
+    floor = 1e-14 * max(map(abs, polished))
+    polished = [complex(z.real, 0.0) if abs(z.imag) <= floor else z
+                for z in polished]
     polished.sort(key=lambda z: (-z.real, -z.imag))
     return tuple(polished)
 
@@ -217,17 +219,16 @@ def routh_hurwitz(c: CharacteristicCoefficients) -> bool:
 
 def _margin(eigenvalues) -> float:
     """Half-width of the MARGINAL band: real parts within it count as zero."""
-    return max(MARGINAL_FLOOR, MARGINAL_BAND * max(abs(z) for z in eigenvalues))
+    return max(MARGINAL_FLOOR, MARGINAL_BAND * max(map(abs, eigenvalues)))
 
 
 def _classification(eigenvalues) -> str:
-    margin = _margin(eigenvalues)
-    res = [z.real for z in eigenvalues]
-    if all(x < -margin for x in res):
+    """Class of a spectrum sorted by descending real part, so the first
+    eigenvalue decides."""
+    lead, margin = eigenvalues[0].real, _margin(eigenvalues)
+    if lead < -margin:
         return "STABLE"
-    if any(x > margin for x in res):
-        return "UNSTABLE"
-    return "MARGINAL"
+    return "UNSTABLE" if lead > margin else "MARGINAL"
 
 
 def classify_matrix(j) -> tuple[str, tuple[complex, ...], CharacteristicCoefficients]:
@@ -400,7 +401,8 @@ def classify(topo: str, eq: EquilibriumRecord, params: ModelParams) -> Stability
 
     Classifies by the spectrum of the analytic Jacobian at ``eq.point``
     and evaluates every catalog inequality applicable to
-    ``(topo, eq.label)``, plus the generic sign-test rows.  Raises
+    ``(topo, eq.label)``, plus the generic sign-test rows.  ``params``
+    is projected onto ``topo`` first.  Raises
     :class:`StaleEquilibriumError` if the record's residual exceeds
     1e-8 (the point is not actually an equilibrium).
     """
@@ -408,7 +410,7 @@ def classify(topo: str, eq: EquilibriumRecord, params: ModelParams) -> Stability
         raise StaleEquilibriumError(
             f"record {eq.label} has residual {eq.residual:.2e} > {RESIDUAL_LIMIT:.0e}"
         )
-    c = _coeffs(params)
+    c = _coeffs(apply_topology(params, topo))
     p = np.asarray(eq.point, dtype=float).tolist()
     classification, eig, co = classify_matrix(np.array(_jac(c, *p)).reshape(3, 3))
     signs = zip(("traceJ", "MJ", "detJ"), sign_conditions(co),

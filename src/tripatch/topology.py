@@ -11,6 +11,7 @@ package and in all CLI output.
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -117,11 +118,6 @@ def is_strongly_connected(arcs: frozenset[tuple[int, int]]) -> bool:
     return all(_reaches_all(arcs, start) for start in range(3))
 
 
-def _flags(arcs: frozenset[tuple[int, int]]) -> tuple[bool, ...]:
-    """Fixed-order bit pattern over rate entries (m12, m13, ..., m32)."""
-    return tuple((j, i) in arcs for (i, j) in _ALL_PAIRS)
-
-
 def _permute_arcs(arcs, perm) -> frozenset[tuple[int, int]]:
     """Relabel patches: ``perm[new] = old``; arcs map through the inverse."""
     inv = [0, 0, 0]
@@ -142,12 +138,9 @@ def permute_params(params: ModelParams, perm: tuple[int, int, int]) -> ModelPara
     return ModelParams(np.asarray(params.r)[idx], np.asarray(params.k)[idx], m)
 
 
-# Deterministic class key -> token, built once from the representatives.
-def _class_key(arcs) -> tuple[bool, ...]:
-    return min(_flags(_permute_arcs(arcs, p)) for p in permutations(range(3)))
-
-
-_KEY_TO_TOPOLOGY = {_class_key(arcs_of_topology(t)): t for t in TOPOLOGIES}
+# Each class has exactly one representative, so the first relabeling that
+# lands on any representative lands on the class's own.
+_TOPOLOGY_OF = {arcs_of_topology(t): t for t in TOPOLOGIES}
 
 
 def canonical_form(arcs) -> tuple[str, tuple[int, int, int]]:
@@ -158,17 +151,15 @@ def canonical_form(arcs) -> tuple[str, tuple[int, int, int]]:
     parameter set with that sparsity, via :func:`permute_params` —
     lands exactly on the class representative of
     :func:`arcs_of_topology`.  Representatives map to themselves with
-    the identity permutation.
+    the identity permutation.  The 13 classes hold every admissible arc
+    set, so one that no relabeling lands on is inadmissible.
     """
     arcs = frozenset(arcs)
-    if not is_admissible(arcs):
-        raise InadmissibleArcsError(f"arc set {sorted(arcs)} is not admissible")
-    topo = _KEY_TO_TOPOLOGY[_class_key(arcs)]
-    target = arcs_of_topology(topo)
     for perm in permutations(range(3)):
-        if _permute_arcs(arcs, perm) == target:
+        topo = _TOPOLOGY_OF.get(_permute_arcs(arcs, perm))
+        if topo is not None:
             return topo, perm
-    raise AssertionError("class key matched but no permutation aligns")  # pragma: no cover
+    raise InadmissibleArcsError(f"arc set {sorted(arcs)} is not admissible")
 
 
 def enumerate_canonical() -> list[tuple[str, frozenset[tuple[int, int]]]]:
@@ -177,9 +168,14 @@ def enumerate_canonical() -> list[tuple[str, frozenset[tuple[int, int]]]]:
 
 
 def apply_topology(params: ModelParams, topo: str) -> ModelParams:
-    """Project a parameter set onto a topology by zeroing absent rates."""
-    _check_topology(topo)
-    m = np.array(params.m)
-    for i, j in zeroed_rates(topo):
-        m[i, j] = 0.0
+    """Project a parameter set onto a topology by zeroing absent rates.
+
+    A set whose absent rates are already +0.0 is returned as it is.
+    """
+    zeroed = zeroed_rates(topo)
+    m = params.m.tolist()
+    if not any(m[i][j] or math.copysign(1.0, m[i][j]) < 0.0 for i, j in zeroed):
+        return params
+    for i, j in zeroed:
+        m[i][j] = 0.0
     return ModelParams(params.r, params.k, m)

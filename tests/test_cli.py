@@ -242,6 +242,96 @@ class TestConfigErrors:
         assert "simulate.x0" in msg
         assert "simulate.warp: unknown field" in msg
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"r": None}, "r: required field is missing"),
+        ({"k": 1.0}, "k: expected a 3-entry array, got 1.0"),
+        ({"r": [1, 1, 1, 1]}, "r: expected 3 entries, got 4"),
+        ({"k": [1, "a", 1]}, "k2: expected a finite number, got 'a'"),
+        ({"r": [1, True, 1]}, "r2: expected a finite number, got True"),
+        ({"m": None}, "m: required field is missing"),
+        ({"m": [[0, 1], [1, 0]]}, "m: expected a 3x3 array of rates"),
+        ({"m": [[0, 1, 1], [1, 0, 1], ["x", 1, 0]]},
+         "m31: expected a finite number, got 'x'"),
+        ({"simulate": {"t_end": -1}},
+         "simulate.t_end: expected a positive finite number, got -1"),
+        ({"basin": {"match_tol": 0}},
+         "basin.match_tol: expected a positive finite number, got 0"),
+        ({"simulate": {"x0": [1, 1]}},
+         "simulate.x0: expected 3 nonnegative numbers, got [1, 1]"),
+        ({"basin": {"samples": 0}},
+         "basin.samples: expected an integer >= 1, got 0"),
+        ({"basin": {"samples": 2.5}},
+         "basin.samples: expected an integer >= 1, got 2.5"),
+        ({"sweep": {"param": "r1", "lo": 0.5, "hi": 2, "steps": True}},
+         "sweep.steps: expected an integer >= 2, got True"),
+        ({"seed": -1}, "config.seed: expected an integer >= 0, got -1"),
+        ({"basin": [1]}, "basin: expected an object, got [1]"),
+        ({"sweep": "r1"}, "sweep: expected an object, got 'r1'"),
+        ({"sweep": {"param": "r1", "steps": 3}},
+         "sweep.lo: required field is missing"),
+        ({"sweep": {"param": "r1", "steps": 3}},
+         "sweep.hi: required field is missing"),
+        ({"sweep": {"param": "r1", "lo": -1, "hi": 0, "steps": 3, "x": 1}},
+         "sweep.x: unknown field"),
+    ])
+    def test_each_violation_is_named(self, edit, message):
+        doc = symmetric_doc()
+        for key, value in edit.items():
+            if value is None:
+                del doc[key]
+            else:
+                doc[key] = value
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert message in str(exc.value).split("\n  ")
+
+    @pytest.mark.parametrize("block, message", [
+        ({"lo": 0.5, "hi": 2, "steps": 3},
+         "sweep.param: required field is missing"),
+        ({"param": "r1", "lo": "x", "hi": 2, "steps": 3},
+         "sweep.lo: expected a finite number, got 'x'"),
+        ({"param": "r1", "lo": 0.5, "hi": None, "steps": 3},
+         "sweep.hi: expected a finite number, got None"),
+    ])
+    def test_sweep_plan_violations(self, block, message):
+        doc = symmetric_doc()
+        doc["sweep"] = block
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert message in str(exc.value).split("\n  ")
+
+    def test_sweep_bounds_may_be_zero_or_negative(self):
+        doc = symmetric_doc()
+        doc["sweep"] = {"param": "m12", "lo": 0, "hi": -1.5, "steps": 2}
+        assert parse_config(json.dumps(doc)).sweep.lo == 0.0
+
+    def test_integer_beyond_the_float_range_is_a_config_error(
+            self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        text = json.dumps(symmetric_doc())
+        path.write_text(text.replace("[1.0, 1.0, 1.0]", "[" + "9" * 400 + ", 1, 1]", 1))
+        code, out, err = run(capsys, ["analyze", "--config", str(path)])
+        assert code == 2 and out == ""
+        assert "r1: expected a finite number, got 999" in err
+        assert err.startswith("error: ") and err.count("\n") == 2
+
+    def test_overlong_integer_literal_is_a_config_error(self, capsys, tmp_path):
+        path = tmp_path / "overlong.json"
+        path.write_text('{"r": [' + "9" * 5000 + ", 1, 1]}")
+        code, out, err = run(capsys, ["analyze", "--config", str(path)])
+        assert code == 2 and out == ""
+        assert "invalid JSON" in err
+
+    def test_integer_literal_reads_like_its_float(self, capsys, tmp_path):
+        results = []
+        for r1 in ("100000000000000000000", "1e20"):
+            path = tmp_path / f"r1_{r1}.json"
+            path.write_text(json.dumps(symmetric_doc()).replace(
+                "[1.0, 1.0, 1.0]", f"[{r1}, 1, 1]", 1))
+            results.append(run(capsys, ["analyze", "--config", str(path)]))
+        assert results[0][:2] == results[1][:2]
+        assert results[0][0] in (0, 3)
+
 
 class TestCanonicalForm:
     def full_doc(self) -> dict:
@@ -267,6 +357,19 @@ class TestCanonicalForm:
         assert text.endswith("\n")
         keys = list(json.loads(text))
         assert keys == sorted(keys)
+
+    def test_blocks_are_written_with_their_defaults(self):
+        doc = json.loads(canonical_json(parse_config(json.dumps(self.full_doc()))))
+        assert doc["sweep"] == {"param": "r2", "lo": 0.5, "hi": 1.5, "steps": 7}
+        assert doc["simulate"] == {"x0": [0.1, 0.2, 0.3], "t_end": 50.0,
+                                   "rel_tol": 1e-8, "abs_tol": 1e-10}
+        assert doc["basin"] == {"samples": 32, "t_end": 2000.0,
+                                "match_tol": 1e-4}
+        plain = symmetric_doc()
+        plain["simulate"] = {}
+        doc = json.loads(canonical_json(parse_config(json.dumps(plain))))
+        assert doc["simulate"] == {"t_end": 100.0, "rel_tol": 1e-8,
+                                   "abs_tol": 1e-10}
 
     def test_defaults_fill_in(self):
         cfg = parse_config(json.dumps(symmetric_doc()))
@@ -419,6 +522,7 @@ class TestUsage:
         (["basin", "--samples", "0"], "--samples", 1),
         (["verify", "--samples", "0"], "--samples", 1),
         (["sweep", "--steps", "1"], "--steps", 2),
+        (["sweep", "--steps", "abc"], "--steps", 2),
         (["analyze", "--seed", "-1"], "--seed", 0),
     ])
     def test_out_of_range_flag_is_named(self, capsys, tmp_path, argv, flag,

@@ -15,6 +15,7 @@ from tripatch.equilibria import (
     _BATCH_SETS,
     ADMITTED_LABELS,
     DEDUP_TOL,
+    ConsistencyError,
     EQUILIBRIUM_LABELS,
     _find_all_many,
     _oracle_many,
@@ -240,6 +241,27 @@ class TestFindAll:
         assert pt[1] == pytest.approx(0.0, abs=1e-9)
         assert pt[0] > 0 and pt[2] > 0
         assert extras[0].residual <= 1e-10
+
+    @pytest.mark.parametrize("feasible", [True, False])
+    def test_catalog_point_the_oracle_misses(self, monkeypatch, feasible):
+        # CHAIN's Jacobian is lower triangular, so at p1 = 0.25 (r1 = k1 = 1,
+        # outflow 0.5) it is singular and polishing keeps the point as it
+        # is; f1 = 0.0625 there, so no oracle start can land on it.
+        m = np.zeros((3, 3))
+        m[1, 0] = m[2, 1] = 0.5
+        p = ModelParams(np.ones(3), np.ones(3), m)
+        catalog = eq._CLOSED_FORMS["CHAIN"]
+        monkeypatch.setitem(eq._CLOSED_FORMS, "CHAIN", lambda c: catalog(c) + [
+            (np.array([0.25, 1.0, 1.0]), "BOGUS", feasible)])
+        if feasible:
+            with pytest.raises(ConsistencyError,
+                               match="equilibrium BOGUS at .* not found"):
+                find_all_equilibria("CHAIN", p)
+        else:
+            recs = find_all_equilibria("CHAIN", p)
+            bogus = [r for r in recs if r.label == "BOGUS"]
+            assert len(bogus) == 1 and not bogus[0].feasible
+            assert bogus[0].residual == 0.5
 
     def test_projection_is_applied_for_caller(self):
         # Passing un-projected params must give the projected answer.

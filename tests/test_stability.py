@@ -267,6 +267,18 @@ class TestEigenvalues:
         assert eig[1] == pytest.approx(-1j, abs=1e-12)
         assert eig[2] == pytest.approx(-1.0, abs=1e-12)
 
+    def test_small_complex_pair_is_kept(self):
+        # The imaginary floor scales with the spectrum: a pair of modulus
+        # 1e-20 is not rounded onto the real axis.
+        eig = eigenvalues_3x3([[0, -1e-20, 0], [1e-20, 0, 0], [0, 0, -1e-20]])
+        assert eig[0] == pytest.approx(1e-20j, rel=1e-9, abs=0)
+        assert eig[1] == pytest.approx(-1e-20j, rel=1e-9, abs=0)
+        assert eig[2] == -1e-20
+        for scale in (1e-10, 1.0, 1e10):
+            j = np.array([[0.0, -scale, 0], [scale, 0, 0], [0, 0, -scale]])
+            assert [z / scale for z in eigenvalues_3x3(j)] == \
+                pytest.approx([1j, -1j, -1.0], abs=1e-12)
+
     def test_real_roots_have_zero_imaginary_part(self):
         j = np.diag([-1.0, -2.0, -3.0]) + 0.1
         for z in eigenvalues_3x3(j):
@@ -371,6 +383,23 @@ class TestClassify:
         smallest = min(abs(z.real) for z in rep.eigenvalues)
         assert smallest <= 1e-12, f"expected an exact zero, got {smallest}"
         assert rep.classification != "STABLE"
+
+    def test_unprojected_params_give_the_projected_report(self):
+        # CHAIN draw 1: unprojected, ORIGIN's lead eigenvalue read 2.789
+        # instead of 2.974.
+        rng = np.random.default_rng(1)
+        for topo in TOPOLOGIES:
+            p = draw_params(rng)
+            q = apply_topology(p, topo)
+            for rec in find_all_equilibria(topo, p):
+                assert repr(classify(topo, rec, p)) == \
+                    repr(classify(topo, rec, q)), (topo, rec.label)
+
+    def test_unknown_topology_is_refused(self):
+        p = self.symmetric_full()
+        rec = find_all_equilibria("FULL", p)[0]
+        with pytest.raises(ParameterError, match="unknown topology"):
+            classify("BOGUS", rec, p)
 
     def test_stale_record_is_rejected(self):
         p = self.symmetric_full()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -120,6 +121,21 @@ class TestCanonicalForm:
             assert token == topo
             assert perm == (0, 1, 2)
 
+    def test_permutation_is_the_first_that_aligns(self):
+        # The class and the relabeling of every arc set are fixed: the
+        # first permutation, in itertools order, onto the representative.
+        for arcs in iter_arc_sets():
+            if not is_admissible(arcs):
+                with pytest.raises(InadmissibleArcsError):
+                    canonical_form(arcs)
+                continue
+            token, perm = canonical_form(arcs)
+            target = arcs_of_topology(token)
+            first = next(p for p in permutations(range(3))
+                         if relabel_arcs(arcs, {old: new for new, old
+                                                in enumerate(p)}) == target)
+            assert perm == first, sorted(arcs)
+
     @given(st.sampled_from(TOPOLOGIES), st.permutations([0, 1, 2]))
     @settings(max_examples=100, deadline=None)
     def test_returned_permutation_normalizes_params(self, topo, perm):
@@ -155,6 +171,18 @@ class TestProjection:
             kept -= set(zeroed_rates(topo))
             for i, j in kept:
                 assert q.m[i, j] == 0.7
+
+    def test_projected_set_is_returned_as_is(self):
+        p = ModelParams(np.ones(3), np.ones(3),
+                        np.full((3, 3), 0.7) * (1 - np.eye(3)))
+        for topo in TOPOLOGIES:
+            q = apply_topology(p, topo)
+            assert apply_topology(q, topo) is q
+        # An absent rate of -0.0 is still rewritten as +0.0.
+        m = np.array(apply_topology(p, "EX3").m)
+        m[0, 1] = -0.0
+        q = apply_topology(ModelParams(np.ones(3), np.ones(3), m), "EX3")
+        assert math.copysign(1.0, q.m[0, 1]) == 1.0
 
     def test_arcs_complement_zeroed_rates(self):
         for topo in TOPOLOGIES:
