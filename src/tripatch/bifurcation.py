@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import EquilibriumRecord, _find_all_many
+from .equilibria import POLISH_TOL, EquilibriumRecord, _find_all_many
 from .model import (ModelParams, PARAM_TOKENS, ParameterError, _coeffs, _gap, _jac,
                     _with_coeff, with_param)
 from .newton import _newton_support
@@ -174,7 +174,7 @@ def _continue_point(c, xa, xb, t, scale):
                  if max(abs(xa[i]), abs(xb[i])) > 1e-9 * scale)
     if not free:
         return x
-    got = _newton_support(c, x, free, 1e-10)
+    got = _newton_support(c, x, free, POLISH_TOL)
     return got if got is not None else tuple(
         v if i in free else 0.0 for i, v in enumerate(x))
 
@@ -255,13 +255,13 @@ def _detect_crossings(topo, params, param, a_val, b_val, eqs_a, eqs_b,
 
 
 def sweep(topo: str, params: ModelParams, param: str, lo: float, hi: float,
-          steps: int) -> list[SweepRecord]:
+          steps: int, seed: int = 0) -> list[SweepRecord]:
     """Grid a parameter, resolve the equilibrium set, and refine crossings.
 
     At each of ``steps`` evenly spaced values the full equilibrium set
     is computed (the oracle solves all grid values in one batch, with
-    the same result as one ``find_all_equilibria`` per value) and
-    classified.  Between consecutive grid values the
+    the same result as one ``find_all_equilibria(..., seed=seed)`` per
+    value) and classified.  Between consecutive grid values the
     same-labeled equilibria are matched by nearest point (capped at
     half the minimum branch separation); whenever a matched branch
     changes its count of eigenvalues with positive real part, the
@@ -270,6 +270,8 @@ def sweep(topo: str, params: ModelParams, param: str, lo: float, hi: float,
     """
     if param not in PARAM_TOKENS:
         raise ParameterError(f"unknown parameter token {param!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParameterError(f"sweep range must be finite, got [{lo}, {hi}]")
     if not (lo < hi):
         raise ParameterError(f"sweep range must have lo < hi, got [{lo}, {hi}]")
     if steps < 2:
@@ -286,7 +288,7 @@ def sweep(topo: str, params: ModelParams, param: str, lo: float, hi: float,
     points = [apply_topology(with_param(params, param, theta), topo)
               for theta in grid]
     records: list[SweepRecord] = []
-    for theta, p, eqs in zip(grid, points, _find_all_many(topo, points)):
+    for theta, p, eqs in zip(grid, points, _find_all_many(topo, points, seed)):
         eqs = tuple(eqs)
         reps = tuple(classify(topo, e, p) for e in eqs)
         crossings: tuple[Crossing, ...] = ()

@@ -420,7 +420,7 @@ def cmd_sweep(args) -> tuple[str, int]:
             + " (flags or a sweep block in the config)")
     param, lo, hi, steps = plan.values()
 
-    records = _sweep(topo, params, param, float(lo), float(hi), int(steps))
+    records = _sweep(topo, params, param, float(lo), float(hi), int(steps), seed)
     buf = io.StringIO()
     buf.write(f"# seed={seed} topology={topo} param={param} "
               f"lo={_fmt(lo)} hi={_fmt(hi)} steps={int(steps)}\n")

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelParams, NumericalError, ParameterError, _coeffs, _count,
-                    _gap, _positive)
+from .model import ModelParams, NumericalError, ParameterError, _coeffs, _count, _gap
 from .newton import (
     ConvergenceError,
     SingularJacobianError,
@@ -47,7 +46,7 @@ from .newton import (
     _residual,
     _rhs_lanes,
 )
-from .topology import _check_topology, apply_topology
+from .topology import apply_topology
 
 __all__ = [
     "ADMITTED_LABELS",
@@ -94,6 +93,14 @@ FEASIBLE_TOL = 1e-10
 
 #: Two equilibria closer than this (max-norm) are considered identical.
 DEDUP_TOL = 1e-6
+
+#: A point is an equilibrium when the max-norm of the vector field there is
+#: at most this: the oracle keeps its roots by it, and ``classify`` refuses
+#: a record above it.
+RESIDUAL_LIMIT = 1e-8
+
+#: Polishing Newton solves aim for a max-norm residual of at most this.
+POLISH_TOL = 1e-10
 
 
 class BracketError(NumericalError):
@@ -241,40 +248,27 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float,
 # ---------------------------------------------------------------------------
 
 
-def newton_coexistence(params: ModelParams, start=None, tol: float = 1e-10,
-                       max_iter: int = 100) -> EquilibriumRecord:
+def newton_coexistence(params: ModelParams) -> EquilibriumRecord:
     """Damped Newton search for the interior equilibrium.
 
-    Parameters
-    ----------
-    params : ModelParams
-    start : array-like, optional
-        Strictly positive initial point; defaults to the carrying
-        capacities ``k``.
-    tol, max_iter :
-        Max-norm residual target and iteration budget.
+    Starts at the carrying capacities ``k`` and takes at most 100 steps
+    to bring the max-norm residual to ``POLISH_TOL``.
 
     Returns
     -------
     EquilibriumRecord
-        Labeled COEX, all components > 0, residual ≤ ``tol``.
+        Labeled COEX, all components > 0, residual ≤ ``POLISH_TOL``.
 
     Raises
     ------
-    ParameterError
-        If ``tol`` is not finite and positive, or ``start`` not strictly
-        positive.
     ConvergenceError
-        If the residual target is not met within ``max_iter``.
+        If the residual target is not met within 100 steps.
     SingularJacobianError
         If a Newton system is numerically singular.
     """
-    _positive("tol", tol)
     c = _coeffs(params)
-    x0 = tuple(float(v) for v in params.k) if start is None else tuple(start)
-    if min(x0) <= 0:
-        raise ParameterError("start must be strictly positive")
-    point, res = _newton_full(c, x0, tol, max_iter, positive=True, raise_errors=True)
+    point, res = _newton_full(c, params.k, POLISH_TOL, 100, positive=True,
+                              raise_errors=True)
     p = np.array(point)
     return EquilibriumRecord(point=p, label="COEX",
                              feasible=bool(np.min(p) > 0.0), residual=res)
@@ -332,8 +326,7 @@ def _parabola_intersection(qa, qb, scale: float):
     return x, max(0.0, fa(x))
 
 
-def coexistence_by_construction(params: ModelParams,
-                                h_tol: float = 1e-12) -> EquilibriumRecord:
+def coexistence_by_construction(params: ModelParams) -> EquilibriumRecord:
     """Locate the interior equilibrium by the constructive argument.
 
     For each height ``h ≥ 0``, the first two equilibrium equations with
@@ -346,20 +339,19 @@ def coexistence_by_construction(params: ModelParams,
 
     The equilibrium is the fixed point of ``h ↦ P3⁺(Q_h)``, found by
     bracketing and bisecting ``g(h) = P3⁺(Q_h) − h`` on ``[0, H]`` with
-    ``H = 10·max(k)``.  This is a fully independent oracle: no Newton
-    step touches the result.
+    ``H = 10·max(k)``, to an absolute width of 1e-12 in ``h``.  This is
+    a fully independent oracle: no Newton step touches the result.
 
     Raises
     ------
     ParameterError
-        If ``h_tol`` is not finite and positive, or any of m12, m21,
-        m13, m23 is zero (the construction divides by them).
+        If any of m12, m21, m13, m23 is zero (the construction divides
+        by them).
     BracketError
         If ``g`` has no sign change on ``[0, H]`` — this would
         contradict existence of the interior equilibrium and must never
         fire for valid fully-coupled parameters.
     """
-    _positive("h_tol", h_tol)
     c = _coeffs(params)
     r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
     for name, val in (("m12", m12), ("m21", m21), ("m13", m13), ("m23", m23)):
@@ -402,7 +394,7 @@ def coexistence_by_construction(params: ModelParams,
             )
     if g(H) >= 0.0:
         raise BracketError(f"g({H}) >= 0; bracket [0, H] contains no sign change")
-    h_star = _brentq(g, lo, H, xtol=h_tol, rtol=8.9e-16)
+    h_star = _brentq(g, lo, H, xtol=1e-12, rtol=8.9e-16)
     p1, p2 = line_point(h_star)
     point = np.array([p1, p2, h_star])
     return EquilibriumRecord(point=point, label="COEX",
@@ -560,15 +552,14 @@ _CLOSED_FORMS = {
 def closed_form_equilibria(topo: str, params: ModelParams) -> list[EquilibriumRecord]:
     """Algebraic equilibrium catalog of a topology.
 
-    ``params`` must already be projected onto ``topo`` (zeroed rates
-    actually zero).  The origin is always included; the per-topology
-    boundary points and explicit coexistence expressions follow.  A
-    point whose formula involves the square root of a negative number
-    does not exist in the reals and is omitted; points that exist but
-    violate their side conditions are returned with ``feasible=False``.
+    ``params`` is projected onto ``topo`` first.  The origin is always
+    included; the per-topology boundary points and explicit coexistence
+    expressions follow.  A point whose formula involves the square root
+    of a negative number does not exist in the reals and is omitted;
+    points that exist but violate their side conditions are returned
+    with ``feasible=False``.
     """
-    _check_topology(topo)
-    c = _coeffs(params)
+    c = _coeffs(apply_topology(params, topo))
     records = [EquilibriumRecord(point=np.zeros(3), label="ORIGIN",
                                  feasible=True, residual=0.0)]
     for point, label, cond_ok in _CLOSED_FORMS[topo](c):
@@ -588,8 +579,11 @@ _BATCH_SETS = 64
 #: The free coordinates of the three boundary faces.
 _FACES = ((0, 1), (0, 2), (1, 2))
 
+#: Halton starts of the oracle in the full space, besides the box corners.
+_N_STARTS = 64
 
-def _oracle_batch(params_list, n_starts, seed, tol):
+
+def _oracle_batch(params_list, seed):
     """``brute_force_equilibria`` of each parameter set, in one batch."""
     cs = [_coeffs(p) for p in params_list]
     boxes = np.array([2.0 * float(np.max(p.k)) for p in params_list])
@@ -598,10 +592,10 @@ def _oracle_batch(params_list, n_starts, seed, tol):
 
     # Full space: Halton starts, then the 8 box corners, per set.
     corners = [(a, b, d) for a in (0.0, 1.0) for b in (0.0, 1.0) for d in (0.0, 1.0)]
-    unit = np.concatenate([_halton(3, n_starts, seed), corners])
+    unit = np.concatenate([_halton(3, _N_STARTS, seed), corners])
     X = (unit * boxes[:, None, None]).transpose(2, 0, 1).reshape(3, -1)
     sid = np.repeat(np.arange(n_sets), len(unit))
-    full = _full_lanes(cs, coef[:, sid], X, sid, tol)
+    full = _full_lanes(cs, coef[:, sid], X, sid, RESIDUAL_LIMIT)
 
     # Faces: 12 Halton starts and three fixed ones per face and set.
     X, fsid = [], []
@@ -616,7 +610,7 @@ def _oracle_batch(params_list, n_starts, seed, tol):
     fsid = np.concatenate(fsid)
     I, J = np.array(_FACES)[fid].T
     faces = _face_lanes(cs, coef[:, fsid], np.concatenate(X, axis=1), I, J,
-                        fsid, tol)
+                        fsid, RESIDUAL_LIMIT)
 
     # The origin is always a root; then the converged lanes and the edges.
     X = [np.zeros((3, n_sets)), full[0][:, full[1]], faces[0][:, faces[1]]]
@@ -627,8 +621,8 @@ def _oracle_batch(params_list, n_starts, seed, tol):
             if root > 0.0:
                 x0 = [0.0, 0.0, 0.0]
                 x0[i] = root
-                got = tuple(x0) if _residual(c, *x0) <= tol else \
-                    _newton_support(c, x0, (i,), tol)
+                got = tuple(x0) if _residual(c, *x0) <= RESIDUAL_LIMIT else \
+                    _newton_support(c, x0, (i,), RESIDUAL_LIMIT)
                 if got is not None:
                     X.append(np.array(got)[:, None])
                     rsid.append([s])
@@ -671,30 +665,26 @@ def _dedup(points, residuals):
     return [n for _, _, n in reps]
 
 
-def _oracle_many(params_list, n_starts: int = 64, seed: int = 0,
-                 tol: float = 1e-8) -> list[list[EquilibriumRecord]]:
+def _oracle_many(params_list, seed: int = 0) -> list[list[EquilibriumRecord]]:
     """``brute_force_equilibria`` of every set in ``params_list``, batched."""
-    n_starts, seed = _count("n_starts", n_starts, 1), _count("seed", seed, 0)
-    _positive("tol", tol)
+    seed = _count("seed", seed, 0)
     out = []
     with np.errstate(all="ignore"):  # overflow and NaN as in scalar floats
         for lo in range(0, len(params_list), _BATCH_SETS):
-            out += _oracle_batch(params_list[lo:lo + _BATCH_SETS], n_starts,
-                                 seed, tol)
+            out += _oracle_batch(params_list[lo:lo + _BATCH_SETS], seed)
     return out
 
 
-def brute_force_equilibria(params: ModelParams, n_starts: int = 64,
-                           seed: int = 0, tol: float = 1e-8
+def brute_force_equilibria(params: ModelParams, seed: int = 0
                            ) -> list[EquilibriumRecord]:
     """Multi-start Newton oracle over the box [0, 2·max k]³.
 
-    Interior starts come from a scrambled Halton sequence plus the 8
-    box corners; every boundary face and edge gets its own restricted
+    Interior starts are 64 scrambled Halton points plus the 8 box
+    corners; every boundary face and edge gets its own restricted
     Newton solves so equilibria that repel the interior are still
-    found.  Converged points (full residual ≤ ``tol``, components ≥
-    −1e−9) are deduplicated at 1e−6 and returned labeled NUMERICAL.
-    Deterministic for fixed ``seed``.
+    found.  Converged points (full residual ≤ ``RESIDUAL_LIMIT``,
+    components ≥ −1e−9) are deduplicated at 1e−6 and returned labeled
+    NUMERICAL.  Deterministic for fixed ``seed``.
 
     The starts run as lanes of one batched Newton (see ``newton``):
     full-space lanes take damped 3×3 Cramer steps, face lanes
@@ -707,10 +697,9 @@ def brute_force_equilibria(params: ModelParams, n_starts: int = 64,
     Raises
     ------
     ParameterError
-        If ``n_starts`` is not an integer >= 1, ``seed`` not an integer
-        >= 0, or ``tol`` not finite and positive.
+        If ``seed`` is not an integer >= 0.
     """
-    return _oracle_many([params], n_starts, seed, tol)[0]
+    return _oracle_many([params], seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -718,12 +707,12 @@ def brute_force_equilibria(params: ModelParams, n_starts: int = 64,
 # ---------------------------------------------------------------------------
 
 
-def _polish(c, record: EquilibriumRecord, tol: float = 1e-10) -> EquilibriumRecord:
+def _polish(c, record: EquilibriumRecord) -> EquilibriumRecord:
     """Tighten a record with structure-preserving Newton.
 
     Components that are exactly zero stay pinned (so a boundary label
     keeps its face); free components are refined until the full
-    residual drops below ``tol``.  If polishing cannot improve the
+    residual drops below ``POLISH_TOL``.  If polishing cannot improve the
     point, the original is kept.
     """
     p = record.point.tolist()
@@ -731,10 +720,10 @@ def _polish(c, record: EquilibriumRecord, tol: float = 1e-10) -> EquilibriumReco
     if not free:
         return record
     if len(free) == 3:
-        got = _newton_full(c, p, tol, 40, settle=40)
+        got = _newton_full(c, p, POLISH_TOL, 40, settle=40)
         better = got[0] if got is not None else None
     else:
-        better = _newton_support(c, p, free, tol, settle=40)
+        better = _newton_support(c, p, free, POLISH_TOL, settle=40)
     if better is None:
         return record
     res = _residual(c, *better)
@@ -744,16 +733,15 @@ def _polish(c, record: EquilibriumRecord, tol: float = 1e-10) -> EquilibriumReco
                              feasible=record.feasible, residual=res)
 
 
-def find_all_equilibria(topo: str, params: ModelParams, n_starts: int = 64,
-                        seed: int = 0, tol: float = 1e-8
+def find_all_equilibria(topo: str, params: ModelParams, seed: int = 0
                         ) -> list[EquilibriumRecord]:
     """Complete equilibrium set: closed forms merged with the oracle.
 
     The parameter set is projected onto ``topo`` first.  Closed-form
     records win label ties; oracle points that match no catalog entry
     are appended — relabeled COEX when strictly interior, NUMERICAL
-    otherwise.  Every record is polished to residual ≤ 1e−10 where the
-    Jacobian allows.
+    otherwise.  Every record is polished to residual ≤ ``POLISH_TOL``
+    where the Jacobian allows.
 
     Raises
     ------
@@ -761,23 +749,21 @@ def find_all_equilibria(topo: str, params: ModelParams, n_starts: int = 64,
         If a *feasible* catalog point is absent from the oracle set —
         that combination means a transcribed formula is wrong.
     ParameterError
-        If ``n_starts`` is not an integer >= 1, ``seed`` not an integer
-        >= 0, or ``tol`` not finite and positive.
+        If ``seed`` is not an integer >= 0.
     """
     params = apply_topology(params, topo)
-    oracle = brute_force_equilibria(params, n_starts=n_starts, seed=seed, tol=tol)
-    return _merge(topo, params, oracle)
+    return _merge(topo, params, brute_force_equilibria(params, seed=seed))
 
 
-def _find_all_many(topo: str, params_list, n_starts: int = 64, seed: int = 0,
-                   tol: float = 1e-8) -> list[list[EquilibriumRecord]]:
+def _find_all_many(topo: str, params_list, seed: int = 0
+                   ) -> list[list[EquilibriumRecord]]:
     """``find_all_equilibria`` of every set in ``params_list``.
 
     The oracle solves all sets in one batch; the closed forms, polish,
     merge and cross-check then run set by set.
     """
     params_list = [apply_topology(p, topo) for p in params_list]
-    oracles = _oracle_many(params_list, n_starts, seed, tol)
+    oracles = _oracle_many(params_list, seed)
     return [_merge(topo, p, o) for p, o in zip(params_list, oracles)]
 
 

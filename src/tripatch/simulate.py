@@ -71,6 +71,9 @@ DIVERGE_NORM = 1e12
 #: 48: 61.2.
 HANDOFF_LANES = 24
 
+#: Relative and absolute step tolerances of ``basin_sample``'s trajectories.
+_BASIN_TOLS = (1e-6, 1e-9)
+
 # Dormand–Prince 5(4) tableau (Hairer, Nørsett & Wanner, 2nd ed., p. 178).
 _A2 = (1 / 5,)
 _A3 = (3 / 40, 9 / 40)
@@ -337,8 +340,7 @@ def _integrate_lanes(c: tuple, starts: np.ndarray, t_end: float,
 
 
 def basin_sample(topo: str, params: ModelParams, n: int, seed: int,
-                 t_end: float = 2000.0, rel_tol: float = 1e-6,
-                 abs_tol: float = 1e-9, match_tol: float = 1e-4
+                 t_end: float = 2000.0, match_tol: float = 1e-4
                  ) -> dict[str, float]:
     """Attraction fractions over quasi-random starts in (0, 2·max k]³.
 
@@ -350,7 +352,6 @@ def basin_sample(topo: str, params: ModelParams, n: int, seed: int,
     """
     n = _count("n", n, 1)
     _positive("t_end", t_end)
-    _positive("tolerances", rel_tol, abs_tol)
     if not (math.isfinite(match_tol) and match_tol >= 0.0):
         raise ParameterError(
             f"match_tol must be finite and >= 0, got {match_tol}")
@@ -360,8 +361,7 @@ def basin_sample(topo: str, params: ModelParams, n: int, seed: int,
     starts = _halton(3, n, seed) * box
     starts = np.maximum(starts, 1e-9 * box)
 
-    keys, ends = _integrate_lanes(_coeffs(params), starts, t_end, rel_tol,
-                                  abs_tol)
+    keys, ends = _integrate_lanes(_coeffs(params), starts, t_end, *_BASIN_TOLS)
     steady = [i for i, key in enumerate(keys) if key == "STEADY"]
     if steady:
         points = np.array([rec.point for rec in known])

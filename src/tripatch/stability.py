@@ -3,12 +3,14 @@
 Ground truth is always the spectrum of the 3×3 Jacobian, computed on
 plain floats by an explicit Cardano/trigonometric cubic solver from the
 characteristic coefficients, which a classification computes once and
-also reports.  Alongside it, every equilibrium gets the literature's
+also reports.  Alongside it, ``classify`` reports the literature's
 algebraic tests evaluated numerically: the coarse
-trace/minor-sum/determinant sign test (which is necessary but not
-sufficient — see the ``{-1, ±i}`` counterexample in the tests), the
-full cubic Routh–Hurwitz criterion, and the per-topology closed-form
-inequalities keyed by stable condition-id tokens.
+trace/minor-sum/determinant sign test as three rows, and the
+per-topology closed-form inequalities keyed by stable condition-id
+tokens.  The full cubic Routh–Hurwitz criterion is ``routh_hurwitz``,
+which ``classify`` does not call: on model Jacobians, whose
+off-diagonal entries are the rates ``m_ij ≥ 0``, it agrees with the
+sign test.
 
 Two of the transcribed inequalities are *corrected* relative to their
 printed source: the patch-2-at-capacity conditions for the EX2N
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, NumericalError, ParameterError, _coeffs, _count, _jac
-from .equilibria import EquilibriumRecord
+from .equilibria import RESIDUAL_LIMIT, EquilibriumRecord
 from .topology import apply_topology, zeroed_rates
 
 __all__ = [
@@ -50,15 +52,12 @@ __all__ = [
 MARGINAL_BAND = 1e-9
 MARGINAL_FLOOR = 1e-12
 
-#: classify() refuses records whose residual exceeds this.
-RESIDUAL_LIMIT = 1e-8
-
 #: Root scale below which the cubic solver's products leave the normal range.
 _TINY = 2.0 ** -160
 
 
 class StaleEquilibriumError(NumericalError, ValueError):
-    """classify() was handed a record whose residual exceeds 1e-8."""
+    """classify() was handed a record whose residual exceeds RESIDUAL_LIMIT."""
 
 
 class SpectrumOverflowError(NumericalError, OverflowError):
@@ -204,9 +203,12 @@ def _cubic_roots(b: float, c: float, d: float) -> tuple[complex, complex, comple
 def sign_conditions(c: CharacteristicCoefficients) -> tuple[bool, bool, bool]:
     """The coarse sign test: trace < 0, minor sum > 0, determinant < 0.
 
-    Necessary for stability but not sufficient — it omits the
-    Routh–Hurwitz product condition, so purely imaginary pairs can slip
-    through (see :func:`routh_hurwitz`).
+    For a general matrix it is necessary for stability but not
+    sufficient — it omits the Routh–Hurwitz product condition, so purely
+    imaginary pairs can slip through (see :func:`routh_hurwitz`).  On
+    model Jacobians the two tests agree: their off-diagonal entries are
+    nonnegative, so the eigenvalue of largest real part is real, and
+    positive coefficients leave the cubic no real root ≥ 0.
     """
     return (c.trace < 0.0, c.m_j > 0.0, c.det < 0.0)
 
@@ -404,7 +406,7 @@ def classify(topo: str, eq: EquilibriumRecord, params: ModelParams) -> Stability
     ``(topo, eq.label)``, plus the generic sign-test rows.  ``params``
     is projected onto ``topo`` first.  Raises
     :class:`StaleEquilibriumError` if the record's residual exceeds
-    1e-8 (the point is not actually an equilibrium).
+    ``RESIDUAL_LIMIT`` (the point is not actually an equilibrium).
     """
     if eq.residual > RESIDUAL_LIMIT:
         raise StaleEquilibriumError(

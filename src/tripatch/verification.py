@@ -15,6 +15,8 @@ import numpy as np
 
 from . import model
 from .equilibria import (
+    POLISH_TOL,
+    RESIDUAL_LIMIT,
     brute_force_equilibria,
     coexistence_by_construction,
     find_all_equilibria,
@@ -84,7 +86,7 @@ def check_existence_theorem(seed: int, n: int) -> PropertyResult:
         b = coexistence_by_construction(p)
         gap = model._gap(a.point.tolist(), b.point.tolist())
         worst = max(worst, gap)
-        if gap > 1e-6 or a.residual > 1e-10 or float(np.min(a.point)) <= 0.0:
+        if gap > 1e-6 or a.residual > POLISH_TOL or float(np.min(a.point)) <= 0.0:
             return PropertyResult(
                 "existence theorem", False,
                 f"draw {i}: gap {gap:.2e}, residual {a.residual:.2e}, "
@@ -106,7 +108,7 @@ def check_oracle_equivalence(seed: int, n: int) -> PropertyResult:
                 return PropertyResult(
                     "oracle equivalence", False,
                     f"{topo} draw {i}: {exc}")
-            bad = [x for x in recs if x.residual > 1e-8]
+            bad = [x for x in recs if x.residual > RESIDUAL_LIMIT]
             if bad:
                 return PropertyResult(
                     "oracle equivalence", False,

@@ -173,6 +173,16 @@ class TestSweepValidation:
         with pytest.raises(ParameterError, match="nonnegative"):
             sweep("FULL", self.p, "m21", -0.5, 1.0, 3)
 
+    @pytest.mark.parametrize("lo, hi", [
+        (-math.inf, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+        (0.4, -math.inf), (0.4, math.inf), (0.4, math.nan),
+    ])
+    def test_non_finite_bound(self, lo, hi):
+        # hi=inf used to build a grid of inf and NaN, with NumPy's
+        # RuntimeWarning, before the parameter check rejected it.
+        with pytest.raises(ParameterError, match=r"sweep range must be finite"):
+            sweep("EX6", self.p, "r2", lo, hi, 5)
+
 
 class TestSweep:
     def test_record_shape(self):
@@ -221,12 +231,16 @@ class TestSweep:
         assert abs(c.eig_re) <= 1e-6
 
 
+def equilibria_bits(eqs):
+    """Equilibrium records as comparable tuples, every float by its exact bits."""
+    return [(e.label, e.feasible, float(e.residual).hex(),
+             [v.hex() for v in e.point.tolist()]) for e in eqs]
+
+
 def record_bits(rec: SweepRecord):
     """A sweep record as a comparable tuple, equilibria by their exact bits."""
-    eqs = [(e.label, e.feasible, float(e.residual).hex(),
-            [v.hex() for v in e.point.tolist()]) for e in rec.equilibria]
-    return (rec.param_name, rec.param_value.hex(), eqs, rec.reports,
-            rec.crossings)
+    return (rec.param_name, rec.param_value.hex(),
+            equilibria_bits(rec.equilibria), rec.reports, rec.crossings)
 
 
 class TestBatchedGrid:
@@ -237,8 +251,8 @@ class TestBatchedGrid:
         got = sweep(topo, p, tok, lo, hi, steps)
         with monkeypatch.context() as m:
             m.setattr(bifurcation, "_find_all_many",
-                      lambda topo, ps: [find_all_equilibria(topo, q)
-                                        for q in ps])
+                      lambda topo, ps, seed: [find_all_equilibria(topo, q)
+                                              for q in ps])
             ref = sweep(topo, p, tok, lo, hi, steps)
         assert [record_bits(r) for r in got] == [record_bits(r) for r in ref]
         return [c for r in got for c in r.crossings]
@@ -269,6 +283,17 @@ class TestBatchedGrid:
         k = float(p.k[i])
         self.assert_matches_per_point(monkeypatch, "CONVERGE", p, f"k{i + 1}",
                                       k, 3.0 * k, 14)
+
+    def test_seed_reaches_every_grid_point(self):
+        p = draw_params(np.random.default_rng(11), m_lo=0.2)
+        grids = [[equilibria_bits(r.equilibria)
+                  for r in sweep("FULL", p, "k1", 0.5, 1.5, 6, seed=seed)]
+                 for seed in (0, 3)]
+        want = [equilibria_bits(find_all_equilibria(
+                    "FULL", with_param(p, "k1", theta), seed=3))
+                for theta in np.linspace(0.5, 1.5, 6).tolist()]
+        assert grids[1] == want
+        assert grids[0] != grids[1], "seed 3 should move some oracle point"
 
 
 def reference_detect_crossings(topo, params, param, a_val, b_val, eqs_a, eqs_b,

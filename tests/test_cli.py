@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tripatch.cli
+import tripatch.equilibria
 import tripatch.model
 from tripatch.cli import (
     ConfigError,
@@ -437,6 +438,37 @@ class TestSweepCommand:
             "--lo", "-1.0", "--hi", "1.0", "--steps", "3"])
         assert code == 2
         assert "must stay positive" in err
+
+    @pytest.mark.parametrize("bound", ["--lo", "--hi"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_bound_is_a_usage_error(self, capsys, tmp_path, bound,
+                                               value):
+        cfg = write_config(tmp_path, self.ex6_doc())
+        plan = {"--lo": "0.3", "--hi": "0.7", bound: value}
+        code, out, err = run(capsys, [
+            "sweep", "--config", cfg, "--param", "r2", "--steps", "3",
+            *(f"{flag}={v}" for flag, v in plan.items())])
+        assert code == 2 and out == ""
+        assert err.startswith("error: sweep range must be finite")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, seed", [([], 4), (["--seed", "5"], 5)])
+    def test_seed_reaches_the_oracle(self, capsys, tmp_path, monkeypatch,
+                                     argv, seed):
+        doc = dict(self.ex6_doc(), seed=4,
+                   sweep={"param": "r2", "lo": 0.3, "hi": 0.7, "steps": 3})
+        cfg = write_config(tmp_path, doc)
+        seen = []
+        oracle = tripatch.equilibria._oracle_many
+
+        def recording_oracle(params_list, seed=0):
+            seen.append(seed)
+            return oracle(params_list, seed)
+
+        monkeypatch.setattr(tripatch.equilibria, "_oracle_many", recording_oracle)
+        code, _, _ = run(capsys, ["sweep", "--config", cfg, *argv])
+        assert code == 0
+        assert seen == [seed]
 
 
 class TestSimulateCommand:

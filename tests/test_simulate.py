@@ -381,8 +381,6 @@ class TestBasinSample:
         p = symmetric_full()
         with pytest.raises(ValueError, match="t_end"):
             basin_sample("FULL", p, n=4, seed=0, t_end=math.inf)
-        with pytest.raises(ValueError, match="tolerances"):
-            basin_sample("FULL", p, n=4, seed=0, abs_tol=0.0)
         for match_tol in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="match_tol"):
                 basin_sample("FULL", p, n=4, seed=0, match_tol=match_tol)

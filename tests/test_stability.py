@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -438,6 +439,44 @@ class TestClassify:
                         rep.classification == "STABLE"
                     ), f"{topo}/{rec.label}: rows disagree with spectrum"
         assert checked > 100, f"only {checked} interior cases exercised"
+
+
+@functools.cache
+def metzler_reports(topo: str, draws: int = 8):
+    """(params, record, report) of every equilibrium of fixed draws of ``topo``."""
+    rng = np.random.default_rng([77, TOPOLOGIES.index(topo)])
+    out = []
+    for _ in range(draws):
+        p = apply_topology(draw_params(rng), topo)
+        out += [(p, rec, classify(topo, rec, p))
+                for rec in find_all_equilibria(topo, p)]
+    return out
+
+
+class TestMetzlerFacts:
+    """Model Jacobians are Metzler: their off-diagonal entries are rates ≥ 0."""
+
+    @pytest.mark.parametrize("topo", TOPOLOGIES)
+    def test_lead_eigenvalue_is_real(self, topo):
+        # Perron–Frobenius: the spectral abscissa is an eigenvalue.
+        for _, rec, rep in metzler_reports(topo):
+            assert rep.eigenvalues[0].imag == 0.0, (rec.label, rep.eigenvalues)
+
+    @pytest.mark.parametrize("topo", TOPOLOGIES)
+    def test_sign_test_is_routh_hurwitz(self, topo):
+        for _, rec, rep in metzler_reports(topo):
+            co = rep.coefficients
+            assert all(sign_conditions(co)) == routh_hurwitz(co), (rec.label, co)
+
+    @pytest.mark.parametrize("topo", TOPOLOGIES)
+    def test_origin_lead_eigenvalue_is_at_least_min_r(self, topo):
+        # Column j of J(0) sums to r_j, so the abscissa is at least min r.
+        origins = [(p, rep) for p, rec, rep in metzler_reports(topo)
+                   if rec.label == "ORIGIN"]
+        assert len(origins) == 8
+        for p, rep in origins:
+            lead, least = rep.eigenvalues[0].real, float(np.min(p.r))
+            assert lead >= least * (1.0 - 1e-12), (lead, least)
 
 
 class TestOriginScan:
