@@ -4,19 +4,20 @@ The closed-form stability/feasibility inequalities of the sparse
 topologies all degenerate to equalities on simple parameter loci; those
 loci are where boundary equilibria exchange stability with a
 neighboring branch (transcritical bifurcations).  This module collects
-them analytically and, independently, detects eigenvalue crossings
-numerically by sweeping one parameter and bisecting every sign change
-of a tracked equilibrium's eigenvalue real parts.
+them analytically and, independently, detects the crossings numerically
+by sweeping one parameter (see :func:`sweep`).
 
-A note on the trace-zero candidate for the EX8 topology: turning the
-two-patch trace condition into an equality is advertised in the source
-material as a Hopf bifurcation, but at trace zero the 2×2 block has
-determinant −J22² − m23·m32 < 0 whenever the block rates are positive,
-so the crossing eigenvalues are real and of opposite sign — never a
-complex pair.  hopf_candidate() therefore computes the candidate value
-and labels its validity instead of trusting the claim; the genuinely
-observable eigenvalue-zero locus nearby is the block-determinant
-boundary, which transcritical_thresholds() reports.
+No pattern has an oscillatory (Hopf) onset from a stable state.  Every
+model Jacobian is Metzler (its off-diagonal entries are the rates
+m_ij ≥ 0), so by Perron–Frobenius its spectral abscissa is a real
+eigenvalue: a stable equilibrium loses stability only through a real
+eigenvalue at 0, a sign change of det J.  The trace-zero candidate of
+EX8, advertised in the source material as a Hopf bifurcation, is one
+instance: at trace zero the 2×2 block has determinant −J22² − m23·m32 < 0
+for positive block rates, so the crossing eigenvalues are real and of
+opposite sign.  hopf_candidate() computes the candidate and labels its
+validity; the observable eigenvalue-zero locus nearby is the
+block-determinant boundary, which transcritical_thresholds() reports.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import POLISH_TOL, EquilibriumRecord, _find_all_many
-from .model import (ModelParams, PARAM_TOKENS, ParameterError, _coeffs, _gap, _jac,
-                    _with_coeff, with_param)
-from .newton import _newton_support
-from .stability import StabilityReport, _margin, classify, eigenvalues_3x3
+from .model import (ModelParams, PARAM_TOKENS, ParameterError, _coeffs, _count, _gap,
+                    _jac, _with_coeff, with_param)
+from .newton import _newton_full, _newton_support
+from .stability import (StabilityReport, _axis_terms, characteristic, classify,
+                        eigenvalues_3x3)
 from .topology import apply_topology, zeroed_rates
 # Unused since sweep batches its grid: bench/test_bench.py checks that the
 # benchmark tracer wraps this binding.
@@ -44,9 +46,6 @@ __all__ = [
     "transcritical_thresholds",
 ]
 
-#: Imaginary-part threshold separating REAL_ZERO from COMPLEX_PAIR crossings.
-PAIR_IMAG_TOL = 1e-8
-
 #: Bisection interval width target (parameter units); two orders below
 #: the 1e-6 reporting accuracy so that branch coincidence at the refined
 #: value survives steep branch slopes.
@@ -55,11 +54,11 @@ CROSSING_REFINE = 2e-8
 
 @dataclass(frozen=True)
 class Crossing:
-    """One refined eigenvalue-real-part zero crossing on a tracked branch."""
+    """One refined crossing of the imaginary axis on a tracked branch."""
 
     label: str
-    eig_index: int
-    kind: str  # REAL_ZERO or COMPLEX_PAIR
+    eig_index: int  # least |Re| at the crossing (a pair's +imag member)
+    kind: str  # REAL_ZERO (det J changed sign) or COMPLEX_PAIR (Hurwitz product)
     param_value: float
     point: tuple[float, float, float]
     eig_re: float
@@ -138,7 +137,8 @@ def hopf_candidate(params: ModelParams) -> tuple[float, str]:
     the crossing eigenvalue pair at (k1, 0, 0) has nonzero imaginary
     part there — equivalently, the 2×2 block determinant is positive at
     the critical point.  For positive rates the determinant equals
-    −J22² − m23·m32 < 0, so the expected outcome is DEGENERATE.
+    −J22² − m23·m32 < 0, so the expected outcome is DEGENERATE, as for
+    any onset from a stable state (Metzler Jacobian; module docstring).
     """
     c = _coeffs(apply_topology(params, "EX8"))
     r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32 = c[:12]
@@ -156,25 +156,23 @@ def hopf_candidate(params: ModelParams) -> tuple[float, str]:
 # ---------------------------------------------------------------------------
 
 
-def _unstable_count(eigenvalues) -> int:
-    margin = _margin(eigenvalues)
-    return sum(1 for z in eigenvalues if z.real > margin)
-
-
 def _continue_point(c, xa, xb, t, scale):
     """Track an equilibrium into the interior of a bracketing interval.
 
-    Linear interpolation between the endpoint locations seeds a
-    support-restricted Newton solve (components that vanish at both
-    endpoints stay pinned).  Falls back to the interpolant if Newton
-    stalls — near a collision the interpolant is already accurate.
+    Linear interpolation between the endpoint locations seeds Newton on
+    the components that are nonzero at an endpoint (the others stay
+    pinned at 0).  Falls back to the interpolant if Newton stalls — near
+    a collision the interpolant is already accurate.
     """
     x = tuple(xa[i] + t * (xb[i] - xa[i]) for i in range(3))
     free = tuple(i for i in range(3)
                  if max(abs(xa[i]), abs(xb[i])) > 1e-9 * scale)
     if not free:
         return x
-    got = _newton_support(c, x, free, POLISH_TOL)
+    if len(free) < 3:
+        got = _newton_support(c, x, free, POLISH_TOL)
+    else:  # an interior branch
+        got = (_newton_full(c, x, POLISH_TOL, 60) or (None,))[0]
     return got if got is not None else tuple(
         v if i in free else 0.0 for i, v in enumerate(x))
 
@@ -207,50 +205,40 @@ def _detect_crossings(topo, params, param, a_val, b_val, eqs_a, eqs_b,
         if _gap(pts_b[j], xa) > cap:
             continue
         taken.add(j)
-        na = _unstable_count(reps_a[i].eigenvalues)
-        nb = _unstable_count(reps_b[j].eigenvalues)
-        if na == nb:
-            continue
-        idx = min(na, nb)
+        fa = _axis_terms(reps_a[i].coefficients)
+        fb = _axis_terms(reps_b[j].coefficients)
 
-        def re_at(theta: float):
+        def jac_at(theta: float):
             c = _with_coeff(base, param, theta, zeroed)
             t = (theta - a_val) / (b_val - a_val)
             x = _continue_point(c, xa, pts_b[j], t, scale)
-            eig = eigenvalues_3x3(np.array(_jac(c, *x)).reshape(3, 3))
-            return eig[idx].real, x, eig
+            return np.array(_jac(c, *x)).reshape(3, 3), x
 
-        fa, _, eig_a = re_at(a_val)
-        fb, _, eig_b = re_at(b_val)
-        lo, hi = a_val, b_val
-        if abs(fa) <= _margin(eig_a):
-            hi = a_val  # a grid value landed on the crossing itself
-        elif abs(fb) <= _margin(eig_b):
-            lo = b_val
-        elif not fa * fb > 0.0:
-            # Bisect.  If the count changed but the idx-th real part does
-            # not bracket zero (coincident crossings), report the midpoint.
-            flo = fa
+        for k, kind in enumerate(("REAL_ZERO", "COMPLEX_PAIR")):
+            if np.sign(fa[k]) == np.sign(fb[k]):
+                continue
+            # A grid value on the crossing is the crossing itself.
+            lo, hi = ((a_val, a_val) if fa[k] == 0.0 else
+                      (b_val, b_val) if fb[k] == 0.0 else (a_val, b_val))
             while hi - lo > CROSSING_REFINE:
                 mid = 0.5 * (lo + hi)
-                fm, _, _ = re_at(mid)
+                fm = _axis_terms(characteristic(jac_at(mid)[0]))[k]
                 if fm == 0.0:
                     lo = hi = mid
-                    break
-                if (fm > 0.0) == (flo > 0.0):
-                    lo, flo = mid, fm
+                elif (fm > 0.0) == (fa[k] > 0.0):
+                    lo = mid
                 else:
                     hi = mid
-        theta_star = 0.5 * (lo + hi)
-        _, x_star, eig_star = re_at(theta_star)
-        lam = eig_star[idx]
-        kind = "REAL_ZERO" if abs(lam.imag) < PAIR_IMAG_TOL else "COMPLEX_PAIR"
-        crossings.append(Crossing(
-            label=ea.label, eig_index=idx, kind=kind,
-            param_value=float(theta_star),
-            point=tuple(float(v) for v in x_star),
-            eig_re=float(lam.real), eig_im=float(lam.imag),
-        ))
+            theta_star = 0.5 * (lo + hi)
+            jac, x_star = jac_at(theta_star)
+            # With a2 ≤ 0 the product's zero is (λ + a1)(λ² + a2): no root on the axis.
+            if k and not characteristic(jac).m_j > 0.0:
+                continue
+            eig = eigenvalues_3x3(jac)
+            idx = min(range(3), key=lambda n: abs(eig[n].real))
+            crossings.append(Crossing(
+                label=ea.label, eig_index=idx, kind=kind, param_value=theta_star,
+                point=tuple(x_star), eig_re=eig[idx].real, eig_im=eig[idx].imag))
     return crossings
 
 
@@ -263,10 +251,12 @@ def sweep(topo: str, params: ModelParams, param: str, lo: float, hi: float,
     the same result as one ``find_all_equilibria(..., seed=seed)`` per
     value) and classified.  Between consecutive grid values the
     same-labeled equilibria are matched by nearest point (capped at
-    half the minimum branch separation); whenever a matched branch
-    changes its count of eigenvalues with positive real part, the
-    crossing is bisected to well below 1e-6 in the parameter and typed
-    REAL_ZERO or COMPLEX_PAIR by the imaginary part at the crossing.
+    half the minimum branch separation).  Of the cubic λ³ + a1λ² + a2λ + a3,
+    a sign change of ``a3 = −det J`` is a REAL_ZERO crossing, and one of
+    ``a1·a2 − a3`` is a COMPLEX_PAIR (at ±i√a2) if ``a2 > 0`` where it
+    vanishes.  Each is bisected to well below 1e-6 in the parameter; the
+    spectrum is solved once, at the crossing.  A grid value where the
+    term is exactly 0 is the crossing, reported once.
     """
     if param not in PARAM_TOKENS:
         raise ParameterError(f"unknown parameter token {param!r}")
@@ -274,7 +264,7 @@ def sweep(topo: str, params: ModelParams, param: str, lo: float, hi: float,
         raise ParameterError(f"sweep range must be finite, got [{lo}, {hi}]")
     if not (lo < hi):
         raise ParameterError(f"sweep range must have lo < hi, got [{lo}, {hi}]")
-    if steps < 2:
+    if _count("steps", steps, 0) < 2:
         raise ParameterError(f"sweep needs at least 2 grid points, got {steps}")
     if param.startswith(("r", "k")):
         if lo <= 0.0:
@@ -294,9 +284,12 @@ def sweep(topo: str, params: ModelParams, param: str, lo: float, hi: float,
         crossings: tuple[Crossing, ...] = ()
         if records:
             a = records[-1]
-            crossings = tuple(_detect_crossings(
+            # A grid value on a crossing ends one cell and starts the next;
+            # the cell it ends reports it.
+            seen = {(c.label, c.kind, c.param_value) for c in a.crossings}
+            crossings = tuple(c for c in _detect_crossings(
                 topo, params, param, a.param_value, theta, a.equilibria, eqs,
-                a.reports, reps))
+                a.reports, reps) if (c.label, c.kind, c.param_value) not in seen)
         records.append(SweepRecord(
             param_name=param, param_value=theta,
             equilibria=eqs, reports=reps, crossings=crossings))

@@ -215,26 +215,29 @@ def sign_conditions(c: CharacteristicCoefficients) -> tuple[bool, bool, bool]:
 
 def routh_hurwitz(c: CharacteristicCoefficients) -> bool:
     """Full cubic Routh–Hurwitz criterion: all roots in the open left half-plane."""
-    a1, a2, a3 = -c.trace, c.m_j, -c.det
-    return a1 > 0.0 and a3 > 0.0 and a1 * a2 > a3
+    a3, hurwitz = _axis_terms(c)
+    return -c.trace > 0.0 and a3 > 0.0 and hurwitz > 0.0
 
 
-def _margin(eigenvalues) -> float:
-    """Half-width of the MARGINAL band: real parts within it count as zero."""
-    return max(MARGINAL_FLOOR, MARGINAL_BAND * max(map(abs, eigenvalues)))
+def _axis_terms(c: CharacteristicCoefficients) -> tuple[float, float]:
+    """``a3 = −det`` and ``a1·a2 − a3`` of λ³ + a1λ² + a2λ + a3: a root is on the
+    imaginary axis iff a3 = 0 (at 0) or a1·a2 = a3 with a2 > 0 (at ±i√a2)."""
+    a3 = -c.det
+    return a3, -c.trace * c.m_j - a3
 
 
 def _classification(eigenvalues) -> str:
     """Class of a spectrum sorted by descending real part, so the first
-    eigenvalue decides."""
-    lead, margin = eigenvalues[0].real, _margin(eigenvalues)
+    eigenvalue decides; real parts within the MARGINAL band count as zero."""
+    lead = eigenvalues[0].real
+    margin = max(MARGINAL_FLOOR, MARGINAL_BAND * max(map(abs, eigenvalues)))
     if lead < -margin:
         return "STABLE"
     return "UNSTABLE" if lead > margin else "MARGINAL"
 
 
 def classify_matrix(j) -> tuple[str, tuple[complex, ...], CharacteristicCoefficients]:
-    """Classify an arbitrary Jacobian; shared by classify() and the sweeps."""
+    """Classify an arbitrary Jacobian; shared by classify() and the origin scan."""
     co = characteristic(j)
     eig = _spectrum(j, co)
     return _classification(eig), eig, co

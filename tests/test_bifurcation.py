@@ -17,7 +17,7 @@ from tripatch.bifurcation import (
 )
 from tripatch.equilibria import find_all_equilibria
 from tripatch.model import ModelParams, ParameterError, _coeffs, _jac, with_param
-from tripatch.stability import _margin, classify
+from tripatch.stability import _axis_terms, characteristic, classify
 from tripatch.topology import apply_topology
 from tripatch.verification import draw_params
 
@@ -173,6 +173,15 @@ class TestSweepValidation:
         with pytest.raises(ParameterError, match="nonnegative"):
             sweep("FULL", self.p, "m21", -0.5, 1.0, 3)
 
+    @pytest.mark.parametrize("steps", (2.5, "3"))
+    def test_steps_must_be_an_integer(self, steps):
+        # 2.5 used to raise NumPy's TypeError, "3" a TypeError from <.
+        with pytest.raises(ParameterError, match="steps must be an integer"):
+            sweep("FULL", self.p, "r1", 0.5, 1.5, steps)
+
+    def test_numpy_integer_steps(self):
+        assert len(sweep("FULL", self.p, "r1", 0.5, 1.5, np.int64(3))) == 3
+
     @pytest.mark.parametrize("lo, hi", [
         (-math.inf, 1.0), (math.inf, 1.0), (math.nan, 1.0),
         (0.4, -math.inf), (0.4, math.inf), (0.4, math.nan),
@@ -229,6 +238,90 @@ class TestSweep:
         assert c.param_value == pytest.approx(2.0, abs=1e-9)
         assert abs(c.eig_im) == pytest.approx(math.sqrt(3.0), abs=1e-6)
         assert abs(c.eig_re) <= 1e-6
+
+
+class TestCrossingTerms:
+    """Crossings where det J or the Hurwitz product changes sign."""
+
+    @staticmethod
+    def crossings(recs, label=None):
+        return [(i, c) for i, r in enumerate(recs) for c in r.crossings
+                if label in (None, c.label)]
+
+    def test_one_rate_dwarfing_the_others(self):
+        # r1 ≈ 1e4 against rates ≈ 1: the crossing eigenvalue stays inside
+        # 1e-9·|λ|max over most of the grid, but det J changes sign at
+        # the threshold.  A search on the eigenvalue's sign missed it by 403.
+        p = apply_topology(ModelParams(
+            np.array([4.172034689150015, 4.828948085455452, 2.1286569165286138]),
+            np.array([4.2779510689306015, 2.656552418585041, 2.4988733861920096]),
+            np.array([[0.0, 0.0, 1.8612557460273338],
+                      [0.0, 0.0, 0.26717878041521637],
+                      [1.302408824705061, 0.0, 0.0]])), "EX2N")
+        [(tok, thr, _)] = transcritical_thresholds("EX2N", p)
+        assert tok == "r1" and thr == pytest.approx(10901.59, abs=0.01)
+        recs = sweep("EX2N", p, "r1", 0.52 * thr, 1.48 * thr, 14)
+        cross = self.crossings(recs, "X_EX2N")
+        assert len(cross) == 1
+        assert cross[0][1].kind == "REAL_ZERO"
+        assert abs(cross[0][1].param_value - thr) <= 1e-6
+
+    @pytest.mark.parametrize("lo, hi, steps, cell", [
+        (0.5, 1.0, 6, 1),    # threshold on lo
+        (0.25, 0.5, 6, 5),   # threshold on hi
+        (0.3, 0.7, 5, 2),    # threshold on an interior grid value
+    ])
+    def test_threshold_on_a_grid_value_is_reported_once(self, lo, hi, steps, cell):
+        # CHAIN's ORIGIN, W2 and W3 each have the eigenvalue r1 - m21.
+        p = with_param(apply_topology(
+            draw_params(np.random.default_rng(14), m_lo=0.2), "CHAIN"), "m21", 0.5)
+        recs = sweep("CHAIN", p, "r1", lo, hi, steps)
+        assert 0.5 in [r.param_value for r in recs]
+        got = [(i, c.label, c.kind, c.param_value) for i, c in self.crossings(recs)]
+        assert got == [(cell, label, "REAL_ZERO", 0.5)
+                       for label in ("ORIGIN", "W2", "W3")]
+
+    def test_pair_index_is_its_positive_imaginary_member(self):
+        [(_, c)] = self.crossings(sweep("EX1", ex1_ring(), "m21", 1.5, 2.5, 11))
+        assert c.kind == "COMPLEX_PAIR" and c.eig_im > 0.0
+        q = apply_topology(with_param(ex1_ring(), "m21", c.param_value), "EX1")
+        eig = bifurcation.eigenvalues_3x3(
+            np.array(_jac(_coeffs(q), *c.point)).reshape(3, 3))
+        assert eig[c.eig_index] == complex(c.eig_re, c.eig_im)
+
+    def test_real_zero_and_pair_in_one_cell(self):
+        # On EX3's origin a pair enters the right half-plane at r1 ≈ 0.8955
+        # and splits into two reals; one of them passes 0 at r1 ≈ 0.9094.
+        # Both lie in the grid cell [0.873, 0.996] of this sweep.
+        p = apply_topology(ModelParams(
+            np.array([0.5990037734751898, 2.027247301851164, 4.314339852092491]),
+            np.array([2.736372600256741, 4.295095449028681, 4.259057003626681]),
+            np.array([[0.0, 0.0, 0.23195592501107276],
+                      [0.625027258641607, 0.0, 0.918552029564152],
+                      [0.0, 1.7952677678264226, 0.0]])), "EX3")
+        recs = sweep("EX3", p, "r1", 0.13640090482291822, 1.119038991081068, 9)
+        got = self.crossings(recs, "ORIGIN")
+        assert [(i, c.kind) for i, c in got] == [(7, "REAL_ZERO"), (7, "COMPLEX_PAIR")]
+        real, pair = (c for _, c in got)
+        assert real.param_value == pytest.approx(0.90945, abs=1e-5)
+        assert pair.param_value == pytest.approx(0.89553, abs=1e-5)
+        assert abs(pair.eig_re) <= 1e-7 and pair.eig_im > 0.05
+
+    def test_hurwitz_zero_off_the_axis_is_no_crossing(self):
+        # DIVERGE's interior COEX (infeasible here) has a3 < 0 and a1 > 0,
+        # so where a1·a2 - a3 changes sign a2 = a3/a1 < 0: the cubic is
+        # (λ + a1)(λ² + a2) with real roots, and nothing meets the axis.
+        p = apply_topology(ModelParams(
+            np.array([0.8281096146905722, 2.2144610728312215, 3.0371952717402775]),
+            np.array([2.3314944593587392, 0.8111111752622469, 3.7743838810933297]),
+            np.array([[0.0, 0.9303197548546478, 0.0],
+                      [0.0, 0.0, 0.0],
+                      [0.0, 1.9193875988251503, 0.0]])), "DIVERGE")
+        recs = sweep("DIVERGE", p, "r1", 0.31716911968489925, 1.9206848582720506, 9)
+        coex = [_axis_terms(rep.coefficients)[1] for r in recs
+                for e, rep in zip(r.equilibria, r.reports) if e.label == "COEX"]
+        assert min(coex) < 0.0 < max(coex)
+        assert self.crossings(recs, "COEX") == []
 
 
 def equilibria_bits(eqs):
@@ -298,8 +391,8 @@ class TestBatchedGrid:
 
 def reference_detect_crossings(topo, params, param, a_val, b_val, eqs_a, eqs_b,
                                reps_a, reps_b):
-    """_detect_crossings as it was: a validated parameter set per
-    bisection evaluation and NumPy max-norms."""
+    """_detect_crossings with a validated parameter set per bisection
+    evaluation and NumPy max-norms."""
     scale = max(1.0, float(np.max(params.k)))
     pts = [e.point for e in eqs_a]
     min_sep = math.inf
@@ -323,55 +416,49 @@ def reference_detect_crossings(topo, params, param, a_val, b_val, eqs_a, eqs_b,
         if dist > cap:
             continue
         taken.add(j)
-        na = bifurcation._unstable_count(reps_a[i].eigenvalues)
-        nb = bifurcation._unstable_count(reps_b[j].eigenvalues)
-        if na == nb:
-            continue
-        idx = min(na, nb)
         xa = tuple(float(v) for v in ea.point)
         xb = tuple(float(v) for v in eqs_b[j].point)
 
-        def re_at(theta: float):
+        def jac_at(theta: float):
             p = apply_topology(with_param(params, param, theta), topo)
             c = _coeffs(p)
             t = (theta - a_val) / (b_val - a_val)
             x = bifurcation._continue_point(c, xa, xb, t, scale)
-            eig = bifurcation.eigenvalues_3x3(
-                np.array(_jac(c, *x)).reshape(3, 3))
-            return eig[idx].real, x, eig
+            return np.array(_jac(c, *x)).reshape(3, 3), x
 
-        fa, _, eig_a = re_at(a_val)
-        fb, _, eig_b = re_at(b_val)
-        if abs(fa) <= _margin(eig_a):
-            lo = hi = a_val
-        elif abs(fb) <= _margin(eig_b):
-            lo = hi = b_val
-        elif fa * fb > 0.0:
-            lo, hi = a_val, b_val
-        else:
-            lo, hi = a_val, b_val
-            flo = fa
-            while hi - lo > bifurcation.CROSSING_REFINE:
-                mid = 0.5 * (lo + hi)
-                fm, _, _ = re_at(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0.0) == (flo > 0.0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-        theta_star = 0.5 * (lo + hi)
-        _, x_star, eig_star = re_at(theta_star)
-        lam = eig_star[idx]
-        kind = ("REAL_ZERO" if abs(lam.imag) < bifurcation.PAIR_IMAG_TOL
-                else "COMPLEX_PAIR")
-        crossings.append(Crossing(
-            label=ea.label, eig_index=idx, kind=kind,
-            param_value=float(theta_star),
-            point=tuple(float(v) for v in x_star),
-            eig_re=float(lam.real), eig_im=float(lam.imag),
-        ))
+        for k, kind in enumerate(("REAL_ZERO", "COMPLEX_PAIR")):
+            fa = _axis_terms(reps_a[i].coefficients)[k]
+            fb = _axis_terms(reps_b[j].coefficients)[k]
+            if np.sign(fa) == np.sign(fb):
+                continue
+            if fa == 0.0:
+                lo = hi = a_val
+            elif fb == 0.0:
+                lo = hi = b_val
+            else:
+                lo, hi, flo = a_val, b_val, fa
+                while hi - lo > bifurcation.CROSSING_REFINE:
+                    mid = 0.5 * (lo + hi)
+                    fm = _axis_terms(characteristic(jac_at(mid)[0]))[k]
+                    if fm == 0.0:
+                        lo = hi = mid
+                        break
+                    if (fm > 0.0) == (flo > 0.0):
+                        lo, flo = mid, fm
+                    else:
+                        hi = mid
+            theta_star = 0.5 * (lo + hi)
+            jac, x_star = jac_at(theta_star)
+            if kind == "COMPLEX_PAIR" and characteristic(jac).m_j <= 0.0:
+                continue
+            eig = bifurcation.eigenvalues_3x3(jac)
+            idx = int(np.argmin([abs(z.real) for z in eig]))
+            crossings.append(Crossing(
+                label=ea.label, eig_index=idx, kind=kind,
+                param_value=float(theta_star),
+                point=tuple(float(v) for v in x_star),
+                eig_re=float(eig[idx].real), eig_im=float(eig[idx].imag),
+            ))
     return crossings
 
 
@@ -381,18 +468,18 @@ class TestBisectionOnTuples:
     @staticmethod
     def sweep_both(monkeypatch, topo, p, tok, lo, hi, steps=14):
         evals = []
-        eigenvalues_3x3 = bifurcation.eigenvalues_3x3
+        continue_point = bifurcation._continue_point
 
-        def counted(j):
+        def counted(*args):
             evals[-1] += 1
-            return eigenvalues_3x3(j)
+            return continue_point(*args)
 
         runs = []
         for detect in (bifurcation._detect_crossings, reference_detect_crossings):
             evals.append(0)
             with monkeypatch.context() as m:
                 m.setattr(bifurcation, "_detect_crossings", detect)
-                m.setattr(bifurcation, "eigenvalues_3x3", counted)
+                m.setattr(bifurcation, "_continue_point", counted)
                 runs.append([record_bits(r) + (repr(r.crossings),)
                              for r in sweep(topo, p, tok, lo, hi, steps)])
         assert runs[0] == runs[1]

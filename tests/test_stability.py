@@ -26,7 +26,8 @@ from tripatch.stability import (
     routh_hurwitz,
     sign_conditions,
 )
-from tripatch.topology import TOPOLOGIES, apply_topology
+from tripatch.topology import (TOPOLOGIES, apply_topology, arcs_of_topology,
+                               is_strongly_connected)
 from tripatch.verification import draw_params
 
 
@@ -477,6 +478,33 @@ class TestMetzlerFacts:
         for p, rep in origins:
             lead, least = rep.eigenvalues[0].real, float(np.min(p.r))
             assert lead >= least * (1.0 - 1e-12), (lead, least)
+
+
+    @pytest.mark.parametrize("topo", TOPOLOGIES)
+    def test_m_matrix_and_sign_tests_are_the_spectrum(self, topo):
+        # (d) -J is a Z-matrix, so J is stable exactly when -J is a
+        # nonsingular M-matrix: every leading principal minor of -J is > 0.
+        # This covers the records without catalog rows too.
+        checked = 0
+        for p, rec, rep in metzler_reports(topo):
+            if rep.classification == "MARGINAL":
+                continue
+            stable = rep.classification == "STABLE"
+            neg = -np.array(_jac(_coeffs(p), *rec.point.tolist())).reshape(3, 3)
+            minors = [float(np.linalg.det(neg[:n, :n])) for n in (1, 2, 3)]
+            assert all(m > 0.0 for m in minors) == stable, (rec.label, minors)
+            assert all(sign_conditions(rep.coefficients)) == stable, rec.label
+            checked += 1
+        assert checked >= 8
+
+    @pytest.mark.parametrize("topo", [t for t in TOPOLOGIES
+                                      if is_strongly_connected(arcs_of_topology(t))])
+    def test_strongly_connected_coex_is_stable(self, topo):
+        # Smith 1986: with an irreducible Jacobian and concave per-capita
+        # growth, the positive equilibrium is unique and stable.
+        coex = [rep for _, rec, rep in metzler_reports(topo) if rec.label == "COEX"]
+        assert len(coex) == 8
+        assert all(rep.classification == "STABLE" for rep in coex)
 
 
 class TestOriginScan:
