@@ -23,6 +23,7 @@ block-determinant boundary, which transcritical_thresholds() reports.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,6 +261,9 @@ def sweep(topo: str, params: ModelParams, param: str, lo: float, hi: float,
     """
     if param not in PARAM_TOKENS:
         raise ParameterError(f"unknown parameter token {param!r}")
+    if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)):
+        raise ParameterError(
+            f"sweep range must be two real numbers, got [{lo!r}, {hi!r}]")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParameterError(f"sweep range must be finite, got [{lo}, {hi}]")
     if not (lo < hi):

@@ -150,17 +150,24 @@ def _make_record(c, point, label, conditions_ok: bool = True) -> EquilibriumReco
 
 
 def _halton_table(base: int):
-    """Digit rows, identity permutations, weights, place values of ``base``."""
+    """Identity permutations, digit weights and place values of ``base``."""
     depth = math.ceil(54 / math.log2(base)) - 1
     # Running quotients, not base**-j: the two differ in the last bit.
     weights = [1.0 / base]
     for _ in range(depth - 1):
         weights.append(weights[-1] / base)
-    return (np.arange(depth), np.tile(np.arange(base), (depth, 1)),
-            np.array(weights)[:, None], base ** np.arange(depth))
+    return (np.tile(np.arange(base), (depth, 1)), np.array(weights)[:, None],
+            base ** np.arange(depth)[:, None])
 
 
 _HALTON_TABLES = {base: _halton_table(base) for base in (2, 3, 5)}
+
+
+def _halton_digits(base: int, n: int) -> np.ndarray:
+    """Flat index of digit ``j`` of point ``i`` into a (depth, base) digit
+    table, at ``[j, i]`` of a (depth, n) array."""
+    places = _HALTON_TABLES[base][2]
+    return np.arange(len(places))[:, None] * base + np.arange(n) // places % base
 
 
 def _halton(d: int, n: int, seed: int) -> np.ndarray:
@@ -171,18 +178,20 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
     permutation of the digits 0..base-1 per digit position, down to
     double-precision depth.  Equal seeds give bit-identical points: the
     permutations come row by row from one ``default_rng(seed)`` stream
-    and the digit terms are summed left to right.
+    and the digit terms are summed left to right.  The digits depend on
+    ``(base, n)`` alone; the oracle's sizes are in ``_HALTON_DIGITS``.
     """
     rng = np.random.default_rng(seed)
-    index = np.arange(n)[:, None]
-    cols = []
-    for base in (2, 3, 5)[:d]:
-        rows, identity, weights, places = _HALTON_TABLES[base]
+    out = np.empty((n, d))
+    for col, base in enumerate((2, 3, 5)[:d]):
+        identity, weights, _ = _HALTON_TABLES[base]
+        digits = _HALTON_DIGITS.get((base, n))
+        if digits is None:
+            digits = _halton_digits(base, n)
         # Weighting before the gather multiplies the same digit-weight pairs.
-        table = rng.permuted(identity, axis=1) * weights
-        terms = table[rows, index // places % base]
-        cols.append(np.add.accumulate(terms, axis=1)[:, -1])
-    return np.stack(cols, axis=1)
+        terms = (rng.permuted(identity, axis=1) * weights).take(digits)
+        out[:, col] = np.add.accumulate(terms)[-1]
+    return out
 
 
 def _brentq(f, a: float, b: float, xtol: float, rtol: float,
@@ -582,6 +591,18 @@ _FACES = ((0, 1), (0, 2), (1, 2))
 #: Halton starts of the oracle in the full space, besides the box corners.
 _N_STARTS = 64
 
+#: The corners of the unit box.
+_CORNERS = np.array([(a, b, d) for a in (0.0, 1.0) for b in (0.0, 1.0)
+                     for d in (0.0, 1.0)])
+
+#: Halton starts of the oracle on each boundary face, besides three fixed ones.
+_FACE_STARTS = 12
+
+#: ``_halton_digits`` of the oracle's sample sizes.
+_HALTON_DIGITS = {(base, n): _halton_digits(base, n)
+                  for d, n in ((3, _N_STARTS), (2, _FACE_STARTS))
+                  for base in (2, 3, 5)[:d]}
+
 
 def _oracle_batch(params_list, seed):
     """``brute_force_equilibria`` of each parameter set, in one batch."""
@@ -591,26 +612,23 @@ def _oracle_batch(params_list, seed):
     n_sets = len(cs)
 
     # Full space: Halton starts, then the 8 box corners, per set.
-    corners = [(a, b, d) for a in (0.0, 1.0) for b in (0.0, 1.0) for d in (0.0, 1.0)]
-    unit = np.concatenate([_halton(3, _N_STARTS, seed), corners])
+    unit = np.concatenate([_halton(3, _N_STARTS, seed), _CORNERS])
     X = (unit * boxes[:, None, None]).transpose(2, 0, 1).reshape(3, -1)
     sid = np.repeat(np.arange(n_sets), len(unit))
     full = _full_lanes(cs, coef[:, sid], X, sid, RESIDUAL_LIMIT)
 
-    # Faces: 12 Halton starts and three fixed ones per face and set.
-    X, fsid = [], []
-    for fi, (i, j) in enumerate(_FACES):
-        plane = np.concatenate([_halton(2, 12, seed * 8 + fi + 1),
-                                [(1.0, 1.0), (1.0, 0.25), (0.25, 1.0)]])
-        x = np.zeros((3, n_sets * len(plane)))
-        x[[i, j]] = (plane * boxes[:, None, None]).reshape(-1, 2).T
-        X.append(x)
-        fsid.append(np.repeat(np.arange(n_sets), len(plane)))
-    fid = np.repeat(np.arange(len(_FACES)), [x.shape[1] for x in X])
-    fsid = np.concatenate(fsid)
-    I, J = np.array(_FACES)[fid].T
-    faces = _face_lanes(cs, coef[:, fsid], np.concatenate(X, axis=1), I, J,
-                        fsid, RESIDUAL_LIMIT)
+    # Faces: _FACE_STARTS Halton starts and three fixed ones per set, face
+    # by face; lane n is free in coordinates IJ[:, n].
+    planes = np.empty((len(_FACES), _FACE_STARTS + 3, 2))
+    for fi in range(len(_FACES)):
+        planes[fi, :_FACE_STARTS] = _halton(2, _FACE_STARTS, seed * 8 + fi + 1)
+    planes[:, _FACE_STARTS:] = [(1.0, 1.0), (1.0, 0.25), (0.25, 1.0)]
+    IJ = np.repeat(np.array(_FACES).T, n_sets * planes.shape[1], axis=1)
+    X = np.zeros((3, IJ.shape[1]))
+    X[IJ, np.arange(IJ.shape[1])] = \
+        (planes[:, None] * boxes[:, None, None]).reshape(-1, 2).T
+    fsid = np.tile(np.repeat(np.arange(n_sets), planes.shape[1]), len(_FACES))
+    faces = _face_lanes(cs, coef[:, fsid], X, IJ, fsid, RESIDUAL_LIMIT)
 
     # The origin is always a root; then the converged lanes and the edges.
     X = [np.zeros((3, n_sets)), full[0][:, full[1]], faces[0][:, faces[1]]]
@@ -651,18 +669,35 @@ def _dedup(points, residuals):
     Each point joins the first earlier representative within DEDUP_TOL
     (max-norm) and replaces it if its residual is smaller.  Identical
     points may come in any order: a repeat never changes a representative.
+    A point with a NaN or infinite coordinate joins nothing, and nothing
+    joins it.
+
+    The finite points come in ascending order of their first coordinate,
+    so a representative that lies DEDUP_TOL or more below the current
+    point in it can be joined by no later point.  Only the others, the
+    window, are compared, in their order; ``low`` bounds their first
+    coordinates from below, and the window is pruned once it is stale.
     """
-    reps: list[tuple] = []
+    reps = []    # [p0, p1, p2, residual, index] of each representative
+    window, low = [], math.inf
     for n, (p, res) in enumerate(zip(points, residuals)):
-        for idx, (q, res_q, _) in enumerate(reps):
-            if abs(p[0] - q[0]) < DEDUP_TOL and abs(p[1] - q[1]) < DEDUP_TOL \
-                    and abs(p[2] - q[2]) < DEDUP_TOL:
-                if res < res_q:
-                    reps[idx] = (p, res, n)
+        p0, p1, p2 = p
+        if DEDUP_TOL <= p0 - low < math.inf:
+            window = [q for q in window if p0 - q[0] < DEDUP_TOL]
+            low = min([q[0] for q in window], default=math.inf)
+        for q in window:
+            if abs(p0 - q[0]) < DEDUP_TOL and abs(p1 - q[1]) < DEDUP_TOL \
+                    and abs(p2 - q[2]) < DEDUP_TOL:
+                if res < q[3]:
+                    q[:] = p0, p1, p2, res, n
                 break
         else:
-            reps.append((p, res, n))
-    return [n for _, _, n in reps]
+            q = [p0, p1, p2, res, n]
+            reps.append(q)
+            window.append(q)
+            if p0 < low:
+                low = p0
+    return [q[4] for q in reps]
 
 
 def _oracle_many(params_list, seed: int = 0) -> list[list[EquilibriumRecord]]:

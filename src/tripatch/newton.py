@@ -2,12 +2,16 @@
 
 The scalar solvers (``_newton_full`` on the full system, ``_newton_support``
 on a boundary face or edge) serve polishing, ``newton_coexistence``, sweep
-continuation and single leftover starts; they evaluate the rhs once per
-trial point and carry it into the next Newton step.  The batched ones
-(``_full_lanes`` and ``_face_lanes``) serve the multi-start oracle: they
-hold every start of every parameter set as a lane with its own
-coefficient column, and stop lanes by mask once they converge or turn
-singular.  Every lane performs the scalar solve's float operations in the
+continuation and single leftover starts.  They unpack the coefficient
+tuple once and write the rhs, the Jacobian diagonal and the Cramer solve
+out inline, evaluate the rhs once per trial point and carry it into the
+next Newton step.  The batched ones (``_full_lanes`` and ``_face_lanes``)
+serve the multi-start oracle: they hold every start of every parameter set
+as a lane with its own coefficient column, and stop lanes by mask once
+they converge or turn singular.  Each batch iteration stacks like terms
+across lanes: the nine cofactors of the 3x3 solve are one (9, n) array
+built from index tables, and a face's two free coordinates are one (2, n)
+gather.  Every lane performs the scalar solve's float operations in the
 same order (Python's ``max`` tie rule included, and the residual-halving
 search evaluated for all six damping factors at once but taken at the
 first that does not raise the residual), so each start ends where the
@@ -21,7 +25,7 @@ import math
 
 import numpy as np
 
-from .model import NumericalError, _jac, _rhs
+from .model import NumericalError, _rhs
 
 __all__ = ["ConvergenceError", "SingularJacobianError"]
 
@@ -46,36 +50,6 @@ def _residual(c: tuple, p1: float, p2: float, p3: float) -> float:
 _COND_LIMIT = 1e14
 
 
-def _solve3(j: tuple, f1: float, f2: float, f3: float):
-    """Solve the 3x3 system J x = -f by Cramer; returns step or None.
-
-    Also returns a cheap 1-norm condition estimate built from the
-    explicit adjugate, so callers can flag numerically singular systems.
-    """
-    a, b, c_, d, e, f, g, h, i = j
-    A = e * i - f * h
-    B = -(d * i - f * g)
-    C = d * h - e * g
-    det = a * A + b * B + c_ * C
-    if det == 0.0:
-        return None, math.inf
-    D = -(b * i - c_ * h)
-    E = a * i - c_ * g
-    F = -(a * h - b * g)
-    G = b * f - c_ * e
-    H = -(a * f - c_ * d)
-    I = a * e - b * d
-    inv = abs(det)
-    n_j = max(abs(a) + abs(d) + abs(g), abs(b) + abs(e) + abs(h),
-              abs(c_) + abs(f) + abs(i))
-    n_inv = max(abs(A) + abs(D) + abs(G), abs(B) + abs(E) + abs(H),
-                abs(C) + abs(F) + abs(I)) / inv
-    x1 = -(A * f1 + D * f2 + G * f3) / det
-    x2 = -(B * f1 + E * f2 + H * f3) / det
-    x3 = -(C * f1 + F * f2 + I * f3) / det
-    return (x1, x2, x3), n_j * n_inv
-
-
 def _newton_full(c, x0, tol, max_iter, positive=False, raise_errors=False,
                  settle=0):
     """Damped Newton on the full 3-D system.
@@ -91,16 +65,61 @@ def _newton_full(c, x0, tol, max_iter, positive=False, raise_errors=False,
     tolerance is satisfied up to ~1e-5 away along the null direction;
     the settle phase walks that last stretch (the step halves each
     iteration there instead of converging quadratically).
+
+    The rhs, the Jacobian diagonal and the Cramer solve of J s = -f are
+    written out with ``_rhs``'s and ``_jac``'s operations in their order,
+    and so is Python's ``max`` of three values (a later one wins only if
+    it is greater).  The step's cofactors are those of the matrix
+    (a b c; d e f; g h i) with a, e, i the diagonal and b = m12, c = m13,
+    d = m21, f = m23, g = m31, h = m32; a product of two rates is the same
+    every iteration, so it is taken once.  The condition estimate is the
+    1-norm of J times that of its explicit inverse, and the system counts
+    as singular where the determinant is 0 or the estimate exceeds
+    ``_COND_LIMIT``.
     """
+    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
+    t1, t2, t3 = 2.0 * r1, 2.0 * r2, 2.0 * r3
+    fh, fg, dh = m23 * m32, m23 * m31, m21 * m32
+    ch, cg, bg = m13 * m32, m13 * m31, m12 * m31
+    bf, cd, bd = m12 * m23, m13 * m21, m12 * m21
+    ab, ac, ad, af, ag, ah = abs(m12), abs(m13), abs(m21), abs(m23), abs(m31), abs(m32)
     p1, p2, p3 = (float(v) for v in x0)
-    f = _rhs(c, p1, p2, p3)
-    res = max(abs(f[0]), abs(f[1]), abs(f[2]))
+    f1 = r1 * p1 * (1.0 - p1 / k1) + m12 * p2 + m13 * p3 - o1 * p1
+    f2 = r2 * p2 * (1.0 - p2 / k2) + m21 * p1 + m23 * p3 - o2 * p2
+    f3 = r3 * p3 * (1.0 - p3 / k3) + m31 * p1 + m32 * p2 - o3 * p3
+    res = max(abs(f1), abs(f2), abs(f3))
     for _ in range(max_iter + settle):
         converged = res <= tol
         if converged and settle <= 0:
             return (p1, p2, p3), res
-        step, cond = _solve3(_jac(c, p1, p2, p3), *f)
-        if step is None or cond > _COND_LIMIT:
+        a = r1 - t1 * p1 / k1 - o1
+        e = r2 - t2 * p2 / k2 - o2
+        i = r3 - t3 * p3 / k3 - o3
+        A = e * i - fh
+        B = -(m21 * i - fg)
+        C = dh - e * m31
+        det = a * A + m12 * B + m13 * C
+        cond = math.inf
+        if det != 0.0:
+            D = -(m12 * i - ch)
+            E = a * i - cg
+            F = -(a * m32 - bg)
+            G = bf - m13 * e
+            H = -(a * m23 - cd)
+            I = a * e - bd
+            n_j, x, y = abs(a) + ad + ag, ab + abs(e) + ah, ac + af + abs(i)
+            if x > n_j:
+                n_j = x
+            if y > n_j:
+                n_j = y
+            n_a, x, y = (abs(A) + abs(D) + abs(G), abs(B) + abs(E) + abs(H),
+                         abs(C) + abs(F) + abs(I))
+            if x > n_a:
+                n_a = x
+            if y > n_a:
+                n_a = y
+            cond = n_j * (n_a / abs(det))
+        if det == 0.0 or cond > _COND_LIMIT:
             if converged:
                 return (p1, p2, p3), res  # cannot settle further
             if raise_errors:
@@ -109,7 +128,9 @@ def _newton_full(c, x0, tol, max_iter, positive=False, raise_errors=False,
                     f"at point ({p1}, {p2}, {p3})"
                 )
             return None
-        s1, s2, s3 = step
+        s1 = -(A * f1 + D * f2 + G * f3) / det
+        s2 = -(B * f1 + E * f2 + H * f3) / det
+        s3 = -(C * f1 + F * f2 + I * f3) / det
         if converged:
             settle -= 1
             scale = 1.0 + max(abs(p1), abs(p2), abs(p3))
@@ -121,17 +142,21 @@ def _newton_full(c, x0, tol, max_iter, positive=False, raise_errors=False,
                 if p1 + lam * s1 > 0 and p2 + lam * s2 > 0 and p3 + lam * s3 > 0:
                     break
                 lam *= 0.5
-        q1, q2, q3 = p1 + lam * s1, p2 + lam * s2, p3 + lam * s3
-        f = _rhs(c, q1, q2, q3)
-        new_res = max(abs(f[0]), abs(f[1]), abs(f[2]))
-        if not positive:
-            for _ in range(6):
-                if not new_res > res:
-                    break
-                lam *= 0.5
-                q1, q2, q3 = p1 + lam * s1, p2 + lam * s2, p3 + lam * s3
-                f = _rhs(c, q1, q2, q3)
-                new_res = max(abs(f[0]), abs(f[1]), abs(f[2]))
+        # The step, then (unless positive) at most six halvings while the
+        # residual rises; the last halving is taken even if it does not help.
+        for halvings in range(7):
+            q1, q2, q3 = p1 + lam * s1, p2 + lam * s2, p3 + lam * s3
+            f1 = r1 * q1 * (1.0 - q1 / k1) + m12 * q2 + m13 * q3 - o1 * q1
+            f2 = r2 * q2 * (1.0 - q2 / k2) + m21 * q1 + m23 * q3 - o2 * q2
+            f3 = r3 * q3 * (1.0 - q3 / k3) + m31 * q1 + m32 * q2 - o3 * q3
+            new_res, x, y = abs(f1), abs(f2), abs(f3)
+            if x > new_res:
+                new_res = x
+            if y > new_res:
+                new_res = y
+            if positive or not new_res > res or halvings == 6:
+                break
+            lam *= 0.5
         p1, p2, p3, res = q1, q2, q3, new_res
     if res <= tol:
         return (p1, p2, p3), res
@@ -150,21 +175,34 @@ def _newton_support(c, x0, free, tol, max_iter=60, settle=0):
     else None.  This is how boundary equilibria are located even when
     they repel the interior.  ``settle`` grants extra iterations after
     the residual test is met, ending only when the step reaches
-    round-off — see :func:`_newton_full`.
+    round-off — see :func:`_newton_full`, which also writes the rhs and
+    the Jacobian out in the same way.
     """
+    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
     i, j = free * 2 if len(free) == 1 else free  # i == j on an edge
     p = [0.0, 0.0, 0.0]
     p[i], p[j] = float(x0[i]), float(x0[j])
+    ri, ki, oi, ti = c[i], c[3 + i], c[12 + i], 2.0 * c[i]
+    rj, kj, oj, tj = c[j], c[3 + j], c[12 + j], 2.0 * c[j]
+    off = (0.0, m12, m13, m21, 0.0, m23, m31, m32, 0.0)
+    b, d = off[3 * i + j], off[3 * j + i]  # J_ij and J_ji
+    bd = b * d
     for _ in range(max_iter + settle):
-        f = _rhs(c, p[0], p[1], p[2])
+        p1, p2, p3 = p
+        f = (r1 * p1 * (1.0 - p1 / k1) + m12 * p2 + m13 * p3 - o1 * p1,
+             r2 * p2 * (1.0 - p2 / k2) + m21 * p1 + m23 * p3 - o2 * p2,
+             r3 * p3 * (1.0 - p3 / k3) + m31 * p1 + m32 * p2 - o3 * p3)
         fi, fj = f[i], f[j]
-        converged = max(abs(fi), abs(fj)) <= 0.25 * tol
+        x, y = abs(fi), abs(fj)
+        converged = (y if y > x else x) <= 0.25 * tol
         if converged and settle <= 0:
             break
-        jfull = _jac(c, p[0], p[1], p[2])
-        a, b = jfull[3 * i + i], jfull[3 * i + j]
-        d, e = jfull[3 * j + i], jfull[3 * j + j]
-        det = a if i == j else a * e - b * d
+        a = ri - ti * p[i] / ki - oi
+        if i == j:
+            det = a
+        else:
+            e = rj - tj * p[j] / kj - oj
+            det = a * e - bd
         if det == 0.0:
             if converged:
                 break
@@ -176,7 +214,7 @@ def _newton_support(c, x0, free, tol, max_iter=60, settle=0):
             sj = -(-d * fi + a * fj) / det
         if converged:
             settle -= 1
-            scale = 1.0 + max(abs(p[0]), abs(p[1]), abs(p[2]))
+            scale = 1.0 + max(abs(p1), abs(p2), abs(p3))
             if max(abs(si), abs(sj)) <= 1e-13 * scale:
                 break
         p[i] += si
@@ -196,9 +234,12 @@ def _newton_support(c, x0, free, tol, max_iter=60, settle=0):
 
 #: The batched oracle finishes its last this-many live lanes one at a time
 #: in the scalar Newton.  A few starts need many more iterations than the
-#: rest, or never converge; one batch iteration costs about as much as 25
-#: scalar ones (≈250 µs against ≈10 µs on a 2-CPU x86_64 VM), whatever the
-#: number of lanes.
+#: rest, or never converge; one batch iteration of a set's 72 full-space
+#: lanes costs about as much as 24 scalar ones (≈175 µs against ≈7 µs for
+#: a start that stalls, on a 2-CPU x86_64 VM).  At 16, 24, 32 and 48 a
+#: bench scan op took 4.25, 4.23, 4.26 and 4.15 ms and a sweep op 21.8,
+#: 21.0, 20.8 and 21.3 ms (medians of 6 laps and of 8 passes over 60
+#: ops): no value was faster on both.
 _HANDOFF_LANES = 24
 
 #: Iteration budget of every oracle start.
@@ -212,9 +253,35 @@ _HALVINGS = np.array([0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625])
 # (m13, m23, m32), o, so that f_i = r_i·p_i·(1 - p_i/k_i) + ma_i·p_a
 # + mb_i·p_b - o_i·p_i with (a, b) the other two patches in _rhs's order.
 _LANE_ROWS = [0, 1, 2, 3, 4, 5, 6, 8, 10, 7, 9, 11, 12, 13, 14]
-_IA, _IB = [1, 0, 0], [2, 2, 1]
+_IA, _IB = np.array([1, 0, 0]), np.array([2, 2, 1])
 # Lane coefficient row of the Jacobian entry J_ij (i != j), an m rate.
 _OFFDIAG_ROW = np.array([[-1, 6, 9], [7, -1, 10], [8, 11, -1]])
+
+# _solve3_lanes stacks the Jacobian's entries as the rows of one array M:
+# the diagonal a, e, i, then the lane rows 6-11, which hold b = J12,
+# d = J21, g = J31, c = J13, f = J23, h = J32.
+_a, _e, _i, _b, _d, _g, _c, _f, _h = range(9)
+# Cofactor n is (M[X1]·M[Y1] - M[X2]·M[Y2])·sign, in the order A..I of
+# the explicit adjugate: A, B, C multiply f1 in the step's three rows,
+# D, E, F multiply f2 and G, H, I multiply f3.  Negating by ·(-1.0) is exact.
+_X1, _Y1, _X2, _Y2 = np.array([
+    [_e, _d, _d, _b, _a, _a, _b, _a, _a],
+    [_i, _i, _h, _i, _i, _h, _f, _f, _e],
+    [_f, _f, _e, _c, _c, _b, _c, _c, _b],
+    [_h, _g, _g, _h, _g, _g, _e, _d, _d],
+])
+_COFACTOR_SIGN = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])[:, None]
+# The row of M in term t of column k's absolute sum, for J's 1-norm; in
+# the adjugate's, that term is cofactor 3t + k.
+_NORM_TERMS = np.array([[_a, _b, _c], [_d, _e, _f], [_g, _h, _i]])
+
+
+#: _solve3_lanes solves at most this many lanes at a time, so that its
+#: temporaries stay at (9, 1024) floats or less: in one piece, a 4608-lane
+#: solve (a 64-set batch) took about twice as long.  For the same reason
+#: it gathers four (9, n) arrays where one (4, 9, n) gather made a 1008-lane
+#: solve take 2.5x as long.
+_SOLVE_LANES = 1024
 
 
 def _lane_coeffs(cs) -> np.ndarray:
@@ -254,35 +321,29 @@ def _col_min(a):
 
 
 def _solve3_lanes(K, diag, F):
-    """``_solve3`` on every lane: the step and the condition estimate.
+    """The scalar Newton's Cramer solve on every lane: step and singular mask.
 
-    A lane is singular where the determinant is 0 or the estimate
-    exceeds ``_COND_LIMIT``; its step and estimate are then meaningless.
+    A lane is singular where the determinant is 0 or the condition
+    estimate exceeds ``_COND_LIMIT``; its step is then meaningless.  Each
+    lane performs ``_newton_full``'s float operations in their order,
+    with ``-(x - y)`` written as ``(x - y)·(-1.0)``, which is exact.
     """
-    a, e, i = diag
-    b, d, g, c_, f, h = K[6], K[7], K[8], K[9], K[10], K[11]
-    f1, f2, f3 = F
-    A = e * i - f * h
-    B = -(d * i - f * g)
-    C = d * h - e * g
-    det = a * A + b * B + c_ * C
-    D = -(b * i - c_ * h)
-    E = a * i - c_ * g
-    F_ = -(a * h - b * g)
-    G = b * f - c_ * e
-    H = -(a * f - c_ * d)
-    I = a * e - b * d
-    n_j = _col_max(np.array([np.abs(a) + np.abs(d) + np.abs(g),
-                             np.abs(b) + np.abs(e) + np.abs(h),
-                             np.abs(c_) + np.abs(f) + np.abs(i)]))
-    n_inv = _col_max(np.array([np.abs(A) + np.abs(D) + np.abs(G),
-                               np.abs(B) + np.abs(E) + np.abs(H),
-                               np.abs(C) + np.abs(F_) + np.abs(I)])) / np.abs(det)
-    step = np.array([-(A * f1 + D * f2 + G * f3) / det,
-                     -(B * f1 + E * f2 + H * f3) / det,
-                     -(C * f1 + F_ * f2 + I * f3) / det])
-    singular = (det == 0.0) | (n_j * n_inv > _COND_LIMIT)
-    return step, singular
+    if K.shape[1] > _SOLVE_LANES:
+        pieces = [slice(lo, lo + _SOLVE_LANES)
+                  for lo in range(0, K.shape[1], _SOLVE_LANES)]
+        steps, singular = zip(*(_solve3_lanes(K[:, s], diag[:, s], F[:, s])
+                                for s in pieces))
+        return np.concatenate(steps, axis=1), np.concatenate(singular)
+    M = np.concatenate((diag, K[6:12]))
+    cof = (M[_X1] * M[_Y1] - M[_X2] * M[_Y2]) * _COFACTOR_SIGN
+    t = M[0:9:3] * cof[0:3]  # a·A, b·B, c·C
+    det = t[0] + t[1] + t[2]
+    j, adj = np.abs(M)[_NORM_TERMS], np.abs(cof).reshape(3, 3, -1)
+    cond = _col_max(j[0] + j[1] + j[2]) * (_col_max(adj[0] + adj[1] + adj[2])
+                                           / np.abs(det))
+    t = cof.reshape(3, 3, -1) * F[:, None]
+    step = -(t[0] + t[1] + t[2]) / det
+    return step, (det == 0.0) | (cond > _COND_LIMIT)
 
 
 def _ladder(mask):
@@ -340,63 +401,70 @@ def _full_lanes(cs, K, P, sid, tol):
             Qc = P[:, idx][:, None] + _HALVINGS[:, None] * step[:, idx][:, None]
             Fc = _rhs_lanes(K[:, idx][:, None], Qc)
             rc = _col_max(np.abs(Fc))
-            pick = ~(rc > res[idx])
-            pick = np.where(pick.any(axis=0), pick.argmax(axis=0), len(_HALVINGS) - 1)
-            cols, sel = np.arange(len(idx)), up[idx]
-            Q[:, idx] = np.where(sel, Qc[:, pick, cols], Q[:, idx])
-            FQ[:, idx] = np.where(sel, Fc[:, pick, cols], FQ[:, idx])
-            rq[idx] = np.where(sel, rc[pick, cols], rq[idx])
+            # Take the first factor whose residual does not rise, else the last.
+            rises = rc > res[idx]
+            rises[-1] = False
+            # _ladder puts the lanes of up first, in order, then padding.
+            n_up = np.count_nonzero(up)
+            pick, cols = rises.argmin(axis=0)[:n_up], np.arange(n_up)
+            up = idx[:n_up]
+            Q[:, up], FQ[:, up], rq[up] = (Qc[:, pick, cols], Fc[:, pick, cols],
+                                           rc[pick, cols])
         P, F, res = np.where(live, Q, P), FQ, rq
     conv |= live & (res <= tol)
     ends[:, lane], ok[lane] = P, conv
     return ends, ok
 
 
-def _face_lanes(cs, K, P, I, J, sid, tol):
+def _face_lanes(cs, K, P, IJ, sid, tol):
     """``_newton_support(c, x0, (i, j), tol)`` on every column of ``P``.
 
-    Lane ``n`` is free in coordinates ``I[n] < J[n]`` and pinned at 0 in
-    the third.  Returns the (3, n) end points and a mask of the lanes
+    Lane ``n`` is free in coordinates ``IJ[0, n] < IJ[1, n]`` and pinned
+    at 0 in the third.  Returns the (3, n) end points and a mask of the lanes
     whose scalar solve returns a root.  Stopped lanes stay put until half
     of the batch has stopped, as in _full_lanes.
     """
     ends, ok = np.empty_like(P), np.zeros(P.shape[1], dtype=bool)
     lane, live = np.arange(P.shape[1]), np.ones(P.shape[1], dtype=bool)
-    conv, cols = ~live, lane
-    # Rows 15 and 16: the face's off-diagonal Jacobian entries J_ij, J_ji.
-    rows = _OFFDIAG_ROW[np.array([I, J]), np.array([J, I])]
-    K = np.concatenate([K, K[rows, cols]])
+    met, cols = ~live, lane
+    # Rows 15-25, two per quantity: r, 2r, k and o of the free coordinates
+    # i and j, the off-diagonal entries b = J_ij and d = J_ji negated, then
+    # the one row b·d.
+    r, off = K[IJ, cols], K[_OFFDIAG_ROW[IJ, IJ[::-1]], cols]
+    K = np.concatenate([K, r, 2.0 * r, K[3 + IJ, cols], K[12 + IJ, cols], -off,
+                        off[0:1] * off[1:2]])
     for it in range(_ORACLE_ITER + 1):
         F = _rhs_lanes(K, P)
-        fi, fj = F[I, cols], F[J, cols]
-        ai, aj = np.abs(fi), np.abs(fj)
-        done = live & (np.where(aj > ai, aj, ai) <= 0.25 * tol)
+        fij = F[IJ, cols]
+        done = live & (_col_max(np.abs(fij)) <= 0.25 * tol)
         if it == _ORACLE_ITER:
             done = live
-        conv |= done & (_col_max(np.abs(F)) <= tol)
+        # A lane that met the face test (or the cap) has stopped; it is a
+        # root if the full residual at its point meets ``tol``.
+        met |= done
         live &= ~done
         if np.count_nonzero(live) <= _HANDOFF_LANES:
-            ends[:, lane], ok[lane] = P, conv
+            ends[:, lane], ok[lane] = P, met & (_col_max(np.abs(F)) <= tol)
             for n in np.flatnonzero(live).tolist():
                 j = lane[n]
                 got = _newton_support(cs[sid[j]], P[:, n].tolist(),
-                                      (int(I[n]), int(J[n])), tol,
+                                      tuple(IJ[:, n].tolist()), tol,
                                       _ORACLE_ITER - it)
                 if got is not None:
                     ends[:, j], ok[j] = got, True
             return ends, ok
-        diag = _diag_lanes(K, P)
-        a, e, b, d = diag[I, cols], diag[J, cols], K[15], K[16]
-        det = a * e - b * d
-        pi, pj = P[I, cols], P[J, cols]
-        P[I, cols] = np.where(live, pi + -(e * fi - b * fj) / det, pi)
-        P[J, cols] = np.where(live, pj + -(-d * fi + a * fj) / det, pj)
-        live &= (det != 0.0) & np.isfinite(P).all(axis=0)
+        # The diagonal entries a = J_ii and e = J_jj; the step is
+        # -(e·f_i + (-b)·f_j, (-d)·f_i + a·f_j)/(a·e - b·d).
+        pij = P[IJ, cols]
+        ae = K[15:17] - K[17:19] * pij / K[19:21] - K[21:23]
+        det = ae[0] * ae[1] - K[25]
+        pij = np.where(live, pij + -(ae[::-1] * fij + K[23:25] * fij[::-1]) / det, pij)
+        P[IJ, cols] = pij
+        live &= (det != 0.0) & np.isfinite(pij).all(axis=0)
         if 2 * np.count_nonzero(live) <= len(live):
-            ends[:, lane], ok[lane] = P, conv
+            ends[:, lane], ok[lane] = P, met & (_col_max(np.abs(F)) <= tol)
             keep = _ladder(live)
-            lane, K, P, I, J, live, conv = (lane[keep], K[:, keep], P[:, keep],
-                                            I[keep], J[keep], live[keep],
-                                            conv[keep])
+            lane, K, P, IJ, live, met = (lane[keep], K[:, keep], P[:, keep],
+                                         IJ[:, keep], live[keep], met[keep])
             cols = np.arange(len(lane))
     return ends, ok  # pragma: no cover - the last pass retires every lane

@@ -192,6 +192,21 @@ class TestSweepValidation:
         with pytest.raises(ParameterError, match=r"sweep range must be finite"):
             sweep("EX6", self.p, "r2", lo, hi, 5)
 
+    @pytest.mark.parametrize("lo, hi", [
+        ("0.5", 1.5), (None, 1.5), (0.5, "1.5"), (0.5, None),
+    ])
+    def test_non_numeric_bound(self, lo, hi):
+        # A str or None bound used to raise TypeError from math.isfinite.
+        with pytest.raises(ParameterError, match="two real numbers"):
+            sweep("FULL", self.p, "r1", lo, hi, 3)
+
+    def test_integer_and_numpy_bounds(self):
+        want = [r.param_value for r in sweep("FULL", self.p, "r1", 1.0, 2.0, 3)]
+        for lo, hi in ((1, 2), (np.float64(1.0), np.float64(2.0)),
+                       (np.int64(1), 2.0)):
+            got = sweep("FULL", self.p, "r1", lo, hi, 3)
+            assert [r.param_value for r in got] == want
+
 
 class TestSweep:
     def test_record_shape(self):

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_newton
 from tripatch import equilibria as eq
 from tripatch import newton
+from tripatch.bifurcation import sweep, transcritical_thresholds
 from tripatch.equilibria import (
     _BATCH_SETS,
     ADMITTED_LABELS,
@@ -181,6 +183,35 @@ class TestBruteForce:
         residuals = [2e-9, 1e-9, 1e-9, 1e-9, 0.0, 1e-9]
         assert eq._dedup(points, residuals) == [1, 2, 4, 5]
         assert eq._dedup([], []) == []
+
+    def test_dedup_hand_cases(self):
+        nan, inf, tol = math.nan, math.inf, DEDUP_TOL
+        cases = [
+            # A tie keeps the first; an exact duplicate never replaces.
+            ([(1.0, 1.0, 1.0), (1.0, 1.0, 1.0 + 1e-7), (1.0, 1.0, 1.0)],
+             [1e-9, 1e-9, 1e-9], [0]),
+            ([(1.0, 1.0, 1.0), (1.0, 1.0, 1.0)], [2e-9, 1e-9], [1]),
+            # DEDUP_TOL apart is apart, in each coordinate.
+            ([(0.0, 0.0, 0.0), (tol, 0.0, 0.0), (tol, tol, 0.0), (tol, tol, tol)],
+             [0.0] * 4, [0, 1, 2, 3]),
+            # A replacement moves its representative: the third point is
+            # within DEDUP_TOL of the second but not of the first.
+            ([(0.0, 0.0, 0.0), (5e-7, 0.0, 0.0), (1.2e-6, 0.0, 0.0)],
+             [2e-9, 1e-9, 3e-9], [1]),
+            # Within DEDUP_TOL of two representatives: the first wins.
+            ([(0.0, 0.0, 0.0), (5e-7, 1.5e-6, 0.0), (6e-7, 7e-7, 0.0)],
+             [1e-9, 1e-9, 0.0], [2, 1]),
+            # Far apart, then close again behind a moved representative.
+            ([(0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (3.0, 0.0, 0.0), (3.0, 1.0, 0.0),
+              (3.0 + 5e-7, 1.0, 0.0)], [1e-9] * 5, [0, 1, 2, 3]),
+            # NaN and infinite coordinates, and a NaN residual.
+            ([(0.0, nan, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 1.0, inf),
+              (1.0, 1.0, inf), (nan, 0.0, 0.0), (inf, 0.0, 0.0), (inf, 0.0, 0.0)],
+             [0.0, nan, 1e-9, 0.0, 0.0, 0.0, 0.0, 0.0], [0, 1, 3, 4, 5, 6, 7]),
+        ]
+        for points, residuals, want in cases:
+            assert reference_dedup(points, residuals) == want
+            assert eq._dedup(points, residuals) == want, points
 
     def test_seeded_runs_are_reproducible(self):
         p = draw_params(np.random.default_rng(12))
@@ -367,6 +398,36 @@ def reference_oracle(params, n_starts=64, seed=0, tol=1e-8):
                                  residual=newton._residual(c, *p)) for p in reps]
 
 
+def reference_dedup(points, residuals):
+    """_dedup as it was: every point against every representative."""
+    reps = []
+    for n, (p, res) in enumerate(zip(points, residuals)):
+        for idx, (q, res_q, _) in enumerate(reps):
+            if abs(p[0] - q[0]) < DEDUP_TOL and abs(p[1] - q[1]) < DEDUP_TOL \
+                    and abs(p[2] - q[2]) < DEDUP_TOL:
+                if res < res_q:
+                    reps[idx] = (p, res, n)
+                break
+        else:
+            reps.append((p, res, n))
+    return [n for _, _, n in reps]
+
+
+def dedup_inputs(monkeypatch, run):
+    """The arguments of every _dedup call that ``run()`` makes."""
+    calls = []
+    dedup = eq._dedup
+
+    def capturing_dedup(points, residuals):
+        calls.append(([tuple(p) for p in points], list(residuals)))
+        return dedup(points, residuals)
+
+    with monkeypatch.context() as m:
+        m.setattr(eq, "_dedup", capturing_dedup)
+        run()
+    return calls
+
+
 def bits(records):
     """Records as comparable tuples, every float by its exact bits."""
     return [(r.label, r.feasible, float(r.residual).hex(),
@@ -405,9 +466,10 @@ def reference_find_all(monkeypatch, topo, params, seed=0):
 
 
 def full_start_branches(monkeypatch, c, x0, tol=1e-8):
-    """Branches ``_newton_full(c, x0, tol, 60)`` takes, seen via its kernels."""
+    """Branches ``_newton_full(c, x0, tol, 60)`` takes, seen via the kernels
+    of its reference copy ``test_newton.reference_newton_full``."""
     seen, residuals = set(), [0]
-    solve3, rhs = newton._solve3, newton._rhs
+    solve3, rhs = test_newton._solve3, newton._rhs
 
     def counting_solve3(j, *f):
         step, cond = solve3(j, *f)
@@ -423,9 +485,9 @@ def full_start_branches(monkeypatch, c, x0, tol=1e-8):
         return rhs(c, *p)
 
     with monkeypatch.context() as m:
-        m.setattr(newton, "_solve3", counting_solve3)
-        m.setattr(newton, "_rhs", counting_rhs)
-        got = newton._newton_full(c, x0, tol, 60)
+        m.setattr(test_newton, "_solve3", counting_solve3)
+        m.setattr(newton, "_rhs", counting_rhs)  # _residual's rhs
+        got = test_newton.reference_newton_full(c, x0, tol, 60)
     if max(residuals) == 7:  # the full step and six halvings
         seen.add("six halvings")
     if got is None and not seen & {"zero determinant", "condition estimate"}:
@@ -544,3 +606,41 @@ class TestBatchedOracle:
                         "six halvings", "iteration cap",
                         "iteration cap in the batch", "full-space handoff",
                         "face handoff"}
+
+
+class TestWindowedDedup:
+    """_dedup equals the all-pairs loop on the roots it is given."""
+
+    def assert_same(self, calls):
+        for points, residuals in calls:
+            assert eq._dedup(points, residuals) == \
+                reference_dedup(points, residuals)
+
+    def test_acceptance_03_draws(self, monkeypatch):
+        # Every 8th draw of acceptance 03: the oracle's sorted roots, then
+        # the merge's polished points.
+        def run():
+            rng = np.random.default_rng(3003)
+            for topo in TOPOLOGIES:
+                for i in range(200):
+                    p = apply_topology(draw_params(rng), topo)
+                    if i % 8 == 0:
+                        find_all_equilibria(topo, p, seed=i)
+
+        calls = dedup_inputs(monkeypatch, run)
+        assert len(calls) == 2 * 13 * 25
+        assert max(len(points) for points, _ in calls) > 80
+        self.assert_same(calls)
+
+    def test_sweep_batches(self, monkeypatch):
+        def run():
+            rng = np.random.default_rng(5011)
+            for topo in ("EX6", "EX7", "EX8", "EX2N", "CHAIN", "CONVERGE",
+                         "DIVERGE"):
+                p = apply_topology(draw_params(rng), topo)
+                for tok, thr, _ in transcritical_thresholds(topo, p)[:2]:
+                    sweep(topo, p, tok, 0.52 * thr, 1.48 * thr, 14)
+
+        calls = dedup_inputs(monkeypatch, run)
+        assert len(calls) > 100
+        self.assert_same(calls)

@@ -9,20 +9,48 @@ import pytest
 
 from tripatch import newton
 from tripatch.equilibria import _halton
-from tripatch.model import _coeffs, with_param
+from tripatch.model import _coeffs, _jac, _rhs, with_param
 from tripatch.newton import (
     _COND_LIMIT,
     ConvergenceError,
     SingularJacobianError,
     _col_max,
     _col_min,
-    _jac,
     _residual,
-    _rhs,
-    _solve3,
 )
 from tripatch.topology import TOPOLOGIES, apply_topology
 from tripatch.verification import draw_params
+
+
+def _solve3(j: tuple, f1: float, f2: float, f3: float):
+    """Solve the 3x3 system J x = -f by Cramer; returns step or None.
+
+    Also returns a cheap 1-norm condition estimate built from the
+    explicit adjugate, so callers can flag numerically singular systems.
+    The scalar Newton's solve before it was written out inline.
+    """
+    a, b, c_, d, e, f, g, h, i = j
+    A = e * i - f * h
+    B = -(d * i - f * g)
+    C = d * h - e * g
+    det = a * A + b * B + c_ * C
+    if det == 0.0:
+        return None, math.inf
+    D = -(b * i - c_ * h)
+    E = a * i - c_ * g
+    F = -(a * h - b * g)
+    G = b * f - c_ * e
+    H = -(a * f - c_ * d)
+    I = a * e - b * d
+    inv = abs(det)
+    n_j = max(abs(a) + abs(d) + abs(g), abs(b) + abs(e) + abs(h),
+              abs(c_) + abs(f) + abs(i))
+    n_inv = max(abs(A) + abs(D) + abs(G), abs(B) + abs(E) + abs(H),
+                abs(C) + abs(F) + abs(I)) / inv
+    x1 = -(A * f1 + D * f2 + G * f3) / det
+    x2 = -(B * f1 + E * f2 + H * f3) / det
+    x3 = -(C * f1 + F * f2 + I * f3) / det
+    return (x1, x2, x3), n_j * n_inv
 
 
 def reference_newton_full(c, x0, tol, max_iter, positive=False,
@@ -256,6 +284,121 @@ class TestNewtonSupport:
                     outcome(reference_newton_support, c, x0, free, 1e-8)
         assert outcome(newton._newton_support, c, (1.0,) * 3, (0, 1, 2), 1e-8) \
             == outcome(reference_newton_support, c, (1.0,) * 3, (0, 1, 2), 1e-8)
+
+
+def solve3_lanes(params_list):
+    """Lane arrays ``(K, diag, F)`` at every start of ``starts`` on each set."""
+    cs, points = [], []
+    for p in params_list:
+        for x0 in starts(p):
+            cs.append(_coeffs(p))
+            points.append(x0)
+    K = newton._lane_coeffs(cs)
+    P = np.array(points).T
+    return K, newton._diag_lanes(K, P), newton._rhs_lanes(K, P)
+
+
+def lane_system(K, diag, F, n):
+    """Lane ``n`` as ``_solve3``'s arguments: J row-major, then f."""
+    a, e, i = diag[:, n].tolist()
+    b, d, g, c_, f, h = K[6:12, n].tolist()
+    return (a, b, c_, d, e, f, g, h, i), F[:, n].tolist()
+
+
+class TestSolve3Lanes:
+    """_solve3_lanes equals the scalar Cramer solve, lane by lane."""
+
+    @pytest.mark.parametrize("piece", [None, 100])
+    def test_lanes_match_the_scalar_solve(self, monkeypatch, piece):
+        if piece is not None:  # large batches are solved piece by piece
+            monkeypatch.setattr(newton, "_SOLVE_LANES", piece)
+        K, diag, F = solve3_lanes(draws() + singular_converge())
+        # Lanes with non-finite and signed-zero entries: the diagonal, the
+        # rhs and an off-diagonal rate in turn.
+        special = []
+        for value in (math.nan, math.inf, -math.inf, 0.0, -0.0):
+            for row in range(9):
+                k, d, f = K[:, :1].copy(), diag[:, :1].copy(), F[:, :1].copy()
+                if row < 3:
+                    d[row] = value
+                elif row < 6:
+                    f[row - 3] = value
+                else:
+                    k[row] = value
+                special.append((k, d, f))
+        # All-zero rhs of both signs, and a zero diagonal.
+        special.append((K[:, :1], diag[:, :1], np.zeros((3, 1))))
+        special.append((K[:, :1], diag[:, :1], -np.zeros((3, 1))))
+        special.append((K[:, :1], np.zeros((3, 1)), F[:, :1]))
+        K, diag, F = (np.concatenate([x] + [s[n] for s in special], axis=1)
+                      for n, x in enumerate((K, diag, F)))
+        with np.errstate(all="ignore"):
+            step, singular = newton._solve3_lanes(K, diag, F)
+        seen = set()
+        for n in range(K.shape[1]):
+            j, f = lane_system(K, diag, F, n)
+            want, cond = _solve3(j, *f)
+            if want is None:
+                seen.add("zero determinant")
+            elif cond > _COND_LIMIT:
+                seen.add("condition estimate")
+            elif math.isnan(cond):
+                seen.add("NaN estimate")
+            assert bool(singular[n]) == (want is None or cond > _COND_LIMIT), n
+            if not singular[n]:
+                assert [v.hex() for v in step[:, n].tolist()] == \
+                    [v.hex() for v in want], n
+        assert seen == {"zero determinant", "condition estimate", "NaN estimate"}
+
+
+class TestNewtonSupportPaths:
+    """_newton_support equals its reference on each way out of the loop."""
+
+    @staticmethod
+    def first_root(c, params, free, tol=1e-8):
+        for x0 in starts(params):
+            if reference_newton_support(c, x0, free, tol) is not None:
+                return x0
+        raise AssertionError(f"no start converges on {free}")
+
+    def cases(self):
+        p = draws()[0]
+        c = _coeffs(p)
+        face = self.first_root(c, p, (0, 1))
+        root = reference_newton_support(c, face, (0, 1), 1e-8)
+        conv = _coeffs(singular_converge()[0])
+        return {
+            # The residual test is met and the loop ends.
+            "converged": ((c, face, (0, 1), 1e-8), "root"),
+            "edge": ((c, self.first_root(c, p, (2,)), (2,), 1e-8), "root"),
+            # Past the residual test until the step reaches round-off.
+            "settle": ((c, root, (0, 1), 1e-10, 60, 40), "root"),
+            # J11 = J12 = 0 on the p1 = 0 edge of CONVERGE at r1 = m21.
+            "zero determinant": ((conv, (0.0, 1.0, 0.0), (0, 1), 1e-8), "none"),
+            "zero determinant, converged":
+                ((conv, (0.0, 0.0, 0.0), (0,), 1e-8, 60, 5), "root"),
+            # The first step overflows.
+            "non-finite": ((c, (1e200, 1e200, 1e200), (0, 1), 1e-8), "none"),
+            "iteration cap": ((c, starts(p)[-1], (0, 1), 1e-8, 2), "none"),
+        }
+
+    @pytest.mark.parametrize("path", [
+        "converged", "edge", "settle", "zero determinant",
+        "zero determinant, converged", "non-finite", "iteration cap"])
+    def test_path(self, path):
+        args, kind = self.cases()[path]
+        want = outcome(reference_newton_support, *args)
+        assert want[0] == kind
+        assert outcome(newton._newton_support, *args) == want
+
+    def test_zero_determinant_preconditions(self):
+        # The zero-determinant cases start where the 2x2 block (or the
+        # edge's 1x1) is singular, the first away from a root.
+        c = _coeffs(singular_converge()[0])
+        j = _jac(c, 0.0, 1.0, 0.0)
+        assert j[0] * j[4] - j[1] * j[3] == 0.0
+        assert _residual(c, 0.0, 1.0, 0.0) > 1e-8
+        assert _jac(c, 0.0, 0.0, 0.0)[0] == 0.0
 
 
 class TestColMax:
