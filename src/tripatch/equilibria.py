@@ -27,6 +27,7 @@ its grid values in one such batch.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -163,11 +164,14 @@ def _halton_table(base: int):
 _HALTON_TABLES = {base: _halton_table(base) for base in (2, 3, 5)}
 
 
+@functools.lru_cache(maxsize=8)
 def _halton_digits(base: int, n: int) -> np.ndarray:
     """Flat index of digit ``j`` of point ``i`` into a (depth, base) digit
-    table, at ``[j, i]`` of a (depth, n) array."""
+    table, at ``[j, i]`` of a (depth, n) array; read-only, as it is cached."""
     places = _HALTON_TABLES[base][2]
-    return np.arange(len(places))[:, None] * base + np.arange(n) // places % base
+    digits = np.arange(len(places))[:, None] * base + np.arange(n) // places % base
+    digits.setflags(write=False)
+    return digits
 
 
 def _halton(d: int, n: int, seed: int) -> np.ndarray:
@@ -179,17 +183,15 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
     double-precision depth.  Equal seeds give bit-identical points: the
     permutations come row by row from one ``default_rng(seed)`` stream
     and the digit terms are summed left to right.  The digits depend on
-    ``(base, n)`` alone; the oracle's sizes are in ``_HALTON_DIGITS``.
+    ``(base, n)`` alone and are cached by ``_halton_digits``.
     """
     rng = np.random.default_rng(seed)
     out = np.empty((n, d))
     for col, base in enumerate((2, 3, 5)[:d]):
         identity, weights, _ = _HALTON_TABLES[base]
-        digits = _HALTON_DIGITS.get((base, n))
-        if digits is None:
-            digits = _halton_digits(base, n)
         # Weighting before the gather multiplies the same digit-weight pairs.
-        terms = (rng.permuted(identity, axis=1) * weights).take(digits)
+        table = rng.permuted(identity, axis=1) * weights
+        terms = table.take(_halton_digits(base, n))
         out[:, col] = np.add.accumulate(terms)[-1]
     return out
 
@@ -598,11 +600,6 @@ _CORNERS = np.array([(a, b, d) for a in (0.0, 1.0) for b in (0.0, 1.0)
 #: Halton starts of the oracle on each boundary face, besides three fixed ones.
 _FACE_STARTS = 12
 
-#: ``_halton_digits`` of the oracle's sample sizes.
-_HALTON_DIGITS = {(base, n): _halton_digits(base, n)
-                  for d, n in ((3, _N_STARTS), (2, _FACE_STARTS))
-                  for base in (2, 3, 5)[:d]}
-
 
 def _oracle_batch(params_list, seed):
     """``brute_force_equilibria`` of each parameter set, in one batch."""
@@ -671,33 +668,18 @@ def _dedup(points, residuals):
     points may come in any order: a repeat never changes a representative.
     A point with a NaN or infinite coordinate joins nothing, and nothing
     joins it.
-
-    The finite points come in ascending order of their first coordinate,
-    so a representative that lies DEDUP_TOL or more below the current
-    point in it can be joined by no later point.  Only the others, the
-    window, are compared, in their order; ``low`` bounds their first
-    coordinates from below, and the window is pruned once it is stale.
     """
-    reps = []    # [p0, p1, p2, residual, index] of each representative
-    window, low = [], math.inf
+    reps: list[tuple] = []
     for n, (p, res) in enumerate(zip(points, residuals)):
-        p0, p1, p2 = p
-        if DEDUP_TOL <= p0 - low < math.inf:
-            window = [q for q in window if p0 - q[0] < DEDUP_TOL]
-            low = min([q[0] for q in window], default=math.inf)
-        for q in window:
-            if abs(p0 - q[0]) < DEDUP_TOL and abs(p1 - q[1]) < DEDUP_TOL \
-                    and abs(p2 - q[2]) < DEDUP_TOL:
-                if res < q[3]:
-                    q[:] = p0, p1, p2, res, n
+        for idx, (q, res_q, _) in enumerate(reps):
+            if abs(p[0] - q[0]) < DEDUP_TOL and abs(p[1] - q[1]) < DEDUP_TOL \
+                    and abs(p[2] - q[2]) < DEDUP_TOL:
+                if res < res_q:
+                    reps[idx] = (p, res, n)
                 break
         else:
-            q = [p0, p1, p2, res, n]
-            reps.append(q)
-            window.append(q)
-            if p0 < low:
-                low = p0
-    return [q[4] for q in reps]
+            reps.append((p, res, n))
+    return [n for _, _, n in reps]
 
 
 def _oracle_many(params_list, seed: int = 0) -> list[list[EquilibriumRecord]]:

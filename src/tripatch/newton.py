@@ -1,22 +1,23 @@
 """Newton's method on the three-patch model, one start at a time or batched.
 
-The scalar solvers (``_newton_full`` on the full system, ``_newton_support``
-on a boundary face or edge) serve polishing, ``newton_coexistence``, sweep
-continuation and single leftover starts.  They unpack the coefficient
-tuple once and write the rhs, the Jacobian diagonal and the Cramer solve
-out inline, evaluate the rhs once per trial point and carry it into the
-next Newton step.  The batched ones (``_full_lanes`` and ``_face_lanes``)
-serve the multi-start oracle: they hold every start of every parameter set
-as a lane with its own coefficient column, and stop lanes by mask once
-they converge or turn singular.  Each batch iteration stacks like terms
-across lanes: the nine cofactors of the 3x3 solve are one (9, n) array
-built from index tables, and a face's two free coordinates are one (2, n)
-gather.  Every lane performs the scalar solve's float operations in the
-same order (Python's ``max`` tie rule included, and the residual-halving
-search evaluated for all six damping factors at once but taken at the
-first that does not raise the residual), so each start ends where the
-scalar solve from it ends, bit for bit.  The last few live lanes finish
-in the scalar solvers with their remaining iterations.
+The scalar solvers (``_newton_full`` on the full system,
+``_newton_support`` on a boundary face or edge) serve polishing,
+``newton_coexistence``, sweep continuation and single leftover starts.
+They unpack the coefficient tuple once, write the rhs, the Jacobian
+diagonal and the Cramer solve out inline in each iteration, evaluate the
+rhs once per trial point and carry it into the next Newton step.  The
+batched ones (``_full_lanes`` and ``_face_lanes``) serve the multi-start
+oracle: they hold every start of every parameter set as a lane with its own
+coefficient column, and stop lanes by mask once they converge or turn
+singular.  Each batch iteration stacks like terms across lanes: the nine
+cofactors of the 3x3 solve are one (9, n) array built from index tables,
+and a face's two free coordinates are one (2, n) gather.  Every lane
+performs the scalar solve's float operations in the same order (Python's
+``max`` tie rule included, and the residual-halving search evaluated for
+all six damping factors at once but taken at the first that does not raise
+the residual), so each start ends where the scalar solve from it ends, bit
+for bit.  The last few live lanes finish in the scalar solvers with their
+remaining iterations.
 """
 
 from __future__ import annotations
@@ -66,15 +67,15 @@ def _newton_full(c, x0, tol, max_iter, positive=False, raise_errors=False,
     the settle phase walks that last stretch (the step halves each
     iteration there instead of converging quadratically).
 
-    The rhs, the Jacobian diagonal and the Cramer solve of J s = -f are
-    written out with ``_rhs``'s and ``_jac``'s operations in their order,
-    and so is Python's ``max`` of three values (a later one wins only if
-    it is greater).  The step's cofactors are those of the matrix
-    (a b c; d e f; g h i) with a, e, i the diagonal and b = m12, c = m13,
-    d = m21, f = m23, g = m31, h = m32; a product of two rates is the same
-    every iteration, so it is taken once.  The condition estimate is the
-    1-norm of J times that of its explicit inverse, and the system counts
-    as singular where the determinant is 0 or the estimate exceeds
+    Inside the loop, the rhs, the Jacobian diagonal and the Cramer solve of
+    J s = -f are written out with ``_rhs``'s and ``_jac``'s operations in
+    their order, and so is Python's ``max`` of three values (a later one
+    wins only if it is greater).  The step's cofactors are those of the
+    matrix (a b c; d e f; g h i) with a, e, i the diagonal and b = m12,
+    c = m13, d = m21, f = m23, g = m31, h = m32; a product of two rates is
+    the same every iteration, so it is taken once.  The condition estimate is
+    the 1-norm of J times that of its explicit inverse, and the system
+    counts as singular where the determinant is 0 or the estimate exceeds
     ``_COND_LIMIT``.
     """
     r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
@@ -84,9 +85,7 @@ def _newton_full(c, x0, tol, max_iter, positive=False, raise_errors=False,
     bf, cd, bd = m12 * m23, m13 * m21, m12 * m21
     ab, ac, ad, af, ag, ah = abs(m12), abs(m13), abs(m21), abs(m23), abs(m31), abs(m32)
     p1, p2, p3 = (float(v) for v in x0)
-    f1 = r1 * p1 * (1.0 - p1 / k1) + m12 * p2 + m13 * p3 - o1 * p1
-    f2 = r2 * p2 * (1.0 - p2 / k2) + m21 * p1 + m23 * p3 - o2 * p2
-    f3 = r3 * p3 * (1.0 - p3 / k3) + m31 * p1 + m32 * p2 - o3 * p3
+    f1, f2, f3 = _rhs(c, p1, p2, p3)
     res = max(abs(f1), abs(f2), abs(f3))
     for _ in range(max_iter + settle):
         converged = res <= tol
@@ -236,10 +235,10 @@ def _newton_support(c, x0, free, tol, max_iter=60, settle=0):
 #: in the scalar Newton.  A few starts need many more iterations than the
 #: rest, or never converge; one batch iteration of a set's 72 full-space
 #: lanes costs about as much as 24 scalar ones (≈175 µs against ≈7 µs for
-#: a start that stalls, on a 2-CPU x86_64 VM).  At 16, 24, 32 and 48 a
-#: bench scan op took 4.25, 4.23, 4.26 and 4.15 ms and a sweep op 21.8,
-#: 21.0, 20.8 and 21.3 ms (medians of 6 laps and of 8 passes over 60
-#: ops): no value was faster on both.
+#: a start that stalls, on a 2-CPU x86_64 VM).  At 8, 16, 24, 32 and 48 a
+#: bench scan op took 4.31, 3.54, 3.51, 3.47 and 3.47 ms and a sweep op
+#: 19.2, 18.3, 16.3, 17.8 and 17.8 ms (medians of 6 laps and of 8 passes
+#: over 60 ops): no value was faster than 24 on both.
 _HANDOFF_LANES = 24
 
 #: Iteration budget of every oracle start.
@@ -264,6 +263,8 @@ _a, _e, _i, _b, _d, _g, _c, _f, _h = range(9)
 # Cofactor n is (M[X1]·M[Y1] - M[X2]·M[Y2])·sign, in the order A..I of
 # the explicit adjugate: A, B, C multiply f1 in the step's three rows,
 # D, E, F multiply f2 and G, H, I multiply f3.  Negating by ·(-1.0) is exact.
+# Four (9, n) gathers: one (4, 9, n) gather made a 1008-lane solve take 2.5x
+# as long.
 _X1, _Y1, _X2, _Y2 = np.array([
     [_e, _d, _d, _b, _a, _a, _b, _a, _a],
     [_i, _i, _h, _i, _i, _h, _f, _f, _e],
@@ -274,14 +275,6 @@ _COFACTOR_SIGN = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])[:, 
 # The row of M in term t of column k's absolute sum, for J's 1-norm; in
 # the adjugate's, that term is cofactor 3t + k.
 _NORM_TERMS = np.array([[_a, _b, _c], [_d, _e, _f], [_g, _h, _i]])
-
-
-#: _solve3_lanes solves at most this many lanes at a time, so that its
-#: temporaries stay at (9, 1024) floats or less: in one piece, a 4608-lane
-#: solve (a 64-set batch) took about twice as long.  For the same reason
-#: it gathers four (9, n) arrays where one (4, 9, n) gather made a 1008-lane
-#: solve take 2.5x as long.
-_SOLVE_LANES = 1024
 
 
 def _lane_coeffs(cs) -> np.ndarray:
@@ -328,12 +321,6 @@ def _solve3_lanes(K, diag, F):
     lane performs ``_newton_full``'s float operations in their order,
     with ``-(x - y)`` written as ``(x - y)·(-1.0)``, which is exact.
     """
-    if K.shape[1] > _SOLVE_LANES:
-        pieces = [slice(lo, lo + _SOLVE_LANES)
-                  for lo in range(0, K.shape[1], _SOLVE_LANES)]
-        steps, singular = zip(*(_solve3_lanes(K[:, s], diag[:, s], F[:, s])
-                                for s in pieces))
-        return np.concatenate(steps, axis=1), np.concatenate(singular)
     M = np.concatenate((diag, K[6:12]))
     cof = (M[_X1] * M[_Y1] - M[_X2] * M[_Y2]) * _COFACTOR_SIGN
     t = M[0:9:3] * cof[0:3]  # a·A, b·B, c·C

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import test_newton
 from tripatch import equilibria as eq
 from tripatch import newton
-from tripatch.bifurcation import sweep, transcritical_thresholds
 from tripatch.equilibria import (
     _BATCH_SETS,
     ADMITTED_LABELS,
@@ -210,7 +209,6 @@ class TestBruteForce:
              [0.0, nan, 1e-9, 0.0, 0.0, 0.0, 0.0, 0.0], [0, 1, 3, 4, 5, 6, 7]),
         ]
         for points, residuals, want in cases:
-            assert reference_dedup(points, residuals) == want
             assert eq._dedup(points, residuals) == want, points
 
     def test_seeded_runs_are_reproducible(self):
@@ -398,36 +396,6 @@ def reference_oracle(params, n_starts=64, seed=0, tol=1e-8):
                                  residual=newton._residual(c, *p)) for p in reps]
 
 
-def reference_dedup(points, residuals):
-    """_dedup as it was: every point against every representative."""
-    reps = []
-    for n, (p, res) in enumerate(zip(points, residuals)):
-        for idx, (q, res_q, _) in enumerate(reps):
-            if abs(p[0] - q[0]) < DEDUP_TOL and abs(p[1] - q[1]) < DEDUP_TOL \
-                    and abs(p[2] - q[2]) < DEDUP_TOL:
-                if res < res_q:
-                    reps[idx] = (p, res, n)
-                break
-        else:
-            reps.append((p, res, n))
-    return [n for _, _, n in reps]
-
-
-def dedup_inputs(monkeypatch, run):
-    """The arguments of every _dedup call that ``run()`` makes."""
-    calls = []
-    dedup = eq._dedup
-
-    def capturing_dedup(points, residuals):
-        calls.append(([tuple(p) for p in points], list(residuals)))
-        return dedup(points, residuals)
-
-    with monkeypatch.context() as m:
-        m.setattr(eq, "_dedup", capturing_dedup)
-        run()
-    return calls
-
-
 def bits(records):
     """Records as comparable tuples, every float by its exact bits."""
     return [(r.label, r.feasible, float(r.residual).hex(),
@@ -607,40 +575,3 @@ class TestBatchedOracle:
                         "iteration cap in the batch", "full-space handoff",
                         "face handoff"}
 
-
-class TestWindowedDedup:
-    """_dedup equals the all-pairs loop on the roots it is given."""
-
-    def assert_same(self, calls):
-        for points, residuals in calls:
-            assert eq._dedup(points, residuals) == \
-                reference_dedup(points, residuals)
-
-    def test_acceptance_03_draws(self, monkeypatch):
-        # Every 8th draw of acceptance 03: the oracle's sorted roots, then
-        # the merge's polished points.
-        def run():
-            rng = np.random.default_rng(3003)
-            for topo in TOPOLOGIES:
-                for i in range(200):
-                    p = apply_topology(draw_params(rng), topo)
-                    if i % 8 == 0:
-                        find_all_equilibria(topo, p, seed=i)
-
-        calls = dedup_inputs(monkeypatch, run)
-        assert len(calls) == 2 * 13 * 25
-        assert max(len(points) for points, _ in calls) > 80
-        self.assert_same(calls)
-
-    def test_sweep_batches(self, monkeypatch):
-        def run():
-            rng = np.random.default_rng(5011)
-            for topo in ("EX6", "EX7", "EX8", "EX2N", "CHAIN", "CONVERGE",
-                         "DIVERGE"):
-                p = apply_topology(draw_params(rng), topo)
-                for tok, thr, _ in transcritical_thresholds(topo, p)[:2]:
-                    sweep(topo, p, tok, 0.52 * thr, 1.48 * thr, 14)
-
-        calls = dedup_inputs(monkeypatch, run)
-        assert len(calls) > 100
-        self.assert_same(calls)

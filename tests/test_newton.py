@@ -308,10 +308,7 @@ def lane_system(K, diag, F, n):
 class TestSolve3Lanes:
     """_solve3_lanes equals the scalar Cramer solve, lane by lane."""
 
-    @pytest.mark.parametrize("piece", [None, 100])
-    def test_lanes_match_the_scalar_solve(self, monkeypatch, piece):
-        if piece is not None:  # large batches are solved piece by piece
-            monkeypatch.setattr(newton, "_SOLVE_LANES", piece)
+    def test_lanes_match_the_scalar_solve(self):
         K, diag, F = solve3_lanes(draws() + singular_converge())
         # Lanes with non-finite and signed-zero entries: the diagonal, the
         # rhs and an off-diagonal rate in turn.
