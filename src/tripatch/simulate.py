@@ -16,15 +16,16 @@ The stepper is written twice: in scalar form (``_advance``, behind
 ``basin_sample``).  ``_advance`` is unrolled over the three patches on
 plain floats.  The batch holds its lanes in the oracle's layout, a (3, n)
 state with one column per start, and shares ``newton``'s lane kernels:
-``_rhs_lanes`` with one coefficient column broadcast over every lane,
-and ``_col_max``/``_col_min`` for the extrema over the patches.  Each
-lane has its own time, step, stage cache and steady-state streak, and
-lanes are accepted, rejected and retired by mask.  Both forms perform
-the same float operations in the same order (Python's ``**`` for the
-controller powers, Python's ``max``/``min`` tie rules), so each start
-ends in the same terminal state as ``integrate`` from it, bit for bit.
-The last few live lanes finish in ``_advance``, because a handful of
-slow starts would otherwise keep a nearly empty batch stepping.
+``_rhs_lanes``, where each lane carries its own coefficient column as the
+oracle's lanes do, and ``_col_max``/``_col_min`` for the extrema over the
+patches.  Each lane has its own time, step, stage cache and steady-state
+streak, and lanes are accepted, rejected and retired by mask.  Both
+forms perform the same float operations in the same order (the C
+library's ``pow`` for the controller powers, Python's ``max``/``min`` tie
+and NaN rules), so each start ends in the same terminal state as
+``integrate`` from it, bit for bit.  The last few live lanes finish in
+``_advance``, because a handful of slow starts would otherwise keep a
+nearly empty batch stepping.
 """
 
 from __future__ import annotations
@@ -65,10 +66,11 @@ DIVERGE_NORM = 1e12
 
 #: ``_integrate_lanes`` finishes its last this-many live lanes one at a
 #: time in ``_advance``: a few starts take ~40x the median step count, and
-#: a batch step costs about 30 scalar ones (≈0.33 ms against ≈12 µs on a
-#: 2-vCPU x86_64 VM).  CPU ms per 200-start draw over the 50 acceptance-10
-#: draws, median of 9, by handoff: 8: 64.7, 16: 60.7, 24: 60.2, 32: 59.9,
-#: 48: 61.2.
+#: a batch step costs about 30 scalar ones (≈0.32 ms at 24 lanes against
+#: ≈11 µs per accepted scalar step on a 2-vCPU x86_64 VM).  CPU ms per
+#: 200-start draw over the 50 acceptance-10 draws, median of 15 rounds that
+#: interleave the values, by handoff: 12: 49.4, 16: 45.6, 24: 47.2,
+#: 32: 43.6, 48: 47.1; none beats 24 in more than 8 of the 15 rounds.
 HANDOFF_LANES = 24
 
 #: Relative and absolute step tolerances of ``basin_sample``'s trajectories.
@@ -129,7 +131,9 @@ def _advance(c: tuple, t: float, y: tuple, k1: tuple, h: float, streak: int,
     try next, ``streak`` the count of consecutive small-rhs steps and
     ``prev_rhs`` the rhs norm of the last accepted step.  Returns
     ``(terminal, y, times, states)``; with ``record`` the lists hold the
-    given state and every accepted one, otherwise they are empty.
+    given state and every accepted one, otherwise they are empty.  The
+    seven stage evaluations write ``_rhs`` out inline, operation for
+    operation; the rare clamped re-evaluation calls it.
     """
     times, states = ([t], [y]) if record else ([], [])
     h_min = 1e-14 * t_end
@@ -138,6 +142,8 @@ def _advance(c: tuple, t: float, y: tuple, k1: tuple, h: float, streak: int,
         (a61, a62, a63, a64, a65) = _A2, _A3, _A4, _A5, _A6
     b1, _, b3, b4, b5, b6 = _B
     e1, _, e3, e4, e5, e6, e7 = _E
+    # _rhs's coefficients; q1..q3 are the capacities.
+    r1, r2, r3, q1, q2, q3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
     y1, y2, y3 = y
     k11, k12, k13 = k1
 
@@ -147,29 +153,44 @@ def _advance(c: tuple, t: float, y: tuple, k1: tuple, h: float, streak: int,
             raise StepUnderflowError(
                 f"step size {h:.3e} fell below {h_min:.3e} at t={t:.6g}")
 
-        k21, k22, k23 = _rhs(c, y1 + h * a21 * k11, y2 + h * a21 * k12,
-                             y3 + h * a21 * k13)
-        k31, k32, k33 = _rhs(c, y1 + h * (a31 * k11 + a32 * k21),
-                             y2 + h * (a31 * k12 + a32 * k22),
-                             y3 + h * (a31 * k13 + a32 * k23))
-        k41, k42, k43 = _rhs(c, y1 + h * (a41 * k11 + a42 * k21 + a43 * k31),
-                             y2 + h * (a41 * k12 + a42 * k22 + a43 * k32),
-                             y3 + h * (a41 * k13 + a42 * k23 + a43 * k33))
-        k51, k52, k53 = _rhs(
-            c, y1 + h * (a51 * k11 + a52 * k21 + a53 * k31 + a54 * k41),
-            y2 + h * (a51 * k12 + a52 * k22 + a53 * k32 + a54 * k42),
-            y3 + h * (a51 * k13 + a52 * k23 + a53 * k33 + a54 * k43))
-        k61, k62, k63 = _rhs(
-            c, y1 + h * (a61 * k11 + a62 * k21 + a63 * k31 + a64 * k41
-                         + a65 * k51),
-            y2 + h * (a61 * k12 + a62 * k22 + a63 * k32 + a64 * k42
-                      + a65 * k52),
-            y3 + h * (a61 * k13 + a62 * k23 + a63 * k33 + a64 * k43
-                      + a65 * k53))
+        ha = h * a21
+        p1, p2, p3 = y1 + ha * k11, y2 + ha * k12, y3 + ha * k13
+        k21 = r1 * p1 * (1.0 - p1 / q1) + m12 * p2 + m13 * p3 - o1 * p1
+        k22 = r2 * p2 * (1.0 - p2 / q2) + m21 * p1 + m23 * p3 - o2 * p2
+        k23 = r3 * p3 * (1.0 - p3 / q3) + m31 * p1 + m32 * p2 - o3 * p3
+        p1 = y1 + h * (a31 * k11 + a32 * k21)
+        p2 = y2 + h * (a31 * k12 + a32 * k22)
+        p3 = y3 + h * (a31 * k13 + a32 * k23)
+        k31 = r1 * p1 * (1.0 - p1 / q1) + m12 * p2 + m13 * p3 - o1 * p1
+        k32 = r2 * p2 * (1.0 - p2 / q2) + m21 * p1 + m23 * p3 - o2 * p2
+        k33 = r3 * p3 * (1.0 - p3 / q3) + m31 * p1 + m32 * p2 - o3 * p3
+        p1 = y1 + h * (a41 * k11 + a42 * k21 + a43 * k31)
+        p2 = y2 + h * (a41 * k12 + a42 * k22 + a43 * k32)
+        p3 = y3 + h * (a41 * k13 + a42 * k23 + a43 * k33)
+        k41 = r1 * p1 * (1.0 - p1 / q1) + m12 * p2 + m13 * p3 - o1 * p1
+        k42 = r2 * p2 * (1.0 - p2 / q2) + m21 * p1 + m23 * p3 - o2 * p2
+        k43 = r3 * p3 * (1.0 - p3 / q3) + m31 * p1 + m32 * p2 - o3 * p3
+        p1 = y1 + h * (a51 * k11 + a52 * k21 + a53 * k31 + a54 * k41)
+        p2 = y2 + h * (a51 * k12 + a52 * k22 + a53 * k32 + a54 * k42)
+        p3 = y3 + h * (a51 * k13 + a52 * k23 + a53 * k33 + a54 * k43)
+        k51 = r1 * p1 * (1.0 - p1 / q1) + m12 * p2 + m13 * p3 - o1 * p1
+        k52 = r2 * p2 * (1.0 - p2 / q2) + m21 * p1 + m23 * p3 - o2 * p2
+        k53 = r3 * p3 * (1.0 - p3 / q3) + m31 * p1 + m32 * p2 - o3 * p3
+        p1 = y1 + h * (a61 * k11 + a62 * k21 + a63 * k31 + a64 * k41
+                       + a65 * k51)
+        p2 = y2 + h * (a61 * k12 + a62 * k22 + a63 * k32 + a64 * k42
+                       + a65 * k52)
+        p3 = y3 + h * (a61 * k13 + a62 * k23 + a63 * k33 + a64 * k43
+                       + a65 * k53)
+        k61 = r1 * p1 * (1.0 - p1 / q1) + m12 * p2 + m13 * p3 - o1 * p1
+        k62 = r2 * p2 * (1.0 - p2 / q2) + m21 * p1 + m23 * p3 - o2 * p2
+        k63 = r3 * p3 * (1.0 - p3 / q3) + m31 * p1 + m32 * p2 - o3 * p3
         z1 = y1 + h * (b1 * k11 + b3 * k31 + b4 * k41 + b5 * k51 + b6 * k61)
         z2 = y2 + h * (b1 * k12 + b3 * k32 + b4 * k42 + b5 * k52 + b6 * k62)
         z3 = y3 + h * (b1 * k13 + b3 * k33 + b4 * k43 + b5 * k53 + b6 * k63)
-        k71, k72, k73 = _rhs(c, z1, z2, z3)
+        k71 = r1 * z1 * (1.0 - z1 / q1) + m12 * z2 + m13 * z3 - o1 * z1
+        k72 = r2 * z2 * (1.0 - z2 / q2) + m21 * z1 + m23 * z3 - o2 * z2
+        k73 = r3 * z3 * (1.0 - z3 / q3) + m31 * z1 + m32 * z2 - o3 * z3
 
         err = max(0.0, abs(h * (e1 * k11 + e3 * k31 + e4 * k41 + e5 * k51
                                 + e6 * k61 + e7 * k71))
@@ -228,11 +249,6 @@ def _advance(c: tuple, t: float, y: tuple, k1: tuple, h: float, streak: int,
     return terminal, (y1, y2, y3), times, states
 
 
-def _inv_fifth_root(x: np.ndarray) -> np.ndarray:
-    """``x ** -0.2`` by Python's float power, which NumPy's can miss by an ulp."""
-    return np.array([v ** -0.2 for v in x.tolist()])
-
-
 def _integrate_lanes(c: tuple, starts: np.ndarray, t_end: float,
                      rel_tol: float, abs_tol: float
                      ) -> tuple[list[str], np.ndarray]:
@@ -245,7 +261,9 @@ def _integrate_lanes(c: tuple, starts: np.ndarray, t_end: float,
     Returns the terminals and the (n, 3) end states, in row order.
     """
     n = len(starts)
-    K = _lane_coeffs([c])  # one coefficient column for every lane
+    # One coefficient column per lane, compacted with the lanes: products
+    # of same-shape operands cost far less than broadcasting one column.
+    K = _lane_coeffs([c] * n)
     terminals: list[str] = [""] * n
     ends = np.empty((n, 3))
     lane = np.arange(n)
@@ -257,69 +275,75 @@ def _integrate_lanes(c: tuple, starts: np.ndarray, t_end: float,
     streak = np.zeros(n, dtype=int)
     prev_rhs = np.full(n, math.inf)
     h_min = 1e-14 * t_end
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _A2, _A3, _A4, _A5, _A6
+    b1, _, b3, b4, b5, b6 = _B
+    e1, _, e3, e4, e5, e6, e7 = _E
 
     while len(lane) > HANDOFF_LANES:
-        left = t_end - t
-        h = np.where(left < h, left, h)
+        h = np.minimum(h, t_end - t)  # both positive: no tie rule applies
         if (h < h_min).any():
             i = int(np.argmax(h < h_min))
             raise StepUnderflowError(f"step size {h[i]:.3e} fell below "
                                      f"{h_min:.3e} at t={t[i]:.6g}")
+        H = np.empty(y.shape)  # each lane's step, in every patch row
+        H[:] = h
 
-        k2 = _rhs_lanes(K, y + h * _A2[0] * k1)
-        k3 = _rhs_lanes(K, y + h * (_A3[0] * k1 + _A3[1] * k2))
-        k4 = _rhs_lanes(K, y + h * (_A4[0] * k1 + _A4[1] * k2 + _A4[2] * k3))
-        k5 = _rhs_lanes(K, y + h * (_A5[0] * k1 + _A5[1] * k2 + _A5[2] * k3
-                                    + _A5[3] * k4))
-        k6 = _rhs_lanes(K, y + h * (_A6[0] * k1 + _A6[1] * k2 + _A6[2] * k3
-                                    + _A6[3] * k4 + _A6[4] * k5))
-        y_new = y + h * (_B[0] * k1 + _B[2] * k3 + _B[3] * k4 + _B[4] * k5
-                         + _B[5] * k6)
+        k2 = _rhs_lanes(K, y + H * a21 * k1)
+        k3 = _rhs_lanes(K, y + H * (a31 * k1 + a32 * k2))
+        k4 = _rhs_lanes(K, y + H * (a41 * k1 + a42 * k2 + a43 * k3))
+        k5 = _rhs_lanes(K, y + H * (a51 * k1 + a52 * k2 + a53 * k3
+                                    + a54 * k4))
+        k6 = _rhs_lanes(K, y + H * (a61 * k1 + a62 * k2 + a63 * k3
+                                    + a64 * k4 + a65 * k5))
+        y_new = y + H * (b1 * k1 + b3 * k3 + b4 * k4 + b5 * k5 + b6 * k6)
         k7 = _rhs_lanes(K, y_new)
 
-        e = h * (_E[0] * k1 + _E[2] * k3 + _E[3] * k4 + _E[4] * k5
-                 + _E[5] * k6 + _E[6] * k7)
-        ay, ay_new = np.abs(y), np.abs(y_new)
-        q = np.abs(e) / (abs_tol + rel_tol * np.where(ay_new > ay, ay_new,
-                                                      ay))
-        err = _col_max(np.concatenate((np.zeros((1, len(lane))), q)))
+        e = H * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6 + e7 * k7)
+        # Python's max(|y_i|, |z_i|) and max(0.0, q1, q2, q3): a live lane's
+        # state is finite and no operand is -0.0, so fmax, which skips a
+        # NaN, picks what Python's max picks.
+        q = np.abs(e) / (abs_tol + rel_tol * np.fmax(np.abs(y), np.abs(y_new)))
+        err = np.fmax(np.fmax.reduce(q), 0.0)
 
         low = _col_min(y_new)
         out = low < -abs_tol
-        reject = (err > 1.0) | out
-        factor = np.full(len(lane), 0.5)
-        by_err = reject & ~out
-        if by_err.any():
-            g = 0.9 * _inv_fifth_root(err[by_err])
-            factor[by_err] = np.where(g > 0.2, g, 0.2)
-        factor = np.where(0.9 < factor, 0.9, factor)
-
-        acc = ~reject
+        acc = ~((err > 1.0) | out)
         clamp = acc & (low < 0.0)
         if clamp.any():
             z = y_new[:, clamp]
             y_new[:, clamp] = z = np.where(z > 0.0, z, 0.0)
-            k7[:, clamp] = _rhs_lanes(K, z)
+            k7[:, clamp] = _rhs_lanes(K[:, clamp], z)
         t = np.where(acc, t + h, t)
         y = np.where(acc, y_new, y)
         k1 = np.where(acc, k7, k1)
 
-        norm = _col_max(np.abs(y))
-        diverged = acc & (~np.isfinite(y).all(axis=0) | (norm > DIVERGE_NORM))
+        # Python's max(|y1|, |y2|, |y3|) where the state is finite; maximum
+        # passes a NaN on, so the one test also catches a non-finite state.
+        ay = np.abs(y)
+        norm = np.maximum(np.maximum(ay[0], ay[1]), ay[2])
+        diverged = acc & ~(norm <= DIVERGE_NORM)
         rhs_norm = _col_max(np.abs(k1))
-        small = rhs_norm < RHS_TOL * (1.0 + norm)
+        scale = 1.0 + norm
+        small = rhs_norm < RHS_TOL * scale
         streak = np.where(acc, np.where(small, streak + 1, 0), streak)
         steady = acc & small & (streak >= STEADY_STEPS)
 
-        if acc.any():
-            g = 0.9 * _inv_fifth_root(err[acc] + 1e-16)
-            g = np.where(g > 0.2, g, 0.2)
-            grow = np.where(g < 5.0, g, 5.0)
-            cap = np.where(rhs_norm[acc] < 0.999 * prev_rhs[acc], 1.0, 0.7)
-            slow = rhs_norm[acc] < SLOW_TOL * (1.0 + norm[acc])
-            factor[acc] = np.where(slow & (cap < grow), cap, grow)
-            prev_rhs = np.where(acc, rhs_norm, prev_rhs)
-        h = h * factor
+        # One power over every lane: err + 1e-16 where accepted, err where
+        # rejected on error, and 1.0 where the orthant was left, since those
+        # lanes shrink by 0.5 whatever their error, which may be 0.0.
+        # float_power calls the C library's pow on each element, as Python's
+        # float ** does; np.power may take a SIMD path that misses by an ulp.
+        # The factors are positive and never NaN, so maximum and minimum
+        # pick what Python's max and min pick.
+        g = np.maximum(0.9 * np.float_power(
+            np.where(acc, err + 1e-16, np.where(out, 1.0, err)), -0.2), 0.2)
+        grow = np.minimum(g, 5.0)
+        cap = np.where(rhs_norm < 0.999 * prev_rhs, 1.0, 0.7)
+        slow = rhs_norm < SLOW_TOL * scale
+        h = h * np.where(acc, np.where(slow, np.minimum(grow, cap), grow),
+                         np.where(out, 0.5, np.minimum(g, 0.9)))
+        prev_rhs = np.where(acc, rhs_norm, prev_rhs)
 
         done = diverged | steady | (t >= t_end)
         if done.any():
@@ -330,7 +354,7 @@ def _integrate_lanes(c: tuple, starts: np.ndarray, t_end: float,
             keep = ~done
             lane, t, y, k1, h = (lane[keep], t[keep], y[:, keep], k1[:, keep],
                                  h[keep])
-            streak, prev_rhs = streak[keep], prev_rhs[keep]
+            streak, prev_rhs, K = streak[keep], prev_rhs[keep], K[:, keep]
 
     for i, j in enumerate(lane.tolist()):
         terminals[j], ends[j], _, _ = _advance(

@@ -292,8 +292,9 @@ class TestLanes:
                                            rel_tol, abs_tol)
         for j, x0 in enumerate(starts):
             traj = integrate(p, x0, t_end, rel_tol=rel_tol, abs_tol=abs_tol)
-            assert terminals[j] == traj.terminal, f"start {j}"
-            assert np.array_equal(ends[j], traj.states[-1]), f"start {j}"
+            # Bytes, so that NaN and signed zeros are compared as well.
+            assert (terminals[j], ends[j].tobytes()) == \
+                (traj.terminal, traj.states[-1].tobytes()), f"start {j}"
         return set(terminals)
 
     def test_acceptance_10_draws_match_bit_for_bit(self):
@@ -307,6 +308,15 @@ class TestLanes:
     def test_loose_tolerances_match_on_every_branch(self):
         seen = self.assert_lanes_match(*loose_case(), 5.0, 0.5, 0.5)
         assert seen == {"DIVERGED", "MAX_TIME", "STEADY"}
+
+    def test_float_power_is_pythons_power(self):
+        # The batch's step factors come from np.float_power, the scalar
+        # stepper's from Python's **; the lanes match only if these agree.
+        rng = np.random.default_rng(19)
+        x = np.concatenate((np.logspace(-20, 20, 4001), 2.0 * rng.random(4000),
+                            [1e-16, 1.0 + 1e-16, 5e-324, math.inf]))
+        want = np.array([v ** -0.2 for v in x.tolist()])
+        assert np.float_power(x, -0.2).tobytes() == want.tobytes()
 
     def test_step_underflow_raises(self):
         # A negative capacity makes p1 blow up in finite time.
@@ -328,7 +338,8 @@ class TestLanes:
                                        1e-9)
         assert seen == {"STEADY", "MAX_TIME"}
 
-    @pytest.mark.parametrize("n", [1, HANDOFF_LANES, HANDOFF_LANES + 1])
+    @pytest.mark.parametrize("n", [1, HANDOFF_LANES, HANDOFF_LANES + 1,
+                                   3 * HANDOFF_LANES])
     def test_basin_sample_matches_scalar_reference(self, n):
         rng = np.random.default_rng(18)
         for topo in ("FULL", "EX6", "CHAIN", "CONVERGE", "DIVERGE"):
