@@ -4,9 +4,12 @@ Four complementary routes to the steady states:
 
 * ``closed_form_equilibria`` — the per-topology algebraic catalog
   (explicit points and single-variable root-finding on parabola
-  intersections).
-* ``newton_coexistence`` — damped Newton iteration with the analytic
-  Jacobian, kept inside the positive orthant.
+  intersections); on the five strongly connected patterns its COEX is
+  the coexistence route's point.
+* ``newton_coexistence`` — the coexistence route: the map that sets each
+  patch at balance with its inflow falls monotonically from a
+  super-solution to the maximal equilibrium, and the scalar Newton
+  finishes from its last iterate.
 * ``coexistence_by_construction`` — a constructive existence argument
   turned into an algorithm: intersect two parabolic cylinders at height
   ``h``, then bisect the height until it matches the explicit
@@ -16,13 +19,7 @@ Four complementary routes to the steady states:
   the package is checked against.
 
 ``find_all_equilibria`` merges the catalog with the oracle and
-cross-validates them.
-
-The Newton solvers live in ``newton``: scalar ones for polishing and
-the interior solver, and batched ones behind the oracle, which run every
-start of every parameter set as one lane of a batch and end each start
-where the scalar solve from it ends, bit for bit.  ``sweep`` solves all
-its grid values in one such batch.
+cross-validates them.  The Newton solvers live in ``newton``.
 """
 
 from __future__ import annotations
@@ -36,8 +33,6 @@ import numpy as np
 
 from .model import ModelParams, NumericalError, ParameterError, _coeffs, _count, _gap
 from .newton import (
-    ConvergenceError,
-    SingularJacobianError,
     _col_max,
     _face_lanes,
     _full_lanes,
@@ -56,7 +51,6 @@ __all__ = [
     "ConsistencyError",
     "ConvergenceError",
     "EquilibriumRecord",
-    "SingularJacobianError",
     "brute_force_equilibria",
     "closed_form_equilibria",
     "coexistence_by_construction",
@@ -109,7 +103,11 @@ class BracketError(NumericalError):
 
 
 class ConsistencyError(NumericalError):
-    """A feasible closed-form equilibrium is missing from the oracle set."""
+    """A feasible catalog equilibrium is missing from the oracle set."""
+
+
+class ConvergenceError(NumericalError):
+    """An iterative solver did not reach its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -255,31 +253,66 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float,
 
 
 # ---------------------------------------------------------------------------
-# Interior solver.
+# The coexistence route.
 # ---------------------------------------------------------------------------
 
 
-def newton_coexistence(params: ModelParams) -> EquilibriumRecord:
-    """Damped Newton search for the interior equilibrium.
+#: The descent stops once no coordinate moves by more than this times its
+#: start level U (a looser stop left the Newton finish singular Jacobians
+#: at zero or subnormal rates), or after ``_DESCENT_CAP`` steps.
+_DESCENT_STOP, _DESCENT_CAP = 1e-12, 200
 
-    Starts at the carrying capacities ``k`` and takes at most 100 steps
-    to bring the max-norm residual to ``POLISH_TOL``.
 
-    Returns
-    -------
-    EquilibriumRecord
-        Labeled COEX, all components > 0, residual ≤ ``POLISH_TOL``.
+def _descent(c):
+    """The iterates of ``G_i(x) = _sqrt_branch(r_i, k_i, o_i, Σ_j m_ij·x_j)``
+    from ``U·1``, ``U = max_i k_i·(1 + max(0, in_i − o_i)/r_i)``, that first.
 
-    Raises
-    ------
-    ConvergenceError
-        If the residual target is not met within 100 steps.
-    SingularJacobianError
-        If a Newton system is numerically singular.
+    Every ``f_i ≤ 0`` at ``U·1`` (``in_i`` is patch ``i``'s inflow rate)
+    and ``G`` is increasing, as the model is cooperative, so the iterates
+    fall to the maximal equilibrium (Amann, SIAM Rev. 1976): on a strongly
+    connected pattern, the only positive one (Smith, Nonlinear Anal. 1986).
+    Scaling patch ``i``'s rates leaves ``G_i`` unchanged.
     """
-    c = _coeffs(params)
-    point, res = _newton_full(c, params.k, POLISH_TOL, 100, positive=True,
-                              raise_errors=True)
+    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
+    u = max(k1 * (1.0 + max(0.0, m12 + m13 - o1) / r1),
+            k2 * (1.0 + max(0.0, m21 + m23 - o2) / r2),
+            k3 * (1.0 + max(0.0, m31 + m32 - o3) / r3))
+    x = (u, u, u)
+    yield x
+    for _ in range(_DESCENT_CAP):
+        y = (_sqrt_branch(r1, k1, o1, m12 * x[1] + m13 * x[2]),
+             _sqrt_branch(r2, k2, o2, m21 * x[0] + m23 * x[2]),
+             _sqrt_branch(r3, k3, o3, m31 * x[0] + m32 * x[1]))
+        yield y
+        if _gap(x, y) <= _DESCENT_STOP * u:
+            return
+        x = y
+
+
+def _coexistence(c):
+    """``(point, residual)``: ``_newton_full`` to ``POLISH_TOL`` from the
+    last iterate of ``_descent``.  ConvergenceError if either fails."""
+    *_, x = _descent(c)
+    if not all(map(math.isfinite, x)):
+        raise ConvergenceError(f"the coexistence descent's iterates leave the "
+                               f"float range: {list(x)}")
+    got = _newton_full(c, x, POLISH_TOL, 100)
+    if got is None:
+        raise ConvergenceError(f"Newton from the descent's last iterate {list(x)} "
+                               f"did not reach residual {POLISH_TOL:.0e} in 100 steps")
+    return got
+
+
+def newton_coexistence(params: ModelParams) -> EquilibriumRecord:
+    """The maximal equilibrium: monotone descent from a super-solution (see
+    ``_descent``), then at most 100 Newton steps to residual ``POLISH_TOL``.
+
+    Returns a record labeled COEX, feasible when every component is > 0;
+    the catalog's COEX of the five strongly connected patterns is this
+    point.  Raises ConvergenceError if an iterate leaves the float range,
+    or the Newton finish turns singular or misses ``POLISH_TOL``.
+    """
+    point, res = _coexistence(_coeffs(params))
     p = np.array(point)
     return EquilibriumRecord(point=p, label="COEX",
                              feasible=bool(np.min(p) > 0.0), residual=res)
@@ -543,12 +576,12 @@ def _cf_diverge(c):
     return out
 
 
+def _cf_strong(c):
+    return [(np.array(_coexistence(c)[0]), "COEX", True)]
+
+
 _CLOSED_FORMS = {
-    "FULL": lambda c: [],
-    "EX2": lambda c: [],
-    "HUB0": lambda c: [],
-    "EX3": lambda c: [],
-    "EX1": lambda c: [],
+    **dict.fromkeys(("FULL", "EX2", "HUB0", "EX3", "EX1"), _cf_strong),
     "EX2N": _cf_ex2n,
     "EX7": _cf_ex7,
     "EX7N": _cf_ex7,
@@ -568,7 +601,10 @@ def closed_form_equilibria(topo: str, params: ModelParams) -> list[EquilibriumRe
     expressions follow.  A point whose formula involves the square root
     of a negative number does not exist in the reals and is omitted;
     points that exist but violate their side conditions are returned
-    with ``feasible=False``.
+    with ``feasible=False``.  On the five strongly connected patterns COEX
+    is ``newton_coexistence``'s point, feasible unless a component is below
+    ``-FEASIBLE_TOL``, and a ConvergenceError there means that route failed.
+    An unknown ``topo`` is a ParameterError.
     """
     c = _coeffs(apply_topology(params, topo))
     records = [EquilibriumRecord(point=np.zeros(3), label="ORIGIN",
@@ -701,15 +737,9 @@ def brute_force_equilibria(params: ModelParams, seed: int = 0
     Newton solves so equilibria that repel the interior are still
     found.  Converged points (full residual ≤ ``RESIDUAL_LIMIT``,
     components ≥ −1e−9) are deduplicated at 1e−6 and returned labeled
-    NUMERICAL.  Deterministic for fixed ``seed``.
-
-    The starts run as lanes of one batched Newton (see ``newton``):
-    full-space lanes take damped 3×3 Cramer steps, face lanes
-    2×2 Cramer steps, and lanes retire by mask once they converge or turn
-    singular.  The last few live lanes finish in the scalar Newton with
-    their remaining iterations.  Each lane repeats the scalar solve's
-    float operations in order, so the result equals a one-start-at-a-time
-    scalar oracle bit for bit.
+    NUMERICAL.  Deterministic for fixed ``seed``.  The starts run as lanes
+    of one batched Newton, which ends each start where the scalar solve
+    from it ends, bit for bit (see ``newton``).
 
     Raises
     ------
@@ -763,8 +793,11 @@ def find_all_equilibria(topo: str, params: ModelParams, seed: int = 0
     Raises
     ------
     ConsistencyError
-        If a *feasible* catalog point is absent from the oracle set —
-        that combination means a transcribed formula is wrong.
+        If a *feasible* catalog point is absent from the oracle set: a
+        transcribed formula is wrong, or the oracle missed a state, as
+        its absolute residual limit can when rates are far from 1.
+    ConvergenceError
+        If the catalog's coexistence route fails.
     ParameterError
         If ``seed`` is not an integer >= 0.
     """
@@ -821,6 +854,6 @@ def _merge(topo: str, params: ModelParams, oracle: list[EquilibriumRecord]
             raise ConsistencyError(
                 f"feasible closed-form equilibrium {cf.label} at "
                 f"{cf.point.tolist()} not found by the brute-force oracle "
-                f"({topo}); a transcribed formula is suspect"
+                f"({topo}); the catalog and the oracle disagree"
             )
     return merged

@@ -1,23 +1,20 @@
 """Newton's method on the three-patch model, one start at a time or batched.
 
 The scalar solvers (``_newton_full`` on the full system,
-``_newton_support`` on a boundary face or edge) serve polishing,
-``newton_coexistence``, sweep continuation and single leftover starts.
-They unpack the coefficient tuple once, write the rhs, the Jacobian
-diagonal and the Cramer solve out inline in each iteration, evaluate the
-rhs once per trial point and carry it into the next Newton step.  The
+``_newton_support`` on a boundary face or edge) serve polishing, the
+coexistence route's finish, sweep continuation and single leftover
+starts; they return None where they fail, and the caller decides whether
+that is an error.  They write the rhs, the Jacobian diagonal and the
+Cramer solve out inline and evaluate the rhs once per trial point.  The
 batched ones (``_full_lanes`` and ``_face_lanes``) serve the multi-start
-oracle: they hold every start of every parameter set as a lane with its own
-coefficient column, and stop lanes by mask once they converge or turn
-singular.  Each batch iteration stacks like terms across lanes: the nine
-cofactors of the 3x3 solve are one (9, n) array built from index tables,
-and a face's two free coordinates are one (2, n) gather.  Every lane
-performs the scalar solve's float operations in the same order (Python's
-``max`` tie rule included, and the residual-halving search evaluated for
-all six damping factors at once but taken at the first that does not raise
-the residual), so each start ends where the scalar solve from it ends, bit
-for bit.  The last few live lanes finish in the scalar solvers with their
-remaining iterations.
+oracle: every start of every parameter set is a lane with its own
+coefficient column, stopped by mask once it converges or turns singular.
+Every lane performs the scalar solve's float operations in the same order
+(Python's ``max`` tie rule included, and the residual-halving search
+evaluated for all six damping factors at once but taken at the first that
+does not raise the residual), so each start ends where the scalar solve
+from it ends, bit for bit.  The last few live lanes finish in the scalar
+solvers with their remaining iterations.
 """
 
 from __future__ import annotations
@@ -26,17 +23,7 @@ import math
 
 import numpy as np
 
-from .model import NumericalError, _rhs
-
-__all__ = ["ConvergenceError", "SingularJacobianError"]
-
-
-class ConvergenceError(NumericalError):
-    """Newton iteration failed to reach the residual tolerance."""
-
-
-class SingularJacobianError(ConvergenceError):
-    """Newton system numerically singular (condition estimate > 1e14)."""
+from .model import _rhs
 
 
 def _residual(c: tuple, p1: float, p2: float, p3: float) -> float:
@@ -51,14 +38,13 @@ def _residual(c: tuple, p1: float, p2: float, p3: float) -> float:
 _COND_LIMIT = 1e14
 
 
-def _newton_full(c, x0, tol, max_iter, positive=False, raise_errors=False,
-                 settle=0):
-    """Damped Newton on the full 3-D system.
+def _newton_full(c, x0, tol, max_iter, settle=0):
+    """Damped Newton on the full 3-D system: ``(point, residual)`` or None.
 
-    With ``positive=True`` the step is halved until the iterate stays
-    strictly inside the positive orthant; otherwise steps are halved
-    only while they increase the residual (at most a few times), which
-    lets the iteration settle onto boundary equilibria.
+    Steps are halved only while they increase the residual (at most a few
+    times), which lets the iteration settle onto boundary equilibria.  It
+    returns None where the Jacobian turns singular before the residual
+    test is met, or where ``max_iter`` iterations do not meet it.
 
     ``settle`` grants extra iterations after the residual test is met,
     stopping only once the Newton step itself reaches round-off.  Near a
@@ -118,15 +104,8 @@ def _newton_full(c, x0, tol, max_iter, positive=False, raise_errors=False,
             if y > n_a:
                 n_a = y
             cond = n_j * (n_a / abs(det))
-        if det == 0.0 or cond > _COND_LIMIT:
-            if converged:
-                return (p1, p2, p3), res  # cannot settle further
-            if raise_errors:
-                raise SingularJacobianError(
-                    f"Jacobian condition estimate {cond:.2e} exceeds {_COND_LIMIT:.0e} "
-                    f"at point ({p1}, {p2}, {p3})"
-                )
-            return None
+        if det == 0.0 or cond > _COND_LIMIT:  # singular: no step, no settling
+            return ((p1, p2, p3), res) if converged else None
         s1 = -(A * f1 + D * f2 + G * f3) / det
         s2 = -(B * f1 + E * f2 + H * f3) / det
         s3 = -(C * f1 + F * f2 + I * f3) / det
@@ -135,15 +114,9 @@ def _newton_full(c, x0, tol, max_iter, positive=False, raise_errors=False,
             scale = 1.0 + max(abs(p1), abs(p2), abs(p3))
             if max(abs(s1), abs(s2), abs(s3)) <= 1e-13 * scale:
                 return (p1, p2, p3), res
-        lam = 1.0
-        if positive:
-            for _ in range(60):
-                if p1 + lam * s1 > 0 and p2 + lam * s2 > 0 and p3 + lam * s3 > 0:
-                    break
-                lam *= 0.5
-        # The step, then (unless positive) at most six halvings while the
-        # residual rises; the last halving is taken even if it does not help.
-        for halvings in range(7):
+        # The step, then at most six halvings while the residual rises;
+        # the last halving is taken even if it does not help.
+        for lam in _STEP_FACTORS:
             q1, q2, q3 = p1 + lam * s1, p2 + lam * s2, p3 + lam * s3
             f1 = r1 * q1 * (1.0 - q1 / k1) + m12 * q2 + m13 * q3 - o1 * q1
             f2 = r2 * q2 * (1.0 - q2 / k2) + m21 * q1 + m23 * q3 - o2 * q2
@@ -153,18 +126,10 @@ def _newton_full(c, x0, tol, max_iter, positive=False, raise_errors=False,
                 new_res = x
             if y > new_res:
                 new_res = y
-            if positive or not new_res > res or halvings == 6:
+            if not new_res > res:
                 break
-            lam *= 0.5
         p1, p2, p3, res = q1, q2, q3, new_res
-    if res <= tol:
-        return (p1, p2, p3), res
-    if raise_errors:
-        raise ConvergenceError(
-            f"Newton did not reach residual {tol:.1e} in {max_iter} iterations "
-            f"(best residual {res:.2e})"
-        )
-    return None
+    return ((p1, p2, p3), res) if res <= tol else None
 
 
 def _newton_support(c, x0, free, tol, max_iter=60, settle=0):
@@ -244,9 +209,11 @@ _HANDOFF_LANES = 24
 #: Iteration budget of every oracle start.
 _ORACLE_ITER = 60
 
-#: Damping factors of the full-space residual-halving search, in the
-#: order the scalar loop tries them.
-_HALVINGS = np.array([0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625])
+#: Step factors of the full-space residual-halving search, in the order
+#: the scalar loop tries them; the lanes take the full step, then try all
+#: of ``_HALVINGS`` at once.
+_STEP_FACTORS = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
+_HALVINGS = np.array(_STEP_FACTORS[1:])
 
 # Lane coefficient rows: _coeffs reordered to r, k, (m12, m21, m31),
 # (m13, m23, m32), o, so that f_i = r_i·p_i·(1 - p_i/k_i) + ma_i·p_a

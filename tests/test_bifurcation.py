@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from tripatch import bifurcation
+from tripatch import bifurcation, equilibria
 from tripatch.bifurcation import (
     Crossing,
     SweepRecord,
@@ -392,16 +392,24 @@ class TestBatchedGrid:
         self.assert_matches_per_point(monkeypatch, "CONVERGE", p, f"k{i + 1}",
                                       k, 3.0 * k, 14)
 
-    def test_seed_reaches_every_grid_point(self):
+    def test_seed_reaches_every_grid_point(self, monkeypatch):
+        # FULL's records are the catalog's, whatever the seed, so the seed
+        # is watched where the oracle receives it.
         p = draw_params(np.random.default_rng(11), m_lo=0.2)
-        grids = [[equilibria_bits(r.equilibria)
-                  for r in sweep("FULL", p, "k1", 0.5, 1.5, 6, seed=seed)]
-                 for seed in (0, 3)]
+        seen, oracle = [], equilibria._oracle_many
+
+        def recording_oracle(params_list, seed=0):
+            seen.append((len(params_list), seed))
+            return oracle(params_list, seed)
+
+        monkeypatch.setattr(equilibria, "_oracle_many", recording_oracle)
+        grid = [equilibria_bits(r.equilibria)
+                for r in sweep("FULL", p, "k1", 0.5, 1.5, 6, seed=3)]
+        assert seen == [(6, 3)]
         want = [equilibria_bits(find_all_equilibria(
                     "FULL", with_param(p, "k1", theta), seed=3))
                 for theta in np.linspace(0.5, 1.5, 6).tolist()]
-        assert grids[1] == want
-        assert grids[0] != grids[1], "seed 3 should move some oracle point"
+        assert grid == want
 
 
 def reference_detect_crossings(topo, params, param, a_val, b_val, eqs_a, eqs_b,

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from test_equilibria import NAMED_ERRORS
 import tripatch.cli
 import tripatch.equilibria
 import tripatch.model
@@ -23,7 +24,6 @@ from tripatch.equilibria import (
     BracketError,
     ConsistencyError,
     ConvergenceError,
-    SingularJacobianError,
 )
 from tripatch.model import ModelParams
 from tripatch.simulate import StepUnderflowError
@@ -161,21 +161,6 @@ class TestAnalyze:
         rows = json.loads(out)["equilibria"]
         assert [row["label"] for row in rows] == ["ORIGIN", "W2"]
         assert all(row["residual"] <= 1e-8 for row in rows)
-
-    def test_tiny_jacobian_gives_a_table(self, capsys, tmp_path):
-        # Entries near 1e-110 used to underflow the cubic solver's 2·p·rho
-        # to 0 and crash with a ZeroDivisionError traceback.
-        doc = {"r": [1e-110, 2e-110, 3e-110], "k": [1, 1, 1],
-               "m": [[0, 1e-111, 1e-111], [1e-111, 0, 1e-111],
-                     [1e-111, 1e-111, 0]], "topology": "FULL"}
-        code, out, err = run(capsys, ["analyze", "--config",
-                                      write_config(tmp_path, doc)])
-        assert code == 0 and err == ""
-        rows = json.loads(out)["equilibria"]
-        assert "ORIGIN" in {row["label"] for row in rows}
-        for row in rows:
-            assert all(abs(z["re"]) < 1e-109 and z["im"] == 0.0
-                       for z in row["eigenvalues"])
 
     def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
         cfg = write_config(tmp_path, symmetric_doc())
@@ -574,7 +559,7 @@ class TestNumericalFailures:
     @pytest.mark.parametrize("verb, callee, error", [
         ("analyze", "find_all_equilibria", ConsistencyError),
         ("sweep", "_sweep", ConvergenceError),
-        ("basin", "basin_sample", SingularJacobianError),
+        ("basin", "basin_sample", ConvergenceError),
         ("verify", "run_battery", BracketError),
         ("simulate", "integrate", StepUnderflowError),
         ("analyze", "classify", StaleEquilibriumError),
@@ -593,6 +578,20 @@ class TestNumericalFailures:
         code, out, err = run(capsys, argv)
         assert code == 3 and out == ""
         assert err == "error: injected failure\n"
+
+    @pytest.mark.parametrize("r, k, m, message",
+                             [(*case[1:4], case[5]) for case in NAMED_ERRORS],
+                             ids=[case[0] for case in NAMED_ERRORS])
+    def test_named_error_instead_of_a_wrong_table(self, capsys, tmp_path, r,
+                                                  k, m, message):
+        # These printed ORIGIN alone, 78 MARGINAL records (the tiny rates also
+        # used to crash the cubic solver), and ORIGIN with a NUMERICAL point.
+        doc = {"r": r, "k": k, "m": m, "topology": "FULL"}
+        code, out, err = run(capsys, ["analyze", "--config",
+                                      write_config(tmp_path, doc)])
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     @pytest.mark.parametrize("doc, argv, message", [
         # |trace J| ≈ 1e300 and infinite minors at the origin.

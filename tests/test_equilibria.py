@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from tripatch.equilibria import (
     ADMITTED_LABELS,
     DEDUP_TOL,
     ConsistencyError,
+    ConvergenceError,
     EQUILIBRIUM_LABELS,
     _find_all_many,
     _oracle_many,
@@ -26,14 +29,14 @@ from tripatch.equilibria import (
     find_all_equilibria,
     newton_coexistence,
 )
-from tripatch.model import ModelParams, _coeffs, rhs, with_param
+from tripatch.model import ModelParams, _coeffs, _gap, _jac, _rhs, rhs, with_param
 from tripatch.topology import TOPOLOGIES, apply_topology
 from tripatch.verification import draw_params
 
 rates = st.floats(0.1, 5.0)
-migrations = st.floats(0.0, 2.0)
-# The construction oracle divides by m12, m21, m13, m23; keep them off
-# the boundary where it is documented not to apply.
+# The construction oracle divides by m12, m21, m13, m23, and only with
+# every rate positive is a positive equilibrium certain; keep them off the
+# boundary where neither applies.
 positive_migrations = st.floats(0.001, 2.0)
 
 
@@ -42,13 +45,6 @@ def build(r, k, m6):
     (m[0, 1], m[0, 2], m[1, 0], m[1, 2], m[2, 0], m[2, 1]) = m6
     return ModelParams(np.array(r), np.array(k), m)
 
-
-params_st = st.builds(
-    build,
-    st.tuples(rates, rates, rates),
-    st.tuples(rates, rates, rates),
-    st.tuples(*(migrations,) * 6),
-)
 
 coupled_params_st = st.builds(
     build,
@@ -63,7 +59,9 @@ def residual_of(p, point) -> float:
 
 
 class TestCoexistenceSolvers:
-    @given(params_st)
+    # Every rate positive, so the pattern is FULL and a positive
+    # equilibrium exists; with zero rates it need not (see below).
+    @given(coupled_params_st)
     @settings(max_examples=100, deadline=None)
     def test_interior_equilibrium_always_found(self, p):
         rec = newton_coexistence(p)
@@ -80,11 +78,127 @@ class TestCoexistenceSolvers:
         gap = float(np.max(np.abs(a.point - b.point)))
         assert gap <= 1e-6, f"solver gap {gap} at r={p.r.tolist()}"
 
+    def test_no_positive_equilibrium_gives_a_zero_component(self):
+        # Patch 2 has no inflow and loses as fast as it grows (r2 = m32 = 1):
+        # f2 = -p2², so (1, 0, 1) is the only equilibrium besides the origin.
+        # The positivity-halving Newton used to stop at p2 ≈ 1e-5 instead.
+        m = np.zeros((3, 3))
+        m[2, 1] = 1.0
+        rec = newton_coexistence(ModelParams(np.ones(3), np.ones(3), m))
+        assert rec.point.tolist() == [1.0, 0.0, 1.0]
+        assert not rec.feasible and rec.residual == 0.0
+
     def test_symmetric_coexistence_is_capacity(self):
         m = np.full((3, 3), 1.0) * (1 - np.eye(3))
         p = ModelParams(np.ones(3), np.ones(3), m)
         rec = newton_coexistence(p)
         assert np.allclose(rec.point, [1.0, 1.0, 1.0], atol=1e-12)
+
+
+#: FULL configs where the oracle misses COEX or the Newton finish cannot
+#: reach ``POLISH_TOL``: each now raises a named error instead of giving a
+#: table without COEX.  Fields: id, r, k, m, error, a fragment of its message.
+NAMED_ERRORS = [
+    # COEX is [1, 1, 1], residual exactly 0; the oracle found the origin alone.
+    ("huge-r1", [1e16, 1.0, 1.0], [1.0, 1.0, 1.0],
+     [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+     ConsistencyError, "COEX at [1.0, 1.0, 1.0] not found"),
+    # Every residual is below the oracle's absolute limit: it gave 78 records.
+    ("tiny-rates", [1e-110, 2e-110, 3e-110], [1.0, 1.0, 1.0],
+     [[0.0, 1e-111, 1e-111], [1e-111, 0.0, 1e-111], [1e-111, 1e-111, 0.0]],
+     ConsistencyError, "not found by the brute-force oracle"),
+    # Row 1's round-off alone exceeds POLISH_TOL; the oracle gave the origin
+    # and a NUMERICAL point at p1 = -1.3e-10.
+    ("r1-1e10", [1e10, 0.8, 2.0], [1.0, 2.0, 3.0],
+     [[0.0, 0.3, 0.4], [0.5, 0.0, 0.2], [0.6, 0.35, 0.0]],
+     ConvergenceError, "did not reach residual 1e-10"),
+]
+
+STRONG = ("FULL", "EX2", "HUB0", "EX3", "EX1")
+
+
+@functools.lru_cache(maxsize=1)
+def acceptance_05_draws():
+    """The 1000 draws of acceptance 05: 200 of each strongly connected pattern."""
+    rng = np.random.default_rng(5005)
+    return [apply_topology(draw_params(rng), topo)
+            for topo in STRONG for _ in range(200)]
+
+
+def balance_map(c, x):
+    """``G``: each patch's level at balance with the inflow from ``x``."""
+    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
+    return (eq._sqrt_branch(r1, k1, o1, m12 * x[1] + m13 * x[2]),
+            eq._sqrt_branch(r2, k2, o2, m21 * x[0] + m23 * x[2]),
+            eq._sqrt_branch(r3, k3, o3, m31 * x[0] + m32 * x[1]))
+
+
+def term_sizes(c, x):
+    """The size of the terms of each ``f_i`` at ``x``, which bounds its round-off."""
+    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
+    p1, p2, p3 = x
+    return (r1 * p1 * (1.0 + p1 / k1) + m12 * p2 + m13 * p3 + o1 * p1,
+            r2 * p2 * (1.0 + p2 / k2) + m21 * p1 + m23 * p3 + o2 * p2,
+            r3 * p3 * (1.0 + p3 / k3) + m31 * p1 + m32 * p2 + o3 * p3)
+
+
+EPS = 2.0 ** -52
+
+
+class TestCoexistenceRoute:
+    """The monotone descent from a super-solution and its Newton finish."""
+
+    @pytest.mark.parametrize("r, k, m, error, message",
+                             [case[1:] for case in NAMED_ERRORS],
+                             ids=[case[0] for case in NAMED_ERRORS])
+    def test_named_error_instead_of_a_wrong_table(self, r, k, m, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            find_all_equilibria("FULL", ModelParams(r, k, m))
+
+    def test_iterates_fall_and_stay_super_solutions(self):
+        # Exact in real arithmetic; G's own round-off is a few ulps.
+        for n, p in enumerate(acceptance_05_draws()):
+            c = _coeffs(p)
+            iterates = list(eq._descent(c))
+            assert len(iterates) <= eq._DESCENT_CAP + 1
+            for x, y in zip(iterates, iterates[1:]):
+                assert all(b <= a * (1.0 + 4 * EPS) for a, b in zip(x, y)), n
+            for x in iterates:
+                f, t = _rhs(c, *x), term_sizes(c, x)
+                assert all(fi <= 4 * EPS * ti for fi, ti in zip(f, t)), n
+
+    def test_a_lower_sequence_meets_the_upper_limit(self):
+        # From ε times the Perron vector v of J(0), f(εv) >= 0 holds where
+        # ε·v_i <= s·k_i/r_i, s the spectral abscissa; G then rises to the
+        # least positive equilibrium, which on these patterns is the only one.
+        for n, p in enumerate(acceptance_05_draws()):
+            c = _coeffs(p)
+            upper, _ = eq._coexistence(c)
+            u = next(eq._descent(c))[0]
+            w, vecs = np.linalg.eig(np.array(_jac(c, 0.0, 0.0, 0.0)).reshape(3, 3))
+            lead = int(np.argmax(w.real))
+            v = np.abs(vecs[:, lead].real)
+            size = 0.5 * float(np.min(w[lead].real * p.k / (p.r * v)))
+            x = tuple((size * v).tolist())
+            assert min(_rhs(c, *x)) >= 0.0, n
+            for _ in range(10_000):  # until it stops rising beyond round-off
+                y = balance_map(c, x)
+                if all(b <= a * (1.0 + 4 * EPS) for a, b in zip(x, y)):
+                    break
+                x = y
+            # Newton stops at a residual of POLISH_TOL, not at the exact state.
+            assert _gap(x, upper) <= 1e-9 * u, n
+
+    @pytest.mark.parametrize("factor", [1e-100, 1e8])
+    def test_rate_scale_leaves_the_limit_unchanged(self, factor):
+        # G_i is homogeneous of degree 0 in patch i's rates; scaling them
+        # by a factor that is not a power of two adds only round-off.
+        for n, p in enumerate(acceptance_05_draws()):
+            got = list(eq._descent(_coeffs(ModelParams(p.r * factor, p.k,
+                                                       p.m * factor))))
+            want = list(eq._descent(_coeffs(p)))
+            assert len(got) == len(want), n
+            assert _gap(got[-1], want[-1]) <= 64 * EPS * want[0][0], n
 
 
 class TestClosedForms:

@@ -24,7 +24,6 @@ from tripatch.equilibria import (
     BracketError,
     ConsistencyError,
     ConvergenceError,
-    SingularJacobianError,
 )
 from tripatch.model import NumericalError, ParameterError, TripatchError
 from tripatch.simulate import StepUnderflowError
@@ -34,13 +33,14 @@ from tripatch.topology import InadmissibleArcsError
 MODULES = (model, topology, equilibria, stability, bifurcation, simulate,
            verification)
 
-#: ``tripatch.__all__`` of version 0.1.0 before it was built from the modules.
+#: ``tripatch.__all__`` of version 0.1.0 before it was built from the
+#: modules, less the singular-Jacobian error that nothing raises any more.
 EARLIER_NAMES = frozenset({
     "ADMITTED_LABELS", "BOUNDARY_TOL", "BracketError",
     "CharacteristicCoefficients", "ConditionRow", "ConsistencyError",
     "ConvergenceError", "Crossing", "EQUILIBRIUM_LABELS", "EquilibriumRecord",
     "InadmissibleArcsError", "ModelParams", "PARAM_TOKENS", "ParameterError",
-    "PropertyResult", "SingularJacobianError", "SpectrumOverflowError",
+    "PropertyResult", "SpectrumOverflowError",
     "StabilityReport", "StaleEquilibriumError", "StepUnderflowError",
     "SweepRecord", "TOPOLOGIES", "Trajectory", "__version__",
     "apply_topology", "arc_labels", "arcs_of_topology", "as_state",
@@ -61,7 +61,6 @@ BUILTIN_BASE = {
     InadmissibleArcsError: ValueError,
     NumericalError: RuntimeError,
     ConvergenceError: RuntimeError,
-    SingularJacobianError: RuntimeError,
     BracketError: RuntimeError,
     ConsistencyError: RuntimeError,
     StepUnderflowError: RuntimeError,

@@ -339,7 +339,8 @@ class TestLanes:
         assert seen == {"STEADY", "MAX_TIME"}
 
     @pytest.mark.parametrize("n", [1, HANDOFF_LANES, HANDOFF_LANES + 1,
-                                   3 * HANDOFF_LANES])
+                                   3 * HANDOFF_LANES],
+                             ids=["one", "handoff", "handoff+1", "3x handoff"])
     def test_basin_sample_matches_scalar_reference(self, n):
         rng = np.random.default_rng(18)
         for topo in ("FULL", "EX6", "CHAIN", "CONVERGE", "DIVERGE"):
