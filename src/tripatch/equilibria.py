@@ -5,11 +5,10 @@ Four complementary routes to the steady states:
 * ``closed_form_equilibria`` — the per-topology algebraic catalog
   (explicit points and single-variable root-finding on parabola
   intersections); on the five strongly connected patterns its COEX is
-  the coexistence route's point.
-* ``newton_coexistence`` — the coexistence route: the map that sets each
-  patch at balance with its inflow falls monotonically from a
-  super-solution to the maximal equilibrium, and the scalar Newton
-  finishes from its last iterate.
+  the limit of the coexistence descent.
+* ``newton_coexistence`` — the coexistence descent: the map that sets
+  each patch at balance with its inflow falls monotonically from a
+  super-solution to the maximal equilibrium; Newton finishes from there.
 * ``coexistence_by_construction`` — a constructive existence argument
   turned into an algorithm: intersect two parabolic cylinders at height
   ``h``, then bisect the height until it matches the explicit
@@ -271,7 +270,8 @@ def _descent(c):
     and ``G`` is increasing, as the model is cooperative, so the iterates
     fall to the maximal equilibrium (Amann, SIAM Rev. 1976): on a strongly
     connected pattern, the only positive one (Smith, Nonlinear Anal. 1986).
-    Scaling patch ``i``'s rates leaves ``G_i`` unchanged.
+    Scaling patch ``i``'s rates leaves ``G_i`` unchanged.  The first
+    iterate that is not finite is the last.
     """
     r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
     u = max(k1 * (1.0 + max(0.0, m12 + m13 - o1) / r1),
@@ -284,38 +284,38 @@ def _descent(c):
              _sqrt_branch(r2, k2, o2, m21 * x[0] + m23 * x[2]),
              _sqrt_branch(r3, k3, o3, m31 * x[0] + m32 * x[1]))
         yield y
-        if _gap(x, y) <= _DESCENT_STOP * u:
+        if not _gap(x, y) > _DESCENT_STOP * u:  # NaN stops too
             return
         x = y
 
 
-def _coexistence(c):
-    """``(point, residual)``: ``_newton_full`` to ``POLISH_TOL`` from the
-    last iterate of ``_descent``.  ConvergenceError if either fails."""
+def _descent_limit(c):
+    """The last iterate of ``_descent``; ConvergenceError if it is not finite
+    (``U`` itself overflows once ``k_i·(in_i − o_i)/r_i`` passes ≈1.8e308)."""
     *_, x = _descent(c)
     if not all(map(math.isfinite, x)):
         raise ConvergenceError(f"the coexistence descent's iterates leave the "
                                f"float range: {list(x)}")
-    got = _newton_full(c, x, POLISH_TOL, 100)
-    if got is None:
-        raise ConvergenceError(f"Newton from the descent's last iterate {list(x)} "
-                               f"did not reach residual {POLISH_TOL:.0e} in 100 steps")
-    return got
+    return x
 
 
 def newton_coexistence(params: ModelParams) -> EquilibriumRecord:
     """The maximal equilibrium: monotone descent from a super-solution (see
     ``_descent``), then at most 100 Newton steps to residual ``POLISH_TOL``.
 
-    Returns a record labeled COEX, feasible when every component is > 0;
-    the catalog's COEX of the five strongly connected patterns is this
-    point.  Raises ConvergenceError if an iterate leaves the float range,
-    or the Newton finish turns singular or misses ``POLISH_TOL``.
+    Returns a record labeled COEX, feasible when every component is > 0.
+    Raises ConvergenceError if an iterate leaves the float range, or the
+    Newton finish turns singular or misses ``POLISH_TOL``.
     """
-    point, res = _coexistence(_coeffs(params))
-    p = np.array(point)
+    c = _coeffs(params)
+    x = _descent_limit(c)
+    got = _newton_full(c, x, POLISH_TOL, 100)
+    if got is None:
+        raise ConvergenceError(f"Newton from the descent's last iterate {list(x)} "
+                               f"did not reach residual {POLISH_TOL:.0e} in 100 steps")
+    p = np.array(got[0])
     return EquilibriumRecord(point=p, label="COEX",
-                             feasible=bool(np.min(p) > 0.0), residual=res)
+                             feasible=bool(np.min(p) > 0.0), residual=got[1])
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +577,7 @@ def _cf_diverge(c):
 
 
 def _cf_strong(c):
-    return [(np.array(_coexistence(c)[0]), "COEX", True)]
+    return [(np.array(_descent_limit(c)), "COEX", True)]
 
 
 _CLOSED_FORMS = {
@@ -602,9 +602,9 @@ def closed_form_equilibria(topo: str, params: ModelParams) -> list[EquilibriumRe
     of a negative number does not exist in the reals and is omitted;
     points that exist but violate their side conditions are returned
     with ``feasible=False``.  On the five strongly connected patterns COEX
-    is ``newton_coexistence``'s point, feasible unless a component is below
-    ``-FEASIBLE_TOL``, and a ConvergenceError there means that route failed.
-    An unknown ``topo`` is a ParameterError.
+    is the last iterate of ``_descent``, which ``find_all_equilibria``
+    polishes; a ConvergenceError there means an iterate left the float
+    range.  An unknown ``topo`` is a ParameterError.
     """
     c = _coeffs(apply_topology(params, topo))
     records = [EquilibriumRecord(point=np.zeros(3), label="ORIGIN",
@@ -797,7 +797,7 @@ def find_all_equilibria(topo: str, params: ModelParams, seed: int = 0
         transcribed formula is wrong, or the oracle missed a state, as
         its absolute residual limit can when rates are far from 1.
     ConvergenceError
-        If the catalog's coexistence route fails.
+        If the coexistence descent leaves the float range.
     ParameterError
         If ``seed`` is not an integer >= 0.
     """

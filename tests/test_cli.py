@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from test_equilibria import NAMED_ERRORS
+from test_equilibria import NAMED_ERRORS, R1_DRAW
 import tripatch.cli
 import tripatch.equilibria
 import tripatch.model
@@ -585,13 +585,25 @@ class TestNumericalFailures:
     def test_named_error_instead_of_a_wrong_table(self, capsys, tmp_path, r,
                                                   k, m, message):
         # These printed ORIGIN alone, 78 MARGINAL records (the tiny rates also
-        # used to crash the cubic solver), and ORIGIN with a NUMERICAL point.
+        # used to crash the cubic solver), ORIGIN with a NUMERICAL point off
+        # COEX, and ORIGIN with COEX labeled NUMERICAL.
         doc = {"r": r, "k": k, "m": m, "topology": "FULL"}
         code, out, err = run(capsys, ["analyze", "--config",
                                       write_config(tmp_path, doc)])
         assert code == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("r1", [1e6, 1e7])
+    def test_large_r1_prints_coex(self, capsys, tmp_path, r1):
+        # The route's point misses POLISH_TOL by round-off from r1 ≈ 1e7;
+        # the table still has COEX.
+        r, k, m = R1_DRAW
+        doc = {"r": [r1, *r[1:]], "k": k, "m": m, "topology": "FULL"}
+        code, out, err = run(capsys, ["analyze", "--config",
+                                      write_config(tmp_path, doc)])
+        assert code == 0 and err == ""
+        assert "COEX" in out and "NUMERICAL" not in out
 
     @pytest.mark.parametrize("doc, argv, message", [
         # |trace J| ≈ 1e300 and infinite minors at the origin.

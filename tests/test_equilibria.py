@@ -30,13 +30,18 @@ from tripatch.equilibria import (
     newton_coexistence,
 )
 from tripatch.model import ModelParams, _coeffs, _gap, _jac, _rhs, rhs, with_param
-from tripatch.topology import TOPOLOGIES, apply_topology
+from tripatch.topology import (
+    TOPOLOGIES,
+    apply_topology,
+    is_admissible,
+    is_strongly_connected,
+    iter_arc_sets,
+)
 from tripatch.verification import draw_params
 
 rates = st.floats(0.1, 5.0)
-# The construction oracle divides by m12, m21, m13, m23, and only with
-# every rate positive is a positive equilibrium certain; keep them off the
-# boundary where neither applies.
+# The construction oracle divides by m12, m21, m13, m23; keep them off
+# the boundary where it is documented not to apply.
 positive_migrations = st.floats(0.001, 2.0)
 
 
@@ -58,10 +63,28 @@ def residual_of(p, point) -> float:
     return float(np.max(np.abs(rhs(p, np.maximum(point, 0.0)))))
 
 
+STRONG_ARC_SETS = [arcs for arcs in iter_arc_sets()
+                   if is_admissible(arcs) and is_strongly_connected(arcs)]
+
+
+def on_arcs(p, arcs):
+    """``p`` with the rate of every arc outside ``arcs`` set to zero."""
+    m = np.array([[p.m[i, j] if (j, i) in arcs else 0.0 for j in range(3)]
+                  for i in range(3)])
+    return ModelParams(p.r, p.k, m)
+
+
+# Every strongly connected arc set: each relabeling of FULL, EX2, HUB0, EX3
+# and EX1.  The positive rates stay at 0.001 or more: at m31 = 5e-324 the
+# positive state's p3 ≈ 2.5e-324 lies below the float range.
+strong_params_st = st.builds(on_arcs, coupled_params_st,
+                             st.sampled_from(STRONG_ARC_SETS))
+
+
 class TestCoexistenceSolvers:
-    # Every rate positive, so the pattern is FULL and a positive
-    # equilibrium exists; with zero rates it need not (see below).
-    @given(coupled_params_st)
+    # A positive equilibrium exists where the pattern is strongly connected;
+    # elsewhere it need not (see below).
+    @given(strong_params_st)
     @settings(max_examples=100, deadline=None)
     def test_interior_equilibrium_always_found(self, p):
         rec = newton_coexistence(p)
@@ -95,9 +118,12 @@ class TestCoexistenceSolvers:
         assert np.allclose(rec.point, [1.0, 1.0, 1.0], atol=1e-12)
 
 
-#: FULL configs where the oracle misses COEX or the Newton finish cannot
-#: reach ``POLISH_TOL``: each now raises a named error instead of giving a
-#: table without COEX.  Fields: id, r, k, m, error, a fragment of its message.
+#: A FULL draw's r, k and m, its r1 raised to 1e10.
+R1_DRAW = ([1e10, 0.8, 2.0], [1.0, 2.0, 3.0],
+           [[0.0, 0.3, 0.4], [0.5, 0.0, 0.2], [0.6, 0.35, 0.0]])
+
+#: FULL configs that raise a named error instead of giving a wrong table.
+#: Fields: id, r, k, m, error, a fragment of its message.
 NAMED_ERRORS = [
     # COEX is [1, 1, 1], residual exactly 0; the oracle found the origin alone.
     ("huge-r1", [1e16, 1.0, 1.0], [1.0, 1.0, 1.0],
@@ -107,11 +133,15 @@ NAMED_ERRORS = [
     ("tiny-rates", [1e-110, 2e-110, 3e-110], [1.0, 1.0, 1.0],
      [[0.0, 1e-111, 1e-111], [1e-111, 0.0, 1e-111], [1e-111, 1e-111, 0.0]],
      ConsistencyError, "not found by the brute-force oracle"),
-    # Row 1's round-off alone exceeds POLISH_TOL; the oracle gave the origin
-    # and a NUMERICAL point at p1 = -1.3e-10.
-    ("r1-1e10", [1e10, 0.8, 2.0], [1.0, 2.0, 3.0],
-     [[0.0, 0.3, 0.4], [0.5, 0.0, 0.2], [0.6, 0.35, 0.0]],
-     ConvergenceError, "did not reach residual 1e-10"),
+    # Row 1's round-off alone exceeds RESIDUAL_LIMIT near COEX; the oracle
+    # gave the origin and a NUMERICAL point at p1 = -1.3e-10.
+    ("r1-1e10", *R1_DRAW, ConsistencyError, "COEX at [1.0000000000554523, "),
+    # The descent's start U = k1·(1 + (in1 − o1)/r1) overflows, a known
+    # limit of a constant super-solution; COEX is [1000, 1, 1], which the
+    # oracle gave labeled NUMERICAL.
+    ("start-overflow", [1e-300, 1.0, 1.0], [1e10, 1.0, 1.0],
+     [[0.0, 1.0, 1.0], [1e-3, 0.0, 1.0], [1e-3, 1.0, 0.0]],
+     ConvergenceError, "leave the float range"),
 ]
 
 STRONG = ("FULL", "EX2", "HUB0", "EX3", "EX1")
@@ -155,6 +185,26 @@ class TestCoexistenceRoute:
         with pytest.raises(error, match=re.escape(message)):
             find_all_equilibria("FULL", ModelParams(r, k, m))
 
+    @pytest.mark.parametrize("r1", [1e6, 1e7, 1e8])
+    def test_large_r1_gives_origin_and_coex(self, r1):
+        # Round-off keeps the route's point above POLISH_TOL from r1 ≈ 1e7
+        # (COEX's residual is 1.7e-9 at 1e7); _polish keeps its best point,
+        # and the oracle still finds COEX below RESIDUAL_LIMIT.
+        r, k, m = R1_DRAW
+        recs = find_all_equilibria("FULL", ModelParams([r1, *r[1:]], k, m))
+        assert [rec.label for rec in recs] == ["ORIGIN", "COEX"]
+        assert min(recs[1].point) > 0.0 and recs[1].residual <= eq.RESIDUAL_LIMIT
+
+    def test_a_non_finite_iterate_ends_the_descent(self):
+        # _sqrt_branch squares r1 - o1 = 1e300 to inf: the second iterate is
+        # (inf, nan, 0), and the route raises without running its cap on NaN.
+        p = apply_topology(ModelParams(
+            [1e300, 1e-6, 1e-12], [1e300, 1.0, 1e-300],
+            [[0.0, 1e-300, 1e-300], [0.0, 0.0, 1e12], [0.0, 0.5, 0.0]]), "EX3")
+        assert len(list(eq._descent(_coeffs(p)))) == 2
+        with pytest.raises(ConvergenceError, match="leave the float range"):
+            closed_form_equilibria("EX3", p)
+
     def test_iterates_fall_and_stay_super_solutions(self):
         # Exact in real arithmetic; G's own round-off is a few ulps.
         for n, p in enumerate(acceptance_05_draws()):
@@ -173,7 +223,7 @@ class TestCoexistenceRoute:
         # least positive equilibrium, which on these patterns is the only one.
         for n, p in enumerate(acceptance_05_draws()):
             c = _coeffs(p)
-            upper, _ = eq._coexistence(c)
+            upper = newton_coexistence(p).point
             u = next(eq._descent(c))[0]
             w, vecs = np.linalg.eig(np.array(_jac(c, 0.0, 0.0, 0.0)).reshape(3, 3))
             lead = int(np.argmax(w.real))
