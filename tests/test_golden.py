@@ -20,7 +20,7 @@ import pytest
 from tripatch.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-NAMES = ("FULL", "EX6", "CHAIN", "CONVERGE", "DIVERGE")
+NAMES = ("FULL", "EX6", "CHAIN", "CONVERGE", "DIVERGE", "EX7", "EX7N", "EX8", "EX2N")
 VERBS = {
     "analyze": [],
     "sweep": [],
