@@ -32,7 +32,7 @@ from .equilibria import POLISH_TOL, EquilibriumRecord, _find_all_many
 from .model import (ModelParams, PARAM_TOKENS, ParameterError, _coeffs, _count, _gap,
                     _jac, _with_coeff, with_param)
 from .newton import _newton_full, _newton_support
-from .stability import (StabilityReport, _axis_terms, characteristic, classify,
+from .stability import (StabilityReport, _axis_terms, _characteristic, classify,
                         eigenvalues_3x3)
 from .topology import apply_topology, zeroed_rates
 # Unused since sweep batches its grid: bench/test_bench.py checks that the
@@ -178,10 +178,15 @@ def _continue_point(c, xa, xb, t, scale):
         v if i in free else 0.0 for i, v in enumerate(x))
 
 
+def _same_sign(x: float, y: float) -> bool:
+    """``np.sign(x) == np.sign(y)`` on floats: a NaN matches nothing."""
+    return (x > 0.0) == (y > 0.0) and (x < 0.0) == (y < 0.0) and x == x and y == y
+
+
 def _detect_crossings(topo, params, param, a_val, b_val, eqs_a, eqs_b,
                       reps_a, reps_b) -> list[Crossing]:
-    scale = max(1.0, float(np.max(params.k)))
     base = _coeffs(apply_topology(params, topo))
+    scale = max(1.0, base[3], base[4], base[5])
     zeroed = zeroed_rates(topo)
     pts_a = [e.point.tolist() for e in eqs_a]
     pts_b = [e.point.tolist() for e in eqs_b]
@@ -213,17 +218,17 @@ def _detect_crossings(topo, params, param, a_val, b_val, eqs_a, eqs_b,
             c = _with_coeff(base, param, theta, zeroed)
             t = (theta - a_val) / (b_val - a_val)
             x = _continue_point(c, xa, pts_b[j], t, scale)
-            return np.array(_jac(c, *x)).reshape(3, 3), x
+            return _jac(c, *x), x
 
         for k, kind in enumerate(("REAL_ZERO", "COMPLEX_PAIR")):
-            if np.sign(fa[k]) == np.sign(fb[k]):
+            if _same_sign(fa[k], fb[k]):
                 continue
             # A grid value on the crossing is the crossing itself.
             lo, hi = ((a_val, a_val) if fa[k] == 0.0 else
                       (b_val, b_val) if fb[k] == 0.0 else (a_val, b_val))
             while hi - lo > CROSSING_REFINE:
                 mid = 0.5 * (lo + hi)
-                fm = _axis_terms(characteristic(jac_at(mid)[0]))[k]
+                fm = _axis_terms(_characteristic(jac_at(mid)[0]))[k]
                 if fm == 0.0:
                     lo = hi = mid
                 elif (fm > 0.0) == (fa[k] > 0.0):
@@ -233,9 +238,9 @@ def _detect_crossings(topo, params, param, a_val, b_val, eqs_a, eqs_b,
             theta_star = 0.5 * (lo + hi)
             jac, x_star = jac_at(theta_star)
             # With a2 ≤ 0 the product's zero is (λ + a1)(λ² + a2): no root on the axis.
-            if k and not characteristic(jac).m_j > 0.0:
+            if k and not _characteristic(jac).m_j > 0.0:
                 continue
-            eig = eigenvalues_3x3(jac)
+            eig = eigenvalues_3x3((jac[0:3], jac[3:6], jac[6:9]))
             idx = min(range(3), key=lambda n: abs(eig[n].real))
             crossings.append(Crossing(
                 label=ea.label, eig_index=idx, kind=kind, param_value=theta_star,

@@ -32,7 +32,7 @@ import numpy as np
 
 from .model import ModelParams, NumericalError, ParameterError, _coeffs, _count, _gap
 from .newton import (
-    _col_max,
+    _abs_max,
     _face_lanes,
     _full_lanes,
     _lane_coeffs,
@@ -125,21 +125,28 @@ class EquilibriumRecord:
 
 
 def _make_record(c, point, label, conditions_ok: bool = True) -> EquilibriumRecord:
-    p = np.asarray(point, dtype=float)
-    signs_ok = bool(np.min(p) >= -FEASIBLE_TOL)
+    """The record of a closed-form ``point``, a tuple of three floats.
+
+    Its components are tested as ``np.min`` and ``np.max`` of the array
+    would test them: a NaN component fails the sign test and raises no
+    warning.
+    """
+    p1, p2, p3 = point
+    signs_ok = p1 >= -FEASIBLE_TOL and p2 >= -FEASIBLE_TOL and p3 >= -FEASIBLE_TOL
     # The closed forms were transcribed by hand; a robust disagreement
     # between their side conditions and the actual component signs would
-    # mean one of them is wrong, so surface it loudly.
-    scale = 1e-8 * (1.0 + float(np.max(np.abs(p))))
-    if conditions_ok and np.min(p) < -scale:
+    # mean one of them is wrong, so surface it loudly.  The test implies
+    # a component below -1e-8, so it runs only where the signs fail.
+    if conditions_ok and not signs_ok and not math.isnan(p1 + p2 + p3) \
+            and min(p1, p2, p3) < -1e-8 * (1.0 + max(abs(p1), abs(p2), abs(p3))):
         warnings.warn(
-            f"{label}: side conditions hold but point {p.tolist()} has a "
+            f"{label}: side conditions hold but point {list(point)} has a "
             "negative component — closed form and conditions disagree",
             stacklevel=2,
         )
-    res = _residual(c, p[0], p[1], p[2])
-    return EquilibriumRecord(point=p, label=label, feasible=signs_ok and conditions_ok,
-                             residual=res)
+    return EquilibriumRecord(point=np.array(point), label=label,
+                             feasible=signs_ok and conditions_ok,
+                             residual=_residual(c, p1, p2, p3))
 
 
 # ---------------------------------------------------------------------------
@@ -463,20 +470,27 @@ def _sqrt_branch(r: float, k: float, loss: float, inflow: float):
     inflow) recurs in every sparse-topology coexistence formula:
     p = k/(2r) [ (r-loss) + sqrt((r-loss)² + 4 r·inflow / k) ].
     With r - loss < 0 that sum cancels, so the root is taken in the
-    conjugate form 2·inflow / (sqrt(...) - (r-loss)).
+    conjugate form 2·inflow / (sqrt(...) - (r-loss)).  Where the
+    discriminant overflows (``|r - loss|`` past ≈1.3e154), its root is
+    taken as ``|s|·sqrt(1 + 4·(r/|s|)·(inflow/|s|)/k)`` with ``s = r - loss``.
     """
     s = r - loss
     disc = s * s + 4.0 * r * inflow / k
     if disc < 0.0:
         return None
+    if math.isfinite(disc) or s == 0.0:
+        root = math.sqrt(disc)
+    else:
+        a = abs(s)
+        root = a * math.sqrt(1.0 + 4.0 * (r / a) * (inflow / a) / k)
     if s < 0.0:
-        return -2.0 * inflow / (s - math.sqrt(disc))
-    return (k / (2.0 * r)) * (s + math.sqrt(disc))
+        return -2.0 * inflow / (s - root)
+    return (k / (2.0 * r)) * (s + root)
 
 
 def _cf_ex2n(c):
     k2 = c[4]
-    return [(np.array([0.0, k2, 0.0]), "X_EX2N", True)]
+    return [((0.0, k2, 0.0), "X_EX2N", True)]
 
 
 def _cf_ex7(c):
@@ -496,88 +510,88 @@ def _cf_ex7(c):
         qa = (r1 / d1, (m31 - r1) / m13, 0.0)
         qb = (r3 / d3, (m13 - r3) / m31, 0.0)
         x, y = _parabola_intersection(qa, qb, scale)
-        out.append((np.array([x, 0.0, y]), "Q1", True))
+        out.append(((x, 0.0, y), "Q1", True))
     p2 = _logistic_root(r2, k2, m12 + m32)
     if p2 > 0.0:
         qa = (r1 / d1, (m31 - r1) / m13, -m12 * p2 / m13)
         qb = (r3 / d3, (m13 - r3) / m31, -m32 * p2 / m31)
         x, y = _parabola_intersection(qa, qb, scale)
-        out.append((np.array([x, p2, y]), "COEX", p2 > 0.0))
+        out.append(((x, p2, y), "COEX", p2 > 0.0))
     return out
 
 
 def _cf_ex8(c):
     k1 = c[3]
-    return [(np.array([k1, 0.0, 0.0]), "M2_EX8", True)]
+    return [((k1, 0.0, 0.0), "M2_EX8", True)]
 
 
 def _cf_ex6(c):
     r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
-    out = [(np.array([k1, 0.0, 0.0]), "I2", True)]
+    out = [((k1, 0.0, 0.0), "I2", True)]
     beta = _logistic_root(r3, k3, m13)
     alpha = _sqrt_branch(r1, k1, 0.0, m13 * beta)
     if alpha is not None:
-        out.append((np.array([alpha, 0.0, beta]), "I3", r3 > m13))
+        out.append(((alpha, 0.0, beta), "I3", r3 > m13))
     p2 = _logistic_root(r2, k2, m12 + m32)
     p3 = _sqrt_branch(r3, k3, m13, m32 * p2)
     if p3 is not None:
         p1 = _sqrt_branch(r1, k1, 0.0, m12 * p2 + m13 * p3)
         if p1 is not None:
-            out.append((np.array([p1, p2, p3]), "COEX", r2 > m12 + m32))
+            out.append(((p1, p2, p3), "COEX", r2 > m12 + m32))
     return out
 
 
 def _cf_chain(c):
     r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
-    out = [(np.array([0.0, 0.0, k3]), "W2", True)]
+    out = [((0.0, 0.0, k3), "W2", True)]
     p2p = _logistic_root(r2, k2, m32)
     p3p = _sqrt_branch(r3, k3, 0.0, m32 * p2p)
     if p3p is not None:
-        out.append((np.array([0.0, p2p, p3p]), "W3", r2 >= m32))
+        out.append(((0.0, p2p, p3p), "W3", r2 >= m32))
     p1 = _logistic_root(r1, k1, m21)
     p2 = _sqrt_branch(r2, k2, m32, m21 * p1)
     if p2 is not None:
         p3 = _sqrt_branch(r3, k3, 0.0, m32 * p2)
         if p3 is not None:
-            out.append((np.array([p1, p2, p3]), "COEX", r1 > m21))
+            out.append(((p1, p2, p3), "COEX", r1 > m21))
     return out
 
 
 def _cf_converge(c):
     r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
-    out = [(np.array([0.0, k2, 0.0]), "X1", True)]
+    out = [((0.0, k2, 0.0), "X1", True)]
     p1x = _logistic_root(r1, k1, m21)
     p2x = _sqrt_branch(r2, k2, 0.0, m21 * p1x)
     if p2x is not None:
-        out.append((np.array([p1x, p2x, 0.0]), "X2", r1 >= m21))
+        out.append(((p1x, p2x, 0.0), "X2", r1 >= m21))
     p3y = _logistic_root(r3, k3, m23)
     p2y = _sqrt_branch(r2, k2, 0.0, m23 * p3y)
     if p2y is not None:
-        out.append((np.array([0.0, p2y, p3y]), "Y3", r3 >= m23))
+        out.append(((0.0, p2y, p3y), "Y3", r3 >= m23))
     p1, p3 = p1x, p3y
     p2 = _sqrt_branch(r2, k2, 0.0, m21 * p1 + m23 * p3)
     if p2 is not None:
-        out.append((np.array([p1, p2, p3]), "COEX", r1 > m21 and r3 > m23))
+        out.append(((p1, p2, p3), "COEX", r1 > m21 and r3 > m23))
     return out
 
 
 def _cf_diverge(c):
     r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
     out = [
-        (np.array([k1, 0.0, 0.0]), "Z1", True),
-        (np.array([0.0, 0.0, k3]), "Z2", True),
-        (np.array([k1, 0.0, k3]), "Z3", True),
+        ((k1, 0.0, 0.0), "Z1", True),
+        ((0.0, 0.0, k3), "Z2", True),
+        ((k1, 0.0, k3), "Z3", True),
     ]
     p2 = _logistic_root(r2, k2, m12 + m32)
     p1 = _sqrt_branch(r1, k1, 0.0, m12 * p2)
     p3 = _sqrt_branch(r3, k3, 0.0, m32 * p2)
     if p1 is not None and p3 is not None:
-        out.append((np.array([p1, p2, p3]), "COEX", r2 > m12 + m32))
+        out.append(((p1, p2, p3), "COEX", r2 > m12 + m32))
     return out
 
 
 def _cf_strong(c):
-    return [(np.array(_descent_limit(c)), "COEX", True)]
+    return [(_descent_limit(c), "COEX", True)]
 
 
 _CLOSED_FORMS = {
@@ -609,6 +623,7 @@ def closed_form_equilibria(topo: str, params: ModelParams) -> list[EquilibriumRe
     c = _coeffs(apply_topology(params, topo))
     records = [EquilibriumRecord(point=np.zeros(3), label="ORIGIN",
                                  feasible=True, residual=0.0)]
+    # Each closed form gives (point as a tuple of floats, label, conditions).
     for point, label, cond_ok in _CLOSED_FORMS[topo](c):
         records.append(_make_record(c, point, label, cond_ok))
     return records
@@ -686,7 +701,7 @@ def _oracle_batch(params_list, seed):
     X = np.where(np.abs(X) <= 1e-12 * np.maximum(1.0, boxes)[rsid], 0.0, X)
     order = np.lexsort((X[2], X[1], X[0], rsid))
     rsid, X = rsid[order], X[:, order]
-    res = _col_max(np.abs(_rhs_lanes(coef[:, rsid], X))).tolist()
+    res = _abs_max(_rhs_lanes(coef[:, rsid], X)).tolist()
     points = X.T.tolist()
     bounds = np.searchsorted(rsid, np.arange(n_sets + 1)).tolist()
     keep = [[lo + n for n in _dedup(points[lo:hi], res[lo:hi])]
@@ -827,24 +842,23 @@ def _merge(topo: str, params: ModelParams, oracle: list[EquilibriumRecord]
     # Jacobian is close to singular, so a raw residual of 1e-8 can leave
     # the point several 1e-6 away from the closed form.  Polished points
     # may also collapse onto one root, so dedup again.
-    polished = sorted((_polish(c, rec) for rec in oracle),
-                      key=lambda r: tuple(r.point))
-    points = [rec.point.tolist() for rec in polished]
-    keep = _dedup(points, [rec.residual for rec in polished])
-    oracle, points = [polished[n] for n in keep], [points[n] for n in keep]
+    polished = sorted(((rec.point.tolist(), rec) for rec in
+                       (_polish(c, r) for r in oracle)), key=lambda pr: pr[0])
+    keep = _dedup([p for p, _ in polished], [rec.residual for _, rec in polished])
 
-    scale = max(1.0, float(np.max(params.k)))
+    interior = 1e-7 * max(1.0, c[3], c[4], c[5])
     merged = list(catalog)
     matched: set[int] = set()
     catalog_points = [cf.point.tolist() for cf in catalog]
-    for rec, p in zip(oracle, points):
+    for p, rec in (polished[n] for n in keep):
         # Every hit, not the first: at a branch crossing two catalog labels
         # coincide and one oracle point must vouch for both.
         hits = [i for i, q in enumerate(catalog_points) if _gap(p, q) < DEDUP_TOL]
         matched.update(hits)
         if hits:
             continue
-        if float(np.min(rec.point)) > 1e-7 * scale:
+        # Strictly interior; a point with a NaN component is not.
+        if p[0] > interior and p[1] > interior and p[2] > interior:
             rec = EquilibriumRecord(point=rec.point, label="COEX",
                                     feasible=rec.feasible, residual=rec.residual)
         merged.append(rec)

@@ -13,7 +13,12 @@ Every lane performs the scalar solve's float operations in the same order
 (Python's ``max`` tie rule included, and the residual-halving search
 evaluated for all six damping factors at once but taken at the first that
 does not raise the residual), so each start ends where the scalar solve
-from it ends, bit for bit.  The last few live lanes finish in the scalar
+from it ends, bit for bit.  The residual norms and the condition
+estimate's column sums take Python's ``max`` over at most three
+operands that are never -0.0 (absolute values and their sums), so
+``_abs_max`` computes it as ``maximum(a0, fmax(a0, fmax(a1, a2)))``:
+``fmax`` skips NaN, ``maximum`` passes a NaN first operand on, and equal
+operands have equal bits.  The last few live lanes finish in the scalar
 solvers with their remaining iterations.
 """
 
@@ -219,7 +224,8 @@ _HALVINGS = np.array(_STEP_FACTORS[1:])
 # (m13, m23, m32), o, so that f_i = r_i·p_i·(1 - p_i/k_i) + ma_i·p_a
 # + mb_i·p_b - o_i·p_i with (a, b) the other two patches in _rhs's order.
 _LANE_ROWS = [0, 1, 2, 3, 4, 5, 6, 8, 10, 7, 9, 11, 12, 13, 14]
-_IA, _IB = np.array([1, 0, 0]), np.array([2, 2, 1])
+# The state row each of the lane rows 6-11 multiplies: p_a, then p_b.
+_MIGRANTS = np.array([1, 0, 0, 2, 2, 1])
 # Lane coefficient row of the Jacobian entry J_ij (i != j), an m rate.
 _OFFDIAG_ROW = np.array([[-1, 6, 9], [7, -1, 10], [8, 11, -1]])
 
@@ -250,9 +256,13 @@ def _lane_coeffs(cs) -> np.ndarray:
 
 
 def _rhs_lanes(K, P):
-    """``_rhs`` on every column of a (3, n) state, with the same operand order."""
-    return (K[0:3] * P * (1.0 - P / K[3:6]) + K[6:9] * P[_IA]
-            + K[9:12] * P[_IB] - K[12:15] * P)
+    """``_rhs`` on every column of a (3, n) state, with the same operand order.
+
+    Both migration terms come from one (6, n) product: rows 0-2 are
+    ``m_a·p_a`` and rows 3-5 ``m_b·p_b``, added in ``_rhs``'s order.
+    """
+    mig = K[6:12] * P[_MIGRANTS]
+    return K[0:3] * P * (1.0 - P / K[3:6]) + mig[0:3] + mig[3:6] - K[12:15] * P
 
 
 def _diag_lanes(K, P):
@@ -260,20 +270,36 @@ def _diag_lanes(K, P):
     return K[0:3] - 2.0 * K[0:3] * P / K[3:6] - K[12:15]
 
 
-def _col_max(a):
-    """Python's ``max`` over the rows of each column of ``a``.
+def _abs_max(a):
+    """Python's ``max(abs(x1), abs(x2), abs(x3))`` of each column of ``a``.
 
-    Like ``max(x, y)``, a later entry wins only if it is greater, so a
-    NaN after the first entry is skipped where ``np.max`` would return it.
+    ``a`` has two or three rows.  Python's ``max`` returns a NaN first
+    entry, skips a NaN after it, and lets a later entry win only if it is
+    greater.  Over the absolute rows, ``maximum(a0, fmax(a0, fmax(a1,
+    a2)))`` picks the same: ``fmax`` skips NaN, so the inner value is the
+    largest non-NaN entry and NaN only where every entry is, and
+    ``maximum`` passes a NaN ``a0`` on.  An absolute value is never -0.0,
+    so equal entries have equal bits, and which one a tie picks does not
+    matter (``fmax`` breaks a ±0 tie differently from ``max`` under some
+    SIMD paths).
     """
-    m = a[0]
-    for row in a[1:]:
-        m = np.where(row > m, row, m)
-    return m
+    return _nonneg_max(np.abs(a))
+
+
+def _nonneg_max(a):
+    """``_abs_max`` of an ``a`` whose entries are NaN or at least +0.0."""
+    m = np.fmax(a[-2], a[-1])
+    if len(a) == 3:
+        m = np.fmax(a[0], m)
+    return np.maximum(a[0], m)
 
 
 def _col_min(a):
-    """Python's ``min`` over the rows of each column of ``a`` (see _col_max)."""
+    """Python's ``min`` over the rows of each column of ``a``.
+
+    Like ``min(x, y)``, a later entry wins only if it is smaller, so a
+    NaN after the first entry is skipped where ``np.min`` would return it.
+    """
     m = a[0]
     for row in a[1:]:
         m = np.where(row < m, row, m)
@@ -293,8 +319,9 @@ def _solve3_lanes(K, diag, F):
     t = M[0:9:3] * cof[0:3]  # a·A, b·B, c·C
     det = t[0] + t[1] + t[2]
     j, adj = np.abs(M)[_NORM_TERMS], np.abs(cof).reshape(3, 3, -1)
-    cond = _col_max(j[0] + j[1] + j[2]) * (_col_max(adj[0] + adj[1] + adj[2])
-                                           / np.abs(det))
+    # Sums of absolute values: NaN or at least +0.0.
+    n_j, n_a = _nonneg_max(j[0] + j[1] + j[2]), _nonneg_max(adj[0] + adj[1] + adj[2])
+    cond = n_j * (n_a / np.abs(det))
     t = cof.reshape(3, 3, -1) * F[:, None]
     step = -(t[0] + t[1] + t[2]) / det
     return step, (det == 0.0) | (cond > _COND_LIMIT)
@@ -322,7 +349,7 @@ def _full_lanes(cs, K, P, sid, tol):
     lane, live = np.arange(P.shape[1]), np.ones(P.shape[1], dtype=bool)
     conv = ~live
     F = _rhs_lanes(K, P)
-    res = _col_max(np.abs(F))
+    res = _abs_max(F)
     for it in range(_ORACLE_ITER):
         done = live & (res <= tol)
         conv |= done
@@ -348,13 +375,13 @@ def _full_lanes(cs, K, P, sid, tol):
         # the residual rises; the last halving is taken even if it does not help.
         Q = P + step
         FQ = _rhs_lanes(K, Q)
-        rq = _col_max(np.abs(FQ))
+        rq = _abs_max(FQ)
         up = live & (rq > res)
         if up.any():
             idx = _ladder(up)
             Qc = P[:, idx][:, None] + _HALVINGS[:, None] * step[:, idx][:, None]
             Fc = _rhs_lanes(K[:, idx][:, None], Qc)
-            rc = _col_max(np.abs(Fc))
+            rc = _abs_max(Fc)
             # Take the first factor whose residual does not rise, else the last.
             rises = rc > res[idx]
             rises[-1] = False
@@ -390,7 +417,7 @@ def _face_lanes(cs, K, P, IJ, sid, tol):
     for it in range(_ORACLE_ITER + 1):
         F = _rhs_lanes(K, P)
         fij = F[IJ, cols]
-        done = live & (_col_max(np.abs(fij)) <= 0.25 * tol)
+        done = live & (_abs_max(fij) <= 0.25 * tol)
         if it == _ORACLE_ITER:
             done = live
         # A lane that met the face test (or the cap) has stopped; it is a
@@ -398,7 +425,7 @@ def _face_lanes(cs, K, P, IJ, sid, tol):
         met |= done
         live &= ~done
         if np.count_nonzero(live) <= _HANDOFF_LANES:
-            ends[:, lane], ok[lane] = P, met & (_col_max(np.abs(F)) <= tol)
+            ends[:, lane], ok[lane] = P, met & (_abs_max(F) <= tol)
             for n in np.flatnonzero(live).tolist():
                 j = lane[n]
                 got = _newton_support(cs[sid[j]], P[:, n].tolist(),
@@ -416,7 +443,7 @@ def _face_lanes(cs, K, P, IJ, sid, tol):
         P[IJ, cols] = pij
         live &= (det != 0.0) & np.isfinite(pij).all(axis=0)
         if 2 * np.count_nonzero(live) <= len(live):
-            ends[:, lane], ok[lane] = P, met & (_col_max(np.abs(F)) <= tol)
+            ends[:, lane], ok[lane] = P, met & (_abs_max(F) <= tol)
             keep = _ladder(live)
             lane, K, P, IJ, live, met = (lane[keep], K[:, keep], P[:, keep],
                                          IJ[:, keep], live[keep], met[keep])

@@ -17,13 +17,17 @@ The stepper is written twice: in scalar form (``_advance``, behind
 plain floats.  The batch holds its lanes in the oracle's layout, a (3, n)
 state with one column per start, and shares ``newton``'s lane kernels:
 ``_rhs_lanes``, where each lane carries its own coefficient column as the
-oracle's lanes do, and ``_col_max``/``_col_min`` for the extrema over the
-patches.  Each lane has its own time, step, stage cache and steady-state
-streak, and lanes are accepted, rejected and retired by mask.  Both
-forms perform the same float operations in the same order (the C
-library's ``pow`` for the controller powers, Python's ``max``/``min`` tie
-and NaN rules), so each start ends in the same terminal state as
-``integrate`` from it, bit for bit.  The last few live lanes finish in
+oracle's lanes do, ``_abs_max`` for the max-norms and ``_col_min`` for the
+lowest patch.  ``_abs_max`` takes Python's ``max`` of absolute values,
+which are never -0.0, as ``maximum(a0, fmax(a0, fmax(a1, a2)))``:
+``fmax`` skips NaN where ``max`` skips a later one, and ``maximum``
+passes on a NaN in the first row, which ``max`` returns.  Each lane has
+its own time, step, stage cache and steady-state streak, and lanes are
+accepted, rejected and retired by mask.  Both forms perform the same
+float operations in the same order (the C library's ``pow`` for the
+controller powers, Python's ``max``/``min`` tie and NaN rules), so each
+start ends in the same terminal state as ``integrate`` from it, bit for
+bit.  The last few live lanes finish in
 ``_advance``, because a handful of slow starts would otherwise keep a
 nearly empty batch stepping.
 """
@@ -39,7 +43,7 @@ import numpy as np
 from .equilibria import _halton, find_all_equilibria
 from .model import (ModelParams, NumericalError, ParameterError, _coeffs, _count,
                     _positive, _rhs, as_state)
-from .newton import _col_max, _col_min, _lane_coeffs, _rhs_lanes
+from .newton import _abs_max, _col_min, _lane_coeffs, _rhs_lanes
 from .topology import apply_topology
 
 __all__ = [
@@ -269,7 +273,7 @@ def _integrate_lanes(c: tuple, starts: np.ndarray, t_end: float,
     lane = np.arange(n)
     y = np.array(starts, dtype=float).T.copy()
     k1 = _rhs_lanes(K, y)
-    h = 0.01 * (1.0 + _col_max(np.abs(y))) / (1.0 + _col_max(np.abs(k1)))
+    h = 0.01 * (1.0 + _abs_max(y)) / (1.0 + _abs_max(k1))
     h = np.where(h < t_end, h, t_end)
     t = np.zeros(n)
     streak = np.zeros(n, dtype=int)
@@ -323,7 +327,7 @@ def _integrate_lanes(c: tuple, starts: np.ndarray, t_end: float,
         ay = np.abs(y)
         norm = np.maximum(np.maximum(ay[0], ay[1]), ay[2])
         diverged = acc & ~(norm <= DIVERGE_NORM)
-        rhs_norm = _col_max(np.abs(k1))
+        rhs_norm = _abs_max(k1)
         scale = 1.0 + norm
         small = rhs_norm < RHS_TOL * scale
         streak = np.where(acc, np.where(small, streak + 1, 0), streak)

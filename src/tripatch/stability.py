@@ -100,10 +100,20 @@ class StabilityReport:
 
 def characteristic(j) -> CharacteristicCoefficients:
     """Trace, principal 2×2 minor sum, and determinant of a 3×3 matrix."""
+    return _characteristic(_entries(j))
+
+
+def _entries(j) -> tuple:
+    """The nine entries of a 3×3 matrix, row-major, as floats."""
     a = np.asarray(j, dtype=float)
     if a.shape != (3, 3):
         raise ParameterError(f"expected a 3x3 matrix, got shape {a.shape}")
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
+    return tuple(a.ravel().tolist())
+
+
+def _characteristic(entries) -> CharacteristicCoefficients:
+    """``characteristic`` of the row-major entries, as ``_jac`` returns them."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = entries
     tr = a00 + a11 + a22
     m_j = (
         a11 * a22 - a12 * a21
@@ -125,11 +135,14 @@ def eigenvalues_3x3(j) -> tuple[complex, complex, complex]:
     Newton step on the polynomial, returned sorted by descending real
     part (ties broken by descending imaginary part).
     """
-    return _spectrum(j, characteristic(j))
+    entries = _entries(j)
+    return _spectrum(entries, _characteristic(entries))
 
 
-def _spectrum(j, co: CharacteristicCoefficients) -> tuple[complex, complex, complex]:
-    """eigenvalues_3x3 of ``j``, whose coefficients are ``co``.
+def _spectrum(entries, co: CharacteristicCoefficients
+              ) -> tuple[complex, complex, complex]:
+    """eigenvalues_3x3 of the matrix of row-major ``entries``, whose
+    coefficients are ``co``.
 
     With every coefficient below its power of _TINY the solver's sixth powers
     and ``det`` underflow, so the roots of ``j·2**-e`` (exact) are scaled back.
@@ -141,8 +154,7 @@ def _spectrum(j, co: CharacteristicCoefficients) -> tuple[complex, complex, comp
                     and abs(d) < _TINY ** 3 and (b or c or d)):
                 return _cubic_roots(b, c, d)
             e = max(math.frexp(v)[1] // n for n, v in ((1, b), (2, c), (3, d)) if v)
-            rows = np.asarray(j, dtype=float).tolist()
-            small = characteristic([[math.ldexp(v, -e) for v in row] for row in rows])
+            small = _characteristic([math.ldexp(v, -e) for v in entries])
             roots = _cubic_roots(-small.trace, small.m_j, -small.det)
             return tuple(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
                          for z in roots)
@@ -238,8 +250,13 @@ def _classification(eigenvalues) -> str:
 
 def classify_matrix(j) -> tuple[str, tuple[complex, ...], CharacteristicCoefficients]:
     """Classify an arbitrary Jacobian; shared by classify() and the origin scan."""
-    co = characteristic(j)
-    eig = _spectrum(j, co)
+    return _classify_entries(_entries(j))
+
+
+def _classify_entries(entries):
+    """``classify_matrix`` of the matrix of row-major ``entries``."""
+    co = _characteristic(entries)
+    eig = _spectrum(entries, co)
     return _classification(eig), eig, co
 
 
@@ -417,7 +434,7 @@ def classify(topo: str, eq: EquilibriumRecord, params: ModelParams) -> Stability
         )
     c = _coeffs(apply_topology(params, topo))
     p = np.asarray(eq.point, dtype=float).tolist()
-    classification, eig, co = classify_matrix(np.array(_jac(c, *p)).reshape(3, 3))
+    classification, eig, co = _classify_entries(_jac(c, *p))
     signs = zip(("traceJ", "MJ", "detJ"), sign_conditions(co),
                 (co.trace, co.m_j, co.det))
     rows = [ConditionRow(cid, holds, lhs, 0.0, "sign_test") for cid, holds, lhs in signs]

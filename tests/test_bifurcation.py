@@ -536,3 +536,10 @@ class TestBisectionOnTuples:
         # EX6 zeroes m21: every grid point is the same parameter set.
         p = draw_params(np.random.default_rng(16), m_lo=0.2)
         self.sweep_both(monkeypatch, "EX6", p, "m21", 0.0, 3.0, 4)
+
+    def test_sign_test_on_floats_equals_np_sign(self):
+        values = (math.nan, -math.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 2.0,
+                  math.inf)
+        for x in values:
+            for y in values:
+                assert bifurcation._same_sign(x, y) == bool(np.sign(x) == np.sign(y))

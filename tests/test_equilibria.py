@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -196,8 +198,9 @@ class TestCoexistenceRoute:
         assert min(recs[1].point) > 0.0 and recs[1].residual <= eq.RESIDUAL_LIMIT
 
     def test_a_non_finite_iterate_ends_the_descent(self):
-        # _sqrt_branch squares r1 - o1 = 1e300 to inf: the second iterate is
-        # (inf, nan, 0), and the route raises without running its cap on NaN.
+        # Patch 2's inflow 1e12·1e300 overflows, so _sqrt_branch gives it NaN:
+        # the second iterate is (1e300, nan, 0), and the route raises without
+        # running its cap on NaN.
         p = apply_topology(ModelParams(
             [1e300, 1e-6, 1e-12], [1e300, 1.0, 1e-300],
             [[0.0, 1e-300, 1e-300], [0.0, 0.0, 1e12], [0.0, 0.5, 0.0]]), "EX3")
@@ -313,6 +316,77 @@ class TestClosedForms:
         recs = find_all_equilibria(topo, p)
         assert [rec.label for rec in recs] == ["ORIGIN"]
         assert recs[0].residual == 0.0
+
+
+def reference_make_record(c, point, label, conditions_ok=True):
+    """_make_record as it was, on a NumPy array; a warning is returned."""
+    p = np.asarray(point, dtype=float)
+    signs_ok = bool(np.min(p) >= -eq.FEASIBLE_TOL)
+    scale = 1e-8 * (1.0 + float(np.max(np.abs(p))))
+    warned = bool(conditions_ok and np.min(p) < -scale)
+    with np.errstate(all="ignore"):
+        res = newton._residual(c, p[0], p[1], p[2])
+    return (hexes(p), label, signs_ok and conditions_ok, float.hex(float(res)),
+            warned)
+
+
+def hexes(values):
+    return [float.hex(float(v)) for v in values]
+
+
+class TestMakeRecord:
+    """_make_record on floats equals its NumPy form, NaN rule included."""
+
+    def test_points_with_nan_and_infinite_components(self):
+        c = _coeffs(apply_topology(draw_params(np.random.default_rng(3)), "FULL"))
+        values = (math.nan, -math.inf, -1.0, -1e-9, -1e-11, -0.0, 0.0, 2.0,
+                  math.inf)
+        for point in itertools.product(values, repeat=3):
+            for conditions_ok in (True, False):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    rec = eq._make_record(c, point, "COEX", conditions_ok)
+                got = (hexes(rec.point), rec.label, rec.feasible,
+                       float.hex(rec.residual), bool(caught))
+                assert got == reference_make_record(c, point, "COEX",
+                                                    conditions_ok), point
+
+    def test_nan_after_the_first_component_fails_the_sign_test(self):
+        # Python's min would skip the NaN and call (-1, nan, 0) negative.
+        c = _coeffs(apply_topology(draw_params(np.random.default_rng(3)), "FULL"))
+        for point in ((-1.0, math.nan, 0.0), (-1.0, 0.0, math.nan),
+                      (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert not eq._make_record(c, point, "COEX").feasible
+
+
+class TestSqrtBranch:
+    """Where r - loss squares past the float range, the root stays finite."""
+
+    # 2**665 ≈ 1.3e200: scaling r, loss and inflow by a power of two scales
+    # every term of the quadratic alike and leaves its root where it was.
+    BIG = 2.0 ** 665
+
+    @pytest.mark.parametrize("r, loss, inflow, root", [
+        (2.0, 1.0, 3.0, 1.5),  # s = r - loss > 0
+        (1.0, 2.0, 2.0, 1.0),  # s < 0, the conjugate form
+    ])
+    def test_huge_rates_give_the_unscaled_root(self, r, loss, inflow, root):
+        assert eq._sqrt_branch(r, 1.0, loss, inflow) == root
+        big = self.BIG
+        assert abs(r * big - loss * big) > 1e200
+        assert eq._sqrt_branch(r * big, 1.0, loss * big, inflow * big) == root
+
+    def test_finite_discriminants_are_unchanged(self):
+        # Only a non-finite discriminant takes the scaled form.
+        rng = np.random.default_rng(7)
+        for r, k, loss, inflow in rng.uniform(0.0, 5.0, (200, 4)).tolist():
+            s = r - loss
+            disc = s * s + 4.0 * r * inflow / k
+            want = (-2.0 * inflow / (s - math.sqrt(disc)) if s < 0.0 else
+                    (k / (2.0 * r)) * (s + math.sqrt(disc)))
+            assert eq._sqrt_branch(r, k, loss, inflow) == want
 
 
 class TestBruteForce:

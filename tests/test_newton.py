@@ -12,12 +12,24 @@ from tripatch.equilibria import _halton
 from tripatch.model import _coeffs, _jac, _rhs, with_param
 from tripatch.newton import (
     _COND_LIMIT,
-    _col_max,
     _col_min,
     _residual,
 )
 from tripatch.topology import TOPOLOGIES, apply_topology
 from tripatch.verification import draw_params
+
+
+def _col_max(a):
+    """Python's ``max`` over the rows of each column of ``a``.
+
+    Like ``max(x, y)``, a later entry wins only if it is greater, so a
+    NaN after the first entry is skipped where ``np.max`` would return it.
+    The lane kernels' form before ``newton._abs_max`` replaced it.
+    """
+    m = a[0]
+    for row in a[1:]:
+        m = np.where(row > m, row, m)
+    return m
 
 
 def _solve3(j: tuple, f1: float, f2: float, f3: float):
@@ -383,3 +395,66 @@ class TestColMax:
             got = fn(np.array(column)[:, None])
             assert got.shape == (1,)
             assert repr(float(got[0])) == repr(want), fn.__name__
+
+
+# Entries for the lane kernels' differential tests: NaN, ±inf, the
+# subnormals, ±0 and ordinary values of both signs.
+SPECIAL = (math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 0.0, -0.0,
+           1.0, -1.0, -2.5, 1e308)
+
+
+def hexes(a):
+    """Each entry's ``float.hex``: exact, with the sign of zero, NaN as 'nan'."""
+    return [float.hex(v) for v in np.asarray(a, dtype=float).ravel().tolist()]
+
+
+class TestAbsMax:
+    """_abs_max equals Python's max of absolute values, _col_max(np.abs(.))."""
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    @pytest.mark.parametrize("lanes", [1, 72, 1008])
+    def test_equals_col_max_of_abs(self, rows, lanes):
+        # Every column of SPECIAL entries: NaN and each other value in every
+        # position, cut into batches of ``lanes`` columns.
+        columns = np.array(np.meshgrid(*[SPECIAL] * rows)).reshape(rows, -1)
+        for lo in range(0, columns.shape[1], lanes):
+            a = columns[:, lo:lo + lanes]
+            want = _col_max(np.abs(a))
+            assert hexes(newton._abs_max(a)) == hexes(want)
+            # Sums of absolute values, as in _solve3_lanes' condition estimate.
+            with np.errstate(over="ignore"):
+                s = np.abs(a) + np.abs(a[::-1])
+            assert hexes(newton._nonneg_max(s)) == hexes(_col_max(s))
+            for n in range(a.shape[1]):
+                assert hexes(want[n]) == hexes(max(abs(v) for v in a[:, n].tolist()))
+
+    def test_lane_axis_may_be_two_dimensional(self):
+        # _full_lanes takes the residual of every halving at once: (3, 6, n).
+        a = np.random.default_rng(0).choice(SPECIAL, size=(3, 6, 72))
+        assert hexes(newton._abs_max(a)) == hexes(_col_max(np.abs(a)))
+
+
+class TestRhsLanes:
+    """_rhs_lanes equals _rhs on every column, bit for bit."""
+
+    def test_columns_match_the_scalar_rhs(self):
+        rng = np.random.default_rng(15)
+        cs = [_coeffs(apply_topology(draw_params(rng), topo))
+              for topo in TOPOLOGIES for _ in range(4)]
+        # Finite states, and states with a non-finite or signed-zero coordinate
+        # in each position; zeroed rates then multiply an infinite coordinate.
+        points = [x0.tolist() for x0 in _halton(3, 8, 0) * 4.0]
+        for value in (math.nan, math.inf, -math.inf, -0.0, 1e308):
+            for i in range(3):
+                for base in ([1.0, 2.0, 0.5], [0.0, 0.0, 0.0]):
+                    x = list(base)
+                    x[i] = value
+                    points.append(x)
+                    points.append([value if j != i else 1.0 for j in range(3)])
+        pairs = [(c, x) for c in cs for x in points]
+        K = newton._lane_coeffs([c for c, _ in pairs])
+        P = np.array([x for _, x in pairs]).T
+        with np.errstate(all="ignore"):
+            F = newton._rhs_lanes(K, P)
+        for n, (c, x) in enumerate(pairs):
+            assert hexes(F[:, n]) == hexes(_rhs(c, *x)), (c, x)

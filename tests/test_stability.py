@@ -200,6 +200,20 @@ class TestAgainstReference:
                     assert repr(classify(topo, rec, p)) == \
                         repr(reference_classify(topo, rec, p))
 
+    def test_classify_equals_classify_matrix_of_the_array(self):
+        # classify takes the characteristic and the spectrum from _jac's
+        # tuple; classify_matrix from the 3x3 array of the same entries.
+        rng = np.random.default_rng(15)
+        for topo in TOPOLOGIES:
+            for _ in range(20):
+                p = apply_topology(draw_params(rng), topo)
+                c = _coeffs(p)
+                for rec in find_all_equilibria(topo, p):
+                    rep = classify(topo, rec, p)
+                    jac = np.array(_jac(c, *rec.point.tolist())).reshape(3, 3)
+                    assert repr((rep.classification, rep.eigenvalues,
+                                 rep.coefficients)) == repr(classify_matrix(jac))
+
 
 class TestCharacteristic:
     def test_known_matrix(self):
