@@ -145,7 +145,8 @@ def _spectrum(entries, co: CharacteristicCoefficients
     coefficients are ``co``.
 
     With every coefficient below its power of _TINY the solver's sixth powers
-    and ``det`` underflow, so the roots of ``j·2**-e`` (exact) are scaled back.
+    and ``det`` underflow, so the roots of the matrix times ``2**-e`` (exact) are
+    scaled back.
     SpectrumOverflowError if a coefficient is not finite or the solver overflows."""
     b, c, d = -co.trace, co.m_j, -co.det
     if all(map(math.isfinite, (b, c, d))):
@@ -249,7 +250,7 @@ def _classification(eigenvalues) -> str:
 
 
 def classify_matrix(j) -> tuple[str, tuple[complex, ...], CharacteristicCoefficients]:
-    """Classify an arbitrary Jacobian; shared by classify() and the origin scan."""
+    """Classify an arbitrary Jacobian, as classify() does the model's."""
     return _classify_entries(_entries(j))
 
 
