@@ -31,8 +31,8 @@ import numpy as np
 from .equilibria import POLISH_TOL, EquilibriumRecord, _find_all_many
 from .model import (ModelParams, PARAM_TOKENS, ParameterError, _coeffs, _count, _gap,
                     _jac, _with_coeff, with_param)
-from .newton import _newton_full, _newton_support
-from .stability import (StabilityReport, _axis_terms, _characteristic, classify,
+from .newton import _newton_full
+from .stability import (StabilityReport, _axis_terms, _characteristic, _classify,
                         eigenvalues_3x3)
 from .topology import apply_topology, zeroed_rates
 # Unused since sweep batches its grid: bench/test_bench.py checks that the
@@ -170,11 +170,8 @@ def _continue_point(c, xa, xb, t, scale):
                  if max(abs(xa[i]), abs(xb[i])) > 1e-9 * scale)
     if not free:
         return x
-    if len(free) < 3:
-        got = _newton_support(c, x, free, POLISH_TOL)
-    else:  # an interior branch
-        got = (_newton_full(c, x, POLISH_TOL, 60) or (None,))[0]
-    return got if got is not None else tuple(
+    got = _newton_full(c, x, POLISH_TOL, 60, free=free)
+    return got[0] if got is not None else tuple(
         v if i in free else 0.0 for i, v in enumerate(x))
 
 
@@ -289,7 +286,8 @@ def sweep(topo: str, params: ModelParams, param: str, lo: float, hi: float,
     records: list[SweepRecord] = []
     for theta, p, eqs in zip(grid, points, _find_all_many(topo, points, seed)):
         eqs = tuple(eqs)
-        reps = tuple(classify(topo, e, p) for e in eqs)
+        coeffs = _coeffs(p)
+        reps = tuple(_classify(topo, coeffs, e) for e in eqs)
         crossings: tuple[Crossing, ...] = ()
         if records:
             a = records[-1]

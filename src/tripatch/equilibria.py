@@ -18,7 +18,7 @@ Four complementary routes to the steady states:
   the package is checked against.
 
 ``find_all_equilibria`` merges the catalog with the oracle and
-cross-validates them.  The Newton solvers live in ``newton``.
+cross-validates them.  The Newton solver lives in ``newton``.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ import numpy as np
 
 from .model import ModelParams, NumericalError, ParameterError, _coeffs, _count, _gap
 from .newton import (
+    _ORACLE_ITER,
     _abs_max,
-    _face_lanes,
     _full_lanes,
     _lane_coeffs,
     _newton_full,
-    _newton_support,
     _residual,
     _rhs_lanes,
 )
@@ -663,34 +662,36 @@ def _oracle_batch(params_list, seed):
     unit = np.concatenate([_halton(3, _N_STARTS, seed), _CORNERS])
     X = (unit * boxes[:, None, None]).transpose(2, 0, 1).reshape(3, -1)
     sid = np.repeat(np.arange(n_sets), len(unit))
-    full = _full_lanes(cs, coef[:, sid], X, sid, RESIDUAL_LIMIT)
 
     # Faces: _FACE_STARTS Halton starts and three fixed ones per set, face
-    # by face; lane n is free in coordinates IJ[:, n].
+    # by face; lane n is free in coordinates IJ[:, n] and pinned in the third.
     planes = np.empty((len(_FACES), _FACE_STARTS + 3, 2))
     for fi in range(len(_FACES)):
         planes[fi, :_FACE_STARTS] = _halton(2, _FACE_STARTS, seed * 8 + fi + 1)
     planes[:, _FACE_STARTS:] = [(1.0, 1.0), (1.0, 0.25), (0.25, 1.0)]
     IJ = np.repeat(np.array(_FACES).T, n_sets * planes.shape[1], axis=1)
-    X = np.zeros((3, IJ.shape[1]))
-    X[IJ, np.arange(IJ.shape[1])] = \
-        (planes[:, None] * boxes[:, None, None]).reshape(-1, 2).T
-    fsid = np.tile(np.repeat(np.arange(n_sets), planes.shape[1]), len(_FACES))
-    faces = _face_lanes(cs, coef[:, fsid], X, IJ, fsid, RESIDUAL_LIMIT)
+    face = X.shape[1] + np.arange(IJ.shape[1])
+    X = np.concatenate([X, np.zeros((3, len(face)))], axis=1)
+    X[IJ, face] = (planes[:, None] * boxes[:, None, None]).reshape(-1, 2).T
+    free = np.ones(X.shape, dtype=bool)
+    free[:, face] = False
+    free[IJ, face] = True
+    sid = np.concatenate([sid, np.tile(np.repeat(np.arange(n_sets), planes.shape[1]),
+                                       len(_FACES))])
+    # Full-space and face starts run as lanes of one batch.
+    ends, ok = _full_lanes(cs, coef[:, sid], X, free, sid, RESIDUAL_LIMIT)
 
     # The origin is always a root; then the converged lanes and the edges.
-    X = [np.zeros((3, n_sets)), full[0][:, full[1]], faces[0][:, faces[1]]]
-    rsid = [np.arange(n_sets), sid[full[1]], fsid[faces[1]]]
+    X, rsid = [np.zeros((3, n_sets)), ends[:, ok]], [np.arange(n_sets), sid[ok]]
     for s, c in enumerate(cs):
         for i in range(3):
             root = _logistic_root(c[i], c[3 + i], c[12 + i])
             if root > 0.0:
                 x0 = [0.0, 0.0, 0.0]
                 x0[i] = root
-                got = tuple(x0) if _residual(c, *x0) <= RESIDUAL_LIMIT else \
-                    _newton_support(c, x0, (i,), RESIDUAL_LIMIT)
+                got = _newton_full(c, x0, RESIDUAL_LIMIT, _ORACLE_ITER, free=(i,))
                 if got is not None:
-                    X.append(np.array(got)[:, None])
+                    X.append(np.array(got[0])[:, None])
                     rsid.append([s])
     X, rsid = np.concatenate(X, axis=1), np.concatenate(rsid)
 
@@ -748,13 +749,15 @@ def brute_force_equilibria(params: ModelParams, seed: int = 0
     """Multi-start Newton oracle over the box [0, 2·max k]³.
 
     Interior starts are 64 scrambled Halton points plus the 8 box
-    corners; every boundary face and edge gets its own restricted
-    Newton solves so equilibria that repel the interior are still
-    found.  Converged points (full residual ≤ ``RESIDUAL_LIMIT``,
-    components ≥ −1e−9) are deduplicated at 1e−6 and returned labeled
-    NUMERICAL.  Deterministic for fixed ``seed``.  The starts run as lanes
-    of one batched Newton, which ends each start where the scalar solve
-    from it ends, bit for bit (see ``newton``).
+    corners; every boundary face and edge gets starts of its own, solved
+    by the same damped Newton with the other coordinates pinned at 0, so
+    equilibria that repel the interior are still found.  Converged points
+    (full residual ≤ ``RESIDUAL_LIMIT``, components ≥ −1e−9) are
+    deduplicated at 1e−6 and returned labeled NUMERICAL.  Deterministic
+    for fixed ``seed``.  The full-space and face starts run as lanes of
+    one batched Newton, which ends each start where the scalar solve from
+    it ends, bit for bit, and the edges run in the scalar solve (see
+    ``newton``).
 
     Raises
     ------
@@ -781,18 +784,11 @@ def _polish(c, record: EquilibriumRecord) -> EquilibriumRecord:
     free = tuple(i for i in range(3) if p[i] != 0.0)
     if not free:
         return record
-    if len(free) == 3:
-        got = _newton_full(c, p, POLISH_TOL, 40, settle=40)
-        better = got[0] if got is not None else None
-    else:
-        better = _newton_support(c, p, free, POLISH_TOL, settle=40)
-    if better is None:
+    got = _newton_full(c, p, POLISH_TOL, 40, settle=40, free=free)
+    if got is None or got[1] >= record.residual:
         return record
-    res = _residual(c, *better)
-    if res >= record.residual:
-        return record
-    return EquilibriumRecord(point=np.array(better), label=record.label,
-                             feasible=record.feasible, residual=res)
+    return EquilibriumRecord(point=np.array(got[0]), label=record.label,
+                             feasible=record.feasible, residual=got[1])
 
 
 def find_all_equilibria(topo: str, params: ModelParams, seed: int = 0

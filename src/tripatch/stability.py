@@ -427,13 +427,17 @@ def classify(topo: str, eq: EquilibriumRecord, params: ModelParams) -> Stability
     ``(topo, eq.label)``, plus the generic sign-test rows.  ``params``
     is projected onto ``topo`` first.  Raises
     :class:`StaleEquilibriumError` if the record's residual exceeds
-    ``RESIDUAL_LIMIT`` (the point is not actually an equilibrium).
+    ``RESIDUAL_LIMIT`` or is NaN (the point is not actually an equilibrium).
     """
-    if eq.residual > RESIDUAL_LIMIT:
+    return _classify(topo, _coeffs(apply_topology(params, topo)), eq)
+
+
+def _classify(topo: str, c: tuple, eq: EquilibriumRecord) -> StabilityReport:
+    """``classify`` with the projected set's coefficient tuple ``c``."""
+    if not eq.residual <= RESIDUAL_LIMIT:  # a NaN residual is refused too
         raise StaleEquilibriumError(
             f"record {eq.label} has residual {eq.residual:.2e} > {RESIDUAL_LIMIT:.0e}"
         )
-    c = _coeffs(apply_topology(params, topo))
     p = np.asarray(eq.point, dtype=float).tolist()
     classification, eig, co = _classify_entries(_jac(c, *p))
     signs = zip(("traceJ", "MJ", "detJ"), sign_conditions(co),

@@ -86,7 +86,9 @@ def check_existence_theorem(seed: int, n: int) -> PropertyResult:
         b = coexistence_by_construction(p)
         gap = model._gap(a.point.tolist(), b.point.tolist())
         worst = max(worst, gap)
-        if gap > 1e-6 or a.residual > POLISH_TOL or float(np.min(a.point)) <= 0.0:
+        # Written so that a NaN gap or residual fails.
+        if not (gap <= 1e-6 and a.residual <= POLISH_TOL) \
+                or float(np.min(a.point)) <= 0.0:
             return PropertyResult(
                 "existence theorem", False,
                 f"draw {i}: gap {gap:.2e}, residual {a.residual:.2e}, "
@@ -108,7 +110,7 @@ def check_oracle_equivalence(seed: int, n: int) -> PropertyResult:
                 return PropertyResult(
                     "oracle equivalence", False,
                     f"{topo} draw {i}: {exc}")
-            bad = [x for x in recs if x.residual > RESIDUAL_LIMIT]
+            bad = [x for x in recs if not x.residual <= RESIDUAL_LIMIT]
             if bad:
                 return PropertyResult(
                     "oracle equivalence", False,

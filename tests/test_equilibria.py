@@ -597,20 +597,17 @@ def reference_roots(params, n_starts=64, seed=0, tol=1e-8):
         for s in starts:
             x0 = [0.0, 0.0, 0.0]
             x0[free[0]], x0[free[1]] = s[0], s[1]
-            got = newton._newton_support(c, x0, free, tol)
+            got = newton._newton_full(c, x0, tol, 60, free=free)
             if got is not None:
-                found.append(got)
+                found.append(got[0])
     for i in range(3):
         root = eq._logistic_root(c[i], c[3 + i], c[12 + i])
         if root > 0.0:
             x0 = [0.0, 0.0, 0.0]
             x0[i] = root
-            if newton._residual(c, *x0) <= tol:
-                found.append(tuple(x0))
-            else:
-                got = newton._newton_support(c, x0, (i,), tol)
-                if got is not None:
-                    found.append(got)
+            got = newton._newton_full(c, x0, tol, 60, free=(i,))
+            if got is not None:
+                found.append(got[0])
     scale = max(1.0, box)
     return sorted(tuple(0.0 if abs(v) <= 1e-12 * scale else v for v in p)
                   for p in found if min(p) >= -1e-9)
@@ -737,19 +734,14 @@ class TestBatchedOracle:
     @pytest.mark.parametrize("handoff", [0, 10**6])
     def test_all_batch_or_all_scalar(self, monkeypatch, handoff):
         # No handoff runs every lane to the end in the batch; a handoff
-        # larger than the batch gives every start to the scalar Newton at
-        # once, with the whole iteration budget.
+        # larger than the batch gives every start, full-space and face, to
+        # the scalar Newton at once, with the whole iteration budget.
         budgets = set()
-        newton_full, newton_support = newton._newton_full, newton._newton_support
+        newton_full = newton._newton_full
 
-        def handed_full(c, x0, tol, max_iter, *args, **kwargs):
-            budgets.add(("full", max_iter))
-            return newton_full(c, x0, tol, max_iter, *args, **kwargs)
-
-        def handed_support(c, x0, free, tol, max_iter=60, *args, **kwargs):
-            if len(free) == 2:
-                budgets.add(("face", max_iter))
-            return newton_support(c, x0, free, tol, max_iter, *args, **kwargs)
+        def handed(c, x0, tol, max_iter, *args, free=(0, 1, 2), **kwargs):
+            budgets.add(({3: "full", 2: "face"}[len(free)], max_iter))
+            return newton_full(c, x0, tol, max_iter, *args, free=free, **kwargs)
 
         rng = np.random.default_rng(3003)
         draws = [draw_params(rng) for _ in range(3 * 200)]
@@ -757,8 +749,7 @@ class TestBatchedOracle:
             p = apply_topology(draws[i], TOPOLOGIES[i // 200])
             with monkeypatch.context() as m:
                 m.setattr(newton, "_HANDOFF_LANES", handoff)
-                m.setattr(newton, "_newton_full", handed_full)
-                m.setattr(newton, "_newton_support", handed_support)
+                m.setattr(newton, "_newton_full", handed)
                 got = batched_roots(monkeypatch, [p])
             assert_matches_reference(*got, [p])
         assert budgets == (set() if handoff == 0 else
@@ -778,16 +769,11 @@ class TestBatchedOracle:
                    [with_param(conv, "r1", float(np.nextafter(conv.m[1, 0], 9)))]]
         batches += [[p] for p in draws[:4]]
         seen = set()
-        newton_full, newton_support = newton._newton_full, newton._newton_support
+        newton_full = newton._newton_full
 
-        def handed_full(*args, **kwargs):
-            seen.add("full-space handoff")
-            return newton_full(*args, **kwargs)
-
-        def handed_support(c, x0, free, *args, **kwargs):
-            if len(free) == 2:
-                seen.add("face handoff")
-            return newton_support(c, x0, free, *args, **kwargs)
+        def handed(*args, free=(0, 1, 2), **kwargs):
+            seen.add({3: "full-space handoff", 2: "face handoff"}[len(free)])
+            return newton_full(*args, free=free, **kwargs)
 
         for batch in batches:
             capped = 0
@@ -804,8 +790,7 @@ class TestBatchedOracle:
             if capped > newton._HANDOFF_LANES:
                 seen.add("iteration cap in the batch")
             with monkeypatch.context() as m:
-                m.setattr(newton, "_newton_full", handed_full)
-                m.setattr(newton, "_newton_support", handed_support)
+                m.setattr(newton, "_newton_full", handed)
                 got = batched_roots(monkeypatch, batch)
             assert_matches_reference(*got, batch)
         assert seen == {"zero determinant", "condition estimate",

@@ -98,49 +98,48 @@ def reference_newton_full(c, x0, tol, max_iter, settle=0):
     return None
 
 
-def reference_newton_support(c, x0, free, tol, max_iter=60, settle=0):
-    """_newton_support as it was, with its step dict and generators."""
-    p = [0.0, 0.0, 0.0]
-    for i in free:
-        p[i] = float(x0[i])
-    n = len(free)
+def reference_newton_free(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
+    """_newton_full on a support, written with _rhs, _jac and _solve3.
+
+    A pinned coordinate starts at 0, its Jacobian row is e_i and its rhs
+    row is weighted 0 in the step and in the merit; a root's full residual
+    meets ``tol`` too.
+    """
+    w = [1.0 if i in free else 0.0 for i in range(3)]
+    p = [float(x0[i]) if i in free else 0.0 for i in range(3)]
+
+    def merit(q):
+        f = _rhs(c, *q)
+        return max(abs(w[0] * f[0]), abs(w[1] * f[1]), abs(w[2] * f[2]))
+
+    res = merit(p)
     for _ in range(max_iter + settle):
-        f = _rhs(c, p[0], p[1], p[2])
-        converged = max(abs(f[i]) for i in free) <= 0.25 * tol
+        converged = res <= tol
         if converged and settle <= 0:
             break
-        jfull = _jac(c, p[0], p[1], p[2])
-        if n == 1:
-            i = free[0]
-            d = jfull[4 * i]
-            if d == 0.0:
-                if converged:
-                    break
-                return None
-            steps = {i: -f[i] / d}
-        else:
-            i, j = free
-            a, b = jfull[3 * i + i], jfull[3 * i + j]
-            d, e = jfull[3 * j + i], jfull[3 * j + j]
-            det = a * e - b * d
-            if det == 0.0:
-                if converged:
-                    break
-                return None
-            steps = {i: -(e * f[i] - b * f[j]) / det,
-                     j: -(-d * f[i] + a * f[j]) / det}
+        j = list(_jac(c, *p))
+        for i in set(range(3)) - set(free):
+            j[3 * i:3 * i + 3] = [1.0 if n == i else 0.0 for n in range(3)]
+        f = _rhs(c, *p)
+        step, cond = _solve3(tuple(j), w[0] * f[0], w[1] * f[1], w[2] * f[2])
+        if step is None or cond > _COND_LIMIT:
+            break
         if converged:
             settle -= 1
-            scale = 1.0 + max(abs(v) for v in p)
-            if max(abs(s) for s in steps.values()) <= 1e-13 * scale:
+            if max(abs(s) for s in step) <= 1e-13 * (1.0 + max(abs(v) for v in p)):
                 break
-        for i, s in steps.items():
-            p[i] += s
-        if not all(math.isfinite(v) for v in p):
-            return None
-    if _residual(c, p[0], p[1], p[2]) <= tol:
-        return tuple(p)
-    return None
+        lam = 1.0
+        q = [p[i] + lam * step[i] for i in range(3)]
+        new_res = merit(q)
+        halvings = 0
+        while new_res > res and halvings < 6:
+            lam *= 0.5
+            q = [p[i] + lam * step[i] for i in range(3)]
+            new_res = merit(q)
+            halvings += 1
+        p, res = q, new_res
+    full = _residual(c, *p)
+    return (tuple(p), full) if res <= tol and full <= tol else None
 
 
 def outcome(fn, *args, **kwargs):
@@ -223,7 +222,7 @@ class TestNewtonFull:
 
 
 class TestNewtonSupport:
-    """_newton_support equals its earlier form on faces and edges."""
+    """_newton_full on faces and edges equals its reference, bit for bit."""
 
     FREE = ((0, 1), (0, 2), (1, 2), (0,), (1,), (2,))
 
@@ -233,38 +232,76 @@ class TestNewtonSupport:
             c = _coeffs(p)
             for x0 in starts(p):
                 for free in self.FREE:
-                    want = outcome(reference_newton_support, c, x0, free, tol,
-                                   *args, **kwargs)
-                    assert outcome(newton._newton_support, c, x0, free, tol,
-                                   *args, **kwargs) == want
+                    want = outcome(reference_newton_free, c, x0, tol, *args,
+                                   free=free, **kwargs)
+                    assert outcome(newton._newton_full, c, x0, tol, *args,
+                                   free=free, **kwargs) == want
                     results.add(want[0])
         return results
 
     def test_oracle_solves(self):
-        assert self.assert_same(draws() + singular_converge(), 1e-8) == \
+        assert self.assert_same(draws() + singular_converge(), 1e-8, 60) == \
             {"root", "none"}
 
     def test_settle(self):
+        # The polish call.
         assert "root" in self.assert_same(draws() + near_threshold(), 1e-10,
-                                          60, settle=40)
+                                          40, settle=40)
 
     def test_singular_and_iteration_cap(self):
         # J11 = 0 on the p1 = 0 edge of CONVERGE at r1 = m21: the (0, 1)
         # face from (0, p2, 0) meets a zero determinant before converging.
         c = _coeffs(singular_converge()[0])
         x0 = (0.0, 1.0, 0.0)
-        assert outcome(newton._newton_support, c, x0, (0, 1), 1e-8) == ("none",)
-        assert outcome(reference_newton_support, c, x0, (0, 1), 1e-8) == ("none",)
-        assert "none" in self.assert_same(draws(), 1e-300)
+        for fn in (newton._newton_full, reference_newton_free):
+            assert outcome(fn, c, x0, 1e-8, 60, free=(0, 1)) == ("none",)
+        assert "none" in self.assert_same(draws(), 1e-300, 60)
 
     def test_blow_up_and_three_free_coordinates(self):
         c = _coeffs(draws()[0])
         for x0 in ((1e200, 1e200, 1e200), (-1e300, 1e300, 5.0)):
             for free in self.FREE:
-                assert outcome(newton._newton_support, c, x0, free, 1e-8) == \
-                    outcome(reference_newton_support, c, x0, free, 1e-8)
-        assert outcome(newton._newton_support, c, (1.0,) * 3, (0, 1, 2), 1e-8) \
-            == outcome(reference_newton_support, c, (1.0,) * 3, (0, 1, 2), 1e-8)
+                assert outcome(newton._newton_full, c, x0, 1e-8, 60, free=free) \
+                    == outcome(reference_newton_free, c, x0, 1e-8, 60, free=free) \
+                    == ("none",)
+        # Three free coordinates, in any order, are the full solve.
+        for p in draws():
+            c = _coeffs(p)
+            for x0 in starts(p):
+                want = outcome(reference_newton_full, c, x0, 1e-8, 60)
+                assert outcome(reference_newton_free, c, x0, 1e-8, 60) == want
+                for free in ((0, 1, 2), (2, 0, 1)):
+                    assert outcome(newton._newton_full, c, x0, 1e-8, 60,
+                                   free=free) == want
+
+    def test_pinned_coordinates_end_at_plus_zero(self):
+        # Starts with a nonzero, -0.0 or non-finite pinned coordinate.
+        params = draws()
+        cs, points, frees = [], [], []
+        for p in params:
+            for x0 in starts(p, n=8):
+                for free in self.FREE:
+                    for pinned in (x0, (-0.0,) * 3, (math.nan, -1.0, math.inf)):
+                        cs.append(_coeffs(p))
+                        points.append([x0[i] if i in free else pinned[i]
+                                       for i in range(3)])
+                        frees.append([i in free for i in range(3)])
+        roots = 0
+        for c, x0, free in zip(cs, points, frees):
+            got = newton._newton_full(c, x0, 1e-8, 60,
+                                      free=tuple(i for i in range(3) if free[i]))
+            if got is not None:
+                roots += 1
+                assert [got[0][i].hex() for i in range(3) if not free[i]] == \
+                    ["0x0.0p+0"] * (3 - sum(free))
+        assert roots > 100
+        K, P, free = newton._lane_coeffs(cs), np.array(points).T, np.array(frees).T
+        with np.errstate(all="ignore"):
+            ends, ok = newton._full_lanes(cs, K, P, free, np.arange(len(cs)), 1e-8)
+        assert np.count_nonzero(ok) == roots
+        pinned = ends[:, ok][~free[:, ok]]
+        assert len(pinned) > 100
+        assert (pinned == 0.0).all() and not np.signbit(pinned).any()
 
 
 def solve3_lanes(params_list):
@@ -330,12 +367,12 @@ class TestSolve3Lanes:
 
 
 class TestNewtonSupportPaths:
-    """_newton_support equals its reference on each way out of the loop."""
+    """_newton_full on a support equals its reference on each way out of the loop."""
 
     @staticmethod
     def first_root(c, params, free, tol=1e-8):
         for x0 in starts(params):
-            if reference_newton_support(c, x0, free, tol) is not None:
+            if reference_newton_free(c, x0, tol, 60, free=free) is not None:
                 return x0
         raise AssertionError(f"no start converges on {free}")
 
@@ -343,31 +380,31 @@ class TestNewtonSupportPaths:
         p = draws()[0]
         c = _coeffs(p)
         face = self.first_root(c, p, (0, 1))
-        root = reference_newton_support(c, face, (0, 1), 1e-8)
+        root = reference_newton_free(c, face, 1e-8, 60, free=(0, 1))[0]
         conv = _coeffs(singular_converge()[0])
         return {
-            # The residual test is met and the loop ends.
-            "converged": ((c, face, (0, 1), 1e-8), "root"),
-            "edge": ((c, self.first_root(c, p, (2,)), (2,), 1e-8), "root"),
-            # Past the residual test until the step reaches round-off.
-            "settle": ((c, root, (0, 1), 1e-10, 60, 40), "root"),
+            # The merit test is met and the loop ends.
+            "converged": ((c, face, 1e-8, 60), (0, 1), "root"),
+            "edge": ((c, self.first_root(c, p, (2,)), 1e-8, 60), (2,), "root"),
+            # Past the merit test until the step reaches round-off.
+            "settle": ((c, root, 1e-10, 40, 40), (0, 1), "root"),
             # J11 = J12 = 0 on the p1 = 0 edge of CONVERGE at r1 = m21.
-            "zero determinant": ((conv, (0.0, 1.0, 0.0), (0, 1), 1e-8), "none"),
+            "zero determinant": ((conv, (0.0, 1.0, 0.0), 1e-8, 60), (0, 1), "none"),
             "zero determinant, converged":
-                ((conv, (0.0, 0.0, 0.0), (0,), 1e-8, 60, 5), "root"),
+                ((conv, (0.0, 0.0, 0.0), 1e-8, 60, 5), (0,), "root"),
             # The first step overflows.
-            "non-finite": ((c, (1e200, 1e200, 1e200), (0, 1), 1e-8), "none"),
-            "iteration cap": ((c, starts(p)[-1], (0, 1), 1e-8, 2), "none"),
+            "non-finite": ((c, (1e200, 1e200, 1e200), 1e-8, 60), (0, 1), "none"),
+            "iteration cap": ((c, starts(p)[-1], 1e-8, 2), (0, 1), "none"),
         }
 
     @pytest.mark.parametrize("path", [
         "converged", "edge", "settle", "zero determinant",
         "zero determinant, converged", "non-finite", "iteration cap"])
     def test_path(self, path):
-        args, kind = self.cases()[path]
-        want = outcome(reference_newton_support, *args)
+        args, free, kind = self.cases()[path]
+        want = outcome(reference_newton_free, *args, free=free)
         assert want[0] == kind
-        assert outcome(newton._newton_support, *args) == want
+        assert outcome(newton._newton_full, *args, free=free) == want
 
     def test_zero_determinant_preconditions(self):
         # The zero-determinant cases start where the 2x2 block (or the

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
+import math
 import pkgutil
 
+import numpy as np
 import pytest
 
 import tripatch
@@ -147,3 +150,38 @@ class TestErrorCategories:
         res = verification.check_oracle_equivalence(0, 2)
         assert not res.passed
         assert res.detail == "FULL draw 0: formula suspect"
+
+
+class TestBatteryGuards:
+    """A battery check fails on a NaN gap or residual instead of passing it."""
+
+    @staticmethod
+    def with_nan(monkeypatch, name, **fields):
+        real = getattr(verification, name)
+
+        def patched(*args, **kwargs):
+            got = real(*args, **kwargs)
+            if isinstance(got, list):
+                return [dataclasses.replace(got[0], **fields)] + got[1:]
+            return dataclasses.replace(got, **fields)
+
+        monkeypatch.setattr(verification, name, patched)
+
+    def test_existence_theorem_gap(self, monkeypatch):
+        self.with_nan(monkeypatch, "coexistence_by_construction",
+                      point=np.full(3, math.nan))
+        res = verification.check_existence_theorem(0, 2)
+        assert not res.passed
+        assert res.detail.startswith("draw 0: gap nan")
+
+    def test_existence_theorem_residual(self, monkeypatch):
+        self.with_nan(monkeypatch, "newton_coexistence", residual=math.nan)
+        res = verification.check_existence_theorem(0, 2)
+        assert not res.passed
+        assert "residual nan" in res.detail
+
+    def test_oracle_equivalence_residual(self, monkeypatch):
+        self.with_nan(monkeypatch, "find_all_equilibria", residual=math.nan)
+        res = verification.check_oracle_equivalence(0, 2)
+        assert not res.passed
+        assert res.detail.startswith("FULL draw 0: residual nan")

@@ -424,6 +424,12 @@ class TestClassify:
                                  residual=1e-3)
         with pytest.raises(StaleEquilibriumError, match="residual 1.00e-03"):
             classify("FULL", fake, p)
+        # A NaN residual is refused too, not classified.
+        fake = EquilibriumRecord(point=np.array([0.3, 0.2, 0.1]),
+                                 label="NUMERICAL", feasible=True,
+                                 residual=math.nan)
+        with pytest.raises(StaleEquilibriumError, match="residual nan"):
+            classify("FULL", fake, p)
 
     def test_stability_rows_match_spectrum(self):
         # The conjunction of "stability" rows is the closed-form version
