@@ -13,9 +13,9 @@ Four complementary routes to the steady states:
   turned into an algorithm: intersect two parabolic cylinders at height
   ``h``, then bisect the height until it matches the explicit
   square-root surface of the third equation.
-* ``brute_force_equilibria`` — multi-start Newton over the state box
-  and all its boundary faces/edges; the independent oracle the rest of
-  the package is checked against.
+* ``brute_force_equilibria`` — multi-start Newton over the state box,
+  its closed boundary faces and its edges; the independent oracle the
+  rest of the package is checked against.
 
 ``find_all_equilibria`` merges the catalog with the oracle and
 cross-validates them.  The Newton solver lives in ``newton``.
@@ -664,20 +664,24 @@ def _oracle_batch(params_list, seed):
     sid = np.repeat(np.arange(n_sets), len(unit))
 
     # Faces: _FACE_STARTS Halton starts and three fixed ones per set, face
-    # by face; lane n is free in coordinates IJ[:, n] and pinned in the third.
+    # by face, on each face the set closes (see brute_force_equilibria).
+    # Face fi pins patch p = 2 - fi, whose inflow rates are lane rows 6 + p
+    # and 9 + p.
+    closed = ~((coef[6:9] > 0.0) | (coef[9:12] > 0.0))[::-1]
+    fid, fsid = np.nonzero(closed)
     planes = np.empty((len(_FACES), _FACE_STARTS + 3, 2))
-    for fi in range(len(_FACES)):
+    for fi in np.flatnonzero(closed.any(axis=1)).tolist():
         planes[fi, :_FACE_STARTS] = _halton(2, _FACE_STARTS, seed * 8 + fi + 1)
     planes[:, _FACE_STARTS:] = [(1.0, 1.0), (1.0, 0.25), (0.25, 1.0)]
-    IJ = np.repeat(np.array(_FACES).T, n_sets * planes.shape[1], axis=1)
+    # Lane n is free in coordinates IJ[:, n] and pinned in the third.
+    IJ = np.repeat(np.array(_FACES)[fid].T, planes.shape[1], axis=1)
     face = X.shape[1] + np.arange(IJ.shape[1])
     X = np.concatenate([X, np.zeros((3, len(face)))], axis=1)
-    X[IJ, face] = (planes[:, None] * boxes[:, None, None]).reshape(-1, 2).T
+    X[IJ, face] = (planes[fid] * boxes[fsid, None, None]).reshape(-1, 2).T
     free = np.ones(X.shape, dtype=bool)
     free[:, face] = False
     free[IJ, face] = True
-    sid = np.concatenate([sid, np.tile(np.repeat(np.arange(n_sets), planes.shape[1]),
-                                       len(_FACES))])
+    sid = np.concatenate([sid, np.repeat(fsid, planes.shape[1])])
     # Full-space and face starts run as lanes of one batch.
     ends, ok = _full_lanes(cs, coef[:, sid], X, free, sid, RESIDUAL_LIMIT)
 
@@ -749,15 +753,18 @@ def brute_force_equilibria(params: ModelParams, seed: int = 0
     """Multi-start Newton oracle over the box [0, 2·max k]³.
 
     Interior starts are 64 scrambled Halton points plus the 8 box
-    corners; every boundary face and edge gets starts of its own, solved
-    by the same damped Newton with the other coordinates pinned at 0, so
-    equilibria that repel the interior are still found.  Converged points
-    (full residual ≤ ``RESIDUAL_LIMIT``, components ≥ −1e−9) are
-    deduplicated at 1e−6 and returned labeled NUMERICAL.  Deterministic
-    for fixed ``seed``.  The full-space and face starts run as lanes of
-    one batched Newton, which ends each start where the scalar solve from
-    it ends, bit for bit, and the edges run in the scalar solve (see
-    ``newton``).
+    corners; every edge, and every boundary face that is closed (no
+    migration into its pinned patch), gets starts of its own, solved by
+    the same damped Newton with the other coordinates pinned at 0, so
+    equilibria that repel the interior are still found.  An open face
+    holds no root but an edge's or the origin: on ``x_p = 0`` the pinned
+    row is ``f_p = Σ_j m_pj·x_j``, so an arc into ``p`` forces its source
+    to 0.  Converged points (full residual ≤ ``RESIDUAL_LIMIT``,
+    components ≥ −1e−9) are deduplicated at 1e−6 and returned labeled
+    NUMERICAL.  Deterministic for fixed ``seed``.  The full-space and
+    face starts run as lanes of one batched Newton, which ends each start
+    where the scalar solve from it ends, bit for bit, and the edges run
+    in the scalar solve (see ``newton``).
 
     Raises
     ------

@@ -562,7 +562,9 @@ class TestNumericalFailures:
         ("basin", "basin_sample", ConvergenceError),
         ("verify", "run_battery", BracketError),
         ("simulate", "integrate", StepUnderflowError),
-        ("analyze", "classify", StaleEquilibriumError),
+        # analyze classifies the projected set's records by _classify.
+        pytest.param("analyze", "_classify", StaleEquilibriumError,
+                     id="analyze-classify-StaleEquilibriumError"),
     ])
     def test_exit_code_3_without_traceback(self, capsys, monkeypatch,
                                            tmp_path, verb, callee, error):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -32,6 +33,7 @@ from tripatch.equilibria import (
     newton_coexistence,
 )
 from tripatch.model import ModelParams, _coeffs, _gap, _jac, _rhs, rhs, with_param
+from tripatch.stability import classify
 from tripatch.topology import (
     TOPOLOGIES,
     apply_topology,
@@ -574,11 +576,19 @@ class TestFindAll:
 # ---------------------------------------------------------------------------
 
 
-def reference_roots(params, n_starts=64, seed=0, tol=1e-8):
+def closed_faces(params):
+    """The free coordinates of each face that no arc into its pinned patch opens."""
+    m = params.m
+    return [free for free in ((0, 1), (0, 2), (1, 2))
+            if not any(m[3 - sum(free), j] > 0.0 for j in free)]
+
+
+def reference_roots(params, n_starts=64, seed=0, tol=1e-8, all_faces=False):
     """The oracle's roots before dedup, one scalar Newton solve per start.
 
-    Roots below -1e-9 are dropped, near-zero components snapped to 0, and
-    the rest sorted.
+    Faces get starts where they are closed (see ``closed_faces``), or every
+    face with ``all_faces``.  Roots below -1e-9 are dropped, near-zero
+    components snapped to 0, and the rest sorted.
     """
     c = _coeffs(params)
     box = 2.0 * float(np.max(params.k))
@@ -591,6 +601,8 @@ def reference_roots(params, n_starts=64, seed=0, tol=1e-8):
         if got is not None:
             found.append(got[0])
     for fi, free in enumerate(((0, 1), (0, 2), (1, 2))):
+        if not all_faces and free not in closed_faces(params):
+            continue
         plane = eq._halton(2, 12, seed * 8 + fi + 1) * box
         starts = [tuple(row) for row in plane]
         starts += [(box, box), (box, 0.25 * box), (0.25 * box, box)]
@@ -613,11 +625,11 @@ def reference_roots(params, n_starts=64, seed=0, tol=1e-8):
                   for p in found if min(p) >= -1e-9)
 
 
-def reference_oracle(params, n_starts=64, seed=0, tol=1e-8):
+def reference_oracle(params, n_starts=64, seed=0, tol=1e-8, all_faces=False):
     """brute_force_equilibria with one scalar Newton solve per start."""
     c = _coeffs(params)
     reps = []
-    for p in reference_roots(params, n_starts, seed, tol):
+    for p in reference_roots(params, n_starts, seed, tol, all_faces):
         for idx, q in enumerate(reps):
             if max(abs(p[0] - q[0]), abs(p[1] - q[1]),
                    abs(p[2] - q[2])) < DEDUP_TOL:
@@ -661,11 +673,46 @@ def assert_matches_reference(got, roots, params_list, seed=0):
         assert bits(got[j]) == bits(reference_oracle(p, seed=seed)), f"set {j}"
 
 
-def reference_find_all(monkeypatch, topo, params, seed=0):
+def reference_find_all(monkeypatch, topo, params, seed=0, all_faces=False):
     """find_all_equilibria with the scalar reference as its oracle."""
     with monkeypatch.context() as m:
-        m.setattr(eq, "brute_force_equilibria", reference_oracle)
+        m.setattr(eq, "brute_force_equilibria",
+                  functools.partial(reference_oracle, all_faces=all_faces))
         return find_all_equilibria(topo, params, seed=seed)
+
+
+def hexed(x):
+    """A stability report as nested tuples, every float by its exact bits."""
+    if dataclasses.is_dataclass(x):
+        return tuple(hexed(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, np.ndarray):
+        return hexed(x.tolist())
+    if isinstance(x, (list, tuple)):
+        return tuple(hexed(v) for v in x)
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    return float(x).hex() if isinstance(x, float) else x
+
+
+def ulps(x: float, y: float) -> int:
+    """The number of float steps between ``x`` and ``y``."""
+    def key(v):
+        i = int(np.float64(v).view(np.int64))
+        return i if i >= 0 else -(i & (2**63 - 1))
+    return abs(key(x) - key(y))
+
+
+def assert_same_roots(got, want, max_ulps=2):
+    """Each record of ``got`` is one of ``want``'s, in any order, with
+    every coordinate within ``max_ulps``."""
+    assert len(got) == len(want)
+    left = [w.point.tolist() for w in want]
+    for rec in got:
+        p = rec.point.tolist()
+        near = [q for q in left if _gap(p, q) < DEDUP_TOL]
+        assert near, f"root {p} is not in the reference"
+        assert max(ulps(a, b) for a, b in zip(p, near[0])) <= max_ulps, (p, near[0])
+        left.remove(near[0])
 
 
 def full_start_branches(monkeypatch, c, x0, tol=1e-8):
@@ -711,6 +758,64 @@ class TestBatchedOracle:
                     assert_matches_reference(
                         *batched_roots(monkeypatch, [p], seed=i), [p], seed=i)
 
+    def test_closed_faces_give_the_every_face_table(self, monkeypatch):
+        # Every 8th draw of acceptance 03, all 13 topologies: an open face
+        # holds no root but an edge's or the origin, so starting every face
+        # changes no record or report, and moves a raw root by 2 ulp at most.
+        rng = np.random.default_rng(3003)
+        for topo in TOPOLOGIES:
+            for i in range(200):
+                p = apply_topology(draw_params(rng), topo)
+                if i % 8:
+                    continue
+                want = reference_find_all(monkeypatch, topo, p, seed=i, all_faces=True)
+                got = find_all_equilibria(topo, p, seed=i)
+                assert bits(got) == bits(want), f"{topo} draw {i}"
+                assert [hexed(classify(topo, r, p)) for r in got] == \
+                    [hexed(classify(topo, r, p)) for r in want], f"{topo} draw {i}"
+                assert_same_roots(brute_force_equilibria(p, seed=i),
+                                  reference_oracle(p, seed=i, all_faces=True))
+
+    @pytest.mark.parametrize("topo, token, label", [
+        ("EX6", "m21", "I3"), ("CONVERGE", "m32", "X2"), ("CONVERGE", "m12", "Y3")])
+    def test_one_rate_opens_a_face_in_a_mixed_batch(self, monkeypatch, topo, token, label):
+        # The rate ``token`` flows into the patch pinned on the face of the
+        # catalog point ``label``: at exactly 0.0 the face is closed, at the
+        # least subnormal and at 0.5 it is open, and each set of one batch
+        # runs that face's starts or not by its own rates.
+        rng = np.random.default_rng([17, TOPOLOGIES.index(topo)])
+        while True:
+            p = apply_topology(draw_params(rng), topo)
+            cf = next((r for r in closed_form_equilibria(topo, p) if r.label == label),
+                      None)
+            if cf is not None and cf.feasible:
+                break
+        sets = [with_param(p, token, v) for v in (0.0, 5e-324, 0.5)]
+        lanes = []
+        full_lanes = eq._full_lanes
+
+        def counting(cs, K, P, free, sid, tol):
+            lanes.append((free, sid))
+            return full_lanes(cs, K, P, free, sid, tol)
+
+        with monkeypatch.context() as m:
+            m.setattr(eq, "_full_lanes", counting)
+            got = _oracle_many(sets)
+        (free, sid), = lanes
+        for j, q in enumerate(sets):
+            on = free[:, sid == j]
+            faced = {tuple(np.flatnonzero(col).tolist()) for col in on.T} - {(0, 1, 2)}
+            assert sorted(faced) == closed_faces(q), f"set {j}"
+            assert on.shape[1] == 72 + 15 * len(closed_faces(q)), f"set {j}"
+            assert bits(got[j]) == bits(brute_force_equilibria(q)), f"set {j}"
+            assert bits(got[j]) == bits(reference_oracle(q)), f"set {j}"
+        assert len(closed_faces(sets[0])) == len(closed_faces(sets[1])) + 1
+        # The closed face's equilibrium comes from the oracle itself.
+        pinned = cf.point.tolist().index(0.0)
+        hits = [r.point.tolist() for r in got[0]
+                if _gap(r.point.tolist(), cf.point.tolist()) < DEDUP_TOL]
+        assert len(hits) == 1 and hits[0][pinned] == 0.0
+
     @pytest.mark.parametrize("topo", TOPOLOGIES)
     def test_batched_sets_match_find_all_per_set(self, monkeypatch, topo):
         rng = np.random.default_rng([45, TOPOLOGIES.index(topo)])
@@ -744,8 +849,10 @@ class TestBatchedOracle:
             return newton_full(c, x0, tol, max_iter, *args, free=free, **kwargs)
 
         rng = np.random.default_rng(3003)
-        draws = [draw_params(rng) for _ in range(3 * 200)]
-        for i in (0, 400):  # FULL draw 0 and HUB0 draw 0 of acceptance 03
+        draws = [draw_params(rng) for _ in range(len(TOPOLOGIES) * 200)]
+        # FULL, HUB0 and CONVERGE draw 0 of acceptance 03; of the three,
+        # only CONVERGE has closed faces, and so face starts.
+        for i in (0, 400, 200 * TOPOLOGIES.index("CONVERGE")):
             p = apply_topology(draws[i], TOPOLOGIES[i // 200])
             with monkeypatch.context() as m:
                 m.setattr(newton, "_HANDOFF_LANES", handoff)
