@@ -41,9 +41,9 @@ import numpy as np
 
 from .bifurcation import sweep as _sweep
 from .equilibria import ADMITTED_LABELS, find_all_equilibria
-from .model import PARAM_TOKENS, ModelParams, NumericalError, ParameterError, _coeffs
+from .model import PARAM_TOKENS, ModelParams, NumericalError, ParameterError
 from .simulate import basin_sample, integrate
-from .stability import _classify
+from .stability import classify
 from .topology import (
     TOPOLOGIES,
     apply_topology,
@@ -368,9 +368,8 @@ def cmd_enumerate(args) -> tuple[str, int]:
 
 def _report_doc(topo: str, params: ModelParams, seed: int) -> dict:
     out = []
-    c = _coeffs(params)  # params is projected: see _resolve
     for rec in find_all_equilibria(topo, params, seed=seed):
-        rep = _classify(topo, c, rec)
+        rep = classify(topo, rec, params)
         out.append({
             "label": rec.label,
             "point": [float(v) for v in rec.point],

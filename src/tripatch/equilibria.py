@@ -666,8 +666,10 @@ def _oracle_batch(params_list, seed):
     # Faces: _FACE_STARTS Halton starts and three fixed ones per set, face
     # by face, on each face the set closes (see brute_force_equilibria).
     # Face fi pins patch p = 2 - fi, whose inflow rates are lane rows 6 + p
-    # and 9 + p.
-    closed = ~((coef[6:9] > 0.0) | (coef[9:12] > 0.0))[::-1]
+    # and 9 + p.  A set with a small positive rate closes every face.
+    rates = coef[6:12]
+    small = ((rates > 0.0) & (rates * DEDUP_TOL <= RESIDUAL_LIMIT)).any(axis=0)
+    closed = ~((coef[6:9] > 0.0) | (coef[9:12] > 0.0))[::-1] | small
     fid, fsid = np.nonzero(closed)
     planes = np.empty((len(_FACES), _FACE_STARTS + 3, 2))
     for fi in np.flatnonzero(closed.any(axis=1)).tolist():
@@ -753,18 +755,23 @@ def brute_force_equilibria(params: ModelParams, seed: int = 0
     """Multi-start Newton oracle over the box [0, 2·max k]³.
 
     Interior starts are 64 scrambled Halton points plus the 8 box
-    corners; every edge, and every boundary face that is closed (no
-    migration into its pinned patch), gets starts of its own, solved by
-    the same damped Newton with the other coordinates pinned at 0, so
-    equilibria that repel the interior are still found.  An open face
-    holds no root but an edge's or the origin: on ``x_p = 0`` the pinned
-    row is ``f_p = Σ_j m_pj·x_j``, so an arc into ``p`` forces its source
-    to 0.  Converged points (full residual ≤ ``RESIDUAL_LIMIT``,
-    components ≥ −1e−9) are deduplicated at 1e−6 and returned labeled
-    NUMERICAL.  Deterministic for fixed ``seed``.  The full-space and
-    face starts run as lanes of one batched Newton, which ends each start
-    where the scalar solve from it ends, bit for bit, and the edges run
-    in the scalar solve (see ``newton``).
+    corners; every edge, and every boundary face that is closed, gets
+    starts of its own, solved by the same damped Newton with the other
+    coordinates pinned at 0, so equilibria that repel the interior are
+    still found.  A face ``x_p = 0`` is closed when no rate flows into
+    ``p``.  Its pinned row is ``f_p = m_pi·x_i + m_pj·x_j``, so an arc into
+    ``p`` forces its source to 0 at an exact root, and an open face holds
+    no root but an edge's or the origin.  The residual test is absolute,
+    though: a rate ``m`` lets a point with ``m·x ≤ RESIDUAL_LIMIT`` pass
+    at a distance ``x`` from a face or an edge, and more than DEDUP_TOL
+    away where ``m·DEDUP_TOL ≤ RESIDUAL_LIMIT``.  So a set with such a
+    positive rate (``m ≤ 0.01``) starts every face.  Converged points
+    (full residual ≤ ``RESIDUAL_LIMIT``, components ≥ −1e−9) are
+    deduplicated at 1e−6 and returned labeled NUMERICAL.  Deterministic
+    for fixed ``seed``.  The full-space and face starts run as lanes of
+    one batched Newton, which ends each start where the scalar solve from
+    it ends, bit for bit, and the edges run in the scalar solve (see
+    ``newton``).
 
     Raises
     ------

@@ -185,8 +185,8 @@ def _newton_full(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
 #: 19.2, 18.3, 16.3, 17.8 and 17.8 ms (medians of 6 laps and of 8 passes
 #: over 60 ops): no value was faster than 24 on both.  These timings come
 #: from when the full-space and the face starts ran as two batches, each
-#: with its own handoff.  A set now runs as 72 lanes, or 87 or 102 where
-#: one or two of its faces are closed; the value was not re-timed for that.
+#: with its own handoff.  A set now runs as 72 lanes plus 15 per closed
+#: face (72–117); the value was not re-timed for that.
 _HANDOFF_LANES = 24
 
 #: Iteration budget of every oracle start.

@@ -5,8 +5,6 @@ string (the first counterexample, when one exists).  The battery is the
 engine behind ``tripatch verify`` and deliberately routes through the
 public API — a sign error injected into the rhs kernel, for example,
 must surface here as a failed conservation law with a printed witness.
-The classifier check calls ``classify``'s body, ``stability._classify``,
-with the projected set's coefficients, as ``sweep`` does.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ from .equilibria import (
     find_all_equilibria,
     newton_coexistence,
 )
-from .model import ModelParams, NumericalError, _coeffs
-from .stability import _classify
+from .model import ModelParams, NumericalError
+from .stability import classify
 from .topology import (
     TOPOLOGIES,
     apply_topology,
@@ -136,11 +134,10 @@ def check_classifier_consistency(seed: int, n: int) -> PropertyResult:
     for topo in TOPOLOGIES:
         for i in range(per):
             p = apply_topology(draw_params(rng), topo)
-            c = _coeffs(p)
             for rec in find_all_equilibria(topo, p, seed=i):
                 if not rec.feasible:
                     continue
-                rep = _classify(topo, c, rec)
+                rep = classify(topo, rec, p)
                 rows = [c for c in rep.conditions
                         if c.kind == "stability"]
                 if not rows or rep.classification == "MARGINAL":

@@ -562,9 +562,7 @@ class TestNumericalFailures:
         ("basin", "basin_sample", ConvergenceError),
         ("verify", "run_battery", BracketError),
         ("simulate", "integrate", StepUnderflowError),
-        # analyze classifies the projected set's records by _classify.
-        pytest.param("analyze", "_classify", StaleEquilibriumError,
-                     id="analyze-classify-StaleEquilibriumError"),
+        ("analyze", "classify", StaleEquilibriumError),
     ])
     def test_exit_code_3_without_traceback(self, capsys, monkeypatch,
                                            tmp_path, verb, callee, error):

@@ -577,8 +577,11 @@ class TestFindAll:
 
 
 def closed_faces(params):
-    """The free coordinates of each face that no arc into its pinned patch opens."""
+    """The free coordinates of each face that no rate into its pinned patch
+    opens; all three where a positive rate is at most 0.01."""
     m = params.m
+    if any(0.0 < v and v * DEDUP_TOL <= eq.RESIDUAL_LIMIT for v in m.flat):
+        return [(0, 1), (0, 2), (1, 2)]
     return [free for free in ((0, 1), (0, 2), (1, 2))
             if not any(m[3 - sum(free), j] > 0.0 for j in free)]
 
@@ -776,13 +779,42 @@ class TestBatchedOracle:
                 assert_same_roots(brute_force_equilibria(p, seed=i),
                                   reference_oracle(p, seed=i, all_faces=True))
 
+    @pytest.mark.parametrize("rate", [1e-9, 1e-12, 5e-324])
+    def test_a_small_rate_gives_the_every_face_table(self, monkeypatch, rate):
+        # Every 40th draw of acceptance 03, all 13 topologies, with the
+        # rates into each face's pinned patch in turn set to ``rate``: the
+        # absolute residual test lets points beside that face pass, so the
+        # set starts every face and equals the every-face reference.
+        rng = np.random.default_rng(3003)
+        for topo in TOPOLOGIES:
+            for i in range(200):
+                p = apply_topology(draw_params(rng), topo)
+                if i % 40:
+                    continue
+                for a, b in ((0, 1), (0, 2), (1, 2)):
+                    pin = 3 - a - b
+                    q = p
+                    for j in (a, b):
+                        if p.m[pin, j] > 0.0:
+                            q = with_param(q, f"m{pin + 1}{j + 1}", rate)
+                    if q is p:
+                        continue
+                    where = f"{topo} draw {i} face {a, b}"
+                    want = reference_find_all(monkeypatch, topo, q, seed=i, all_faces=True)
+                    got = find_all_equilibria(topo, q, seed=i)
+                    assert bits(got) == bits(want), where
+                    assert [hexed(classify(topo, r, q)) for r in got] == \
+                        [hexed(classify(topo, r, q)) for r in want], where
+                    assert bits(brute_force_equilibria(q, seed=i)) == \
+                        bits(reference_oracle(q, seed=i, all_faces=True)), where
+
     @pytest.mark.parametrize("topo, token, label", [
         ("EX6", "m21", "I3"), ("CONVERGE", "m32", "X2"), ("CONVERGE", "m12", "Y3")])
     def test_one_rate_opens_a_face_in_a_mixed_batch(self, monkeypatch, topo, token, label):
         # The rate ``token`` flows into the patch pinned on the face of the
-        # catalog point ``label``: at exactly 0.0 the face is closed, at the
-        # least subnormal and at 0.5 it is open, and each set of one batch
-        # runs that face's starts or not by its own rates.
+        # catalog point ``label``: at exactly 0.0 the face is closed, at 0.5
+        # it is open, and at the least subnormal, 1e-12 and 1e-9 every face
+        # is closed; each set of one batch runs its faces by its own rates.
         rng = np.random.default_rng([17, TOPOLOGIES.index(topo)])
         while True:
             p = apply_topology(draw_params(rng), topo)
@@ -790,7 +822,7 @@ class TestBatchedOracle:
                       None)
             if cf is not None and cf.feasible:
                 break
-        sets = [with_param(p, token, v) for v in (0.0, 5e-324, 0.5)]
+        sets = [with_param(p, token, v) for v in (0.0, 5e-324, 1e-12, 1e-9, 0.5)]
         lanes = []
         full_lanes = eq._full_lanes
 
@@ -809,7 +841,11 @@ class TestBatchedOracle:
             assert on.shape[1] == 72 + 15 * len(closed_faces(q)), f"set {j}"
             assert bits(got[j]) == bits(brute_force_equilibria(q)), f"set {j}"
             assert bits(got[j]) == bits(reference_oracle(q)), f"set {j}"
-        assert len(closed_faces(sets[0])) == len(closed_faces(sets[1])) + 1
+        face = tuple(sorted({0, 1, 2} - {int(token[1]) - 1}))
+        assert face in closed_faces(sets[0]) and face not in closed_faces(sets[-1])
+        for j in (1, 2, 3):
+            assert closed_faces(sets[j]) == [(0, 1), (0, 2), (1, 2)]
+            assert bits(got[j]) == bits(reference_oracle(sets[j], all_faces=True))
         # The closed face's equilibrium comes from the oracle itself.
         pinned = cf.point.tolist().index(0.0)
         hits = [r.point.tolist() for r in got[0]
