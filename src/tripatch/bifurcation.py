@@ -91,44 +91,38 @@ def transcritical_thresholds(topo: str, params: ModelParams
     stability or feasibility.  Thresholds are the equality cases of the
     closed-form catalog conditions; topologies whose catalog has no
     single-parameter boundary (the strongly connected ones) return [].
+    Only values in (0, inf), the domain of a rate, are listed.
     """
     c = _coeffs(apply_topology(params, topo))
     r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32 = c[:12]
     out: list[tuple[str, float, tuple[str, str]]] = []
     if topo == "EX6":
-        out.append(("r2", m12 + m32, ("I2", "COEX")))
-        out.append(("r2", m12 + m32, ("I3", "COEX")))
-        out.append(("r3", m13, ("I2", "I3")))
+        out = [("r2", m12 + m32, ("I2", "COEX")), ("r2", m12 + m32, ("I3", "COEX")),
+               ("r3", m13, ("I2", "I3"))]
     elif topo in ("EX7", "EX7N"):
-        out.append(("r2", m12 + m32, ("Q1", "COEX")))
+        out = [("r2", m12 + m32, ("Q1", "COEX"))]
     elif topo == "CHAIN":
-        out.append(("r1", m21, ("W3", "COEX")))
-        out.append(("r2", m32, ("W2", "W3")))
+        out = [("r1", m21, ("W3", "COEX")), ("r2", m32, ("W2", "W3"))]
     elif topo == "CONVERGE":
-        out.append(("r1", m21, ("X1", "X2")))
-        out.append(("r1", m21, ("Y3", "COEX")))
-        out.append(("r3", m23, ("X1", "Y3")))
-        out.append(("r3", m23, ("X2", "COEX")))
+        out = [("r1", m21, ("X1", "X2")), ("r1", m21, ("Y3", "COEX")),
+               ("r3", m23, ("X1", "Y3")), ("r3", m23, ("X2", "COEX"))]
     elif topo == "DIVERGE":
-        out.append(("r2", m12 + m32, ("Z3", "COEX")))
+        out = [("r2", m12 + m32, ("Z3", "COEX"))]
     elif topo == "EX8":
         # Determinant boundary of the 2×2 block at (k1, 0, 0), solved
         # for r2; the trace boundary is the (degenerate) Hopf candidate.
         den = r3 - m13 - m23
         if abs(den) > 1e-12:
-            val = m12 + m32 * (r3 - m13) / den
-            if math.isfinite(val) and val > 0.0:
-                out.append(("r2", val, ("M2_EX8", "COEX")))
+            out = [("r2", m12 + m32 * (r3 - m13) / den, ("M2_EX8", "COEX"))]
     elif topo == "EX2N":
         # Determinant boundary of the 1–3 block at (0, k2, 0), solved
         # for r1 (the block is sign-symmetric, so its eigenvalues are
         # real and only real crossings occur).
         den = m13 + m23 - r3
         if abs(den) > 1e-12:
-            val = m31 - m13 * m31 / den
-            if math.isfinite(val) and val > 0.0:
-                out.append(("r1", val, ("X_EX2N", "COEX")))
-    return out
+            out = [("r1", m31 - m13 * m31 / den, ("X_EX2N", "COEX"))]
+    # 0 where every rate in a formula is cut, inf where a sum overflows.
+    return [t for t in out if 0.0 < t[1] < math.inf]
 
 
 def hopf_candidate(params: ModelParams) -> tuple[float, str]:

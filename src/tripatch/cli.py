@@ -317,14 +317,14 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def _params_doc(params: ModelParams) -> dict:
+    """``r``, ``k`` and ``m`` of a parameter set as JSON lists of floats."""
+    return {"r": params.r.tolist(), "k": params.k.tolist(), "m": params.m.tolist()}
+
+
 def canonical_json(cfg: RunConfig) -> str:
     """Canonical serialization; parse -> serialize -> parse is identity."""
-    doc: dict = {
-        "r": [float(v) for v in cfg.params.r],
-        "k": [float(v) for v in cfg.params.k],
-        "m": [[float(v) for v in row] for row in cfg.params.m],
-        "seed": cfg.seed,
-    }
+    doc: dict = {**_params_doc(cfg.params), "seed": cfg.seed}
     if cfg.topology is not None:
         doc["topology"] = cfg.topology
     for name in _BLOCKS:
@@ -390,9 +390,7 @@ def _report_doc(topo: str, params: ModelParams, seed: int) -> dict:
         "command": "analyze",
         "seed": seed,
         "topology": topo,
-        "params": {"r": [float(v) for v in params.r],
-                   "k": [float(v) for v in params.k],
-                   "m": [[float(v) for v in row] for row in params.m]},
+        "params": _params_doc(params),
         "equilibria": out,
     }
 
@@ -431,18 +429,13 @@ def cmd_sweep(args) -> tuple[str, int]:
     for rec in records:
         for eq, rep in zip(rec.equilibria, rec.reports):
             lead = rep.eigenvalues[0]
-            w.writerow([param, _fmt(rec.param_value), eq.label,
-                        _fmt(eq.point[0]), _fmt(eq.point[1]),
-                        _fmt(eq.point[2]),
+            w.writerow([param, _fmt(rec.param_value), eq.label, *map(_fmt, eq.point),
                         "true" if eq.feasible else "false",
-                        rep.classification, _fmt(lead.real), _fmt(lead.imag),
-                        ""])
+                        rep.classification, _fmt(lead.real), _fmt(lead.imag), ""])
         for c in rec.crossings:
             crossing_rows.append([param, _fmt(c.param_value), c.label,
-                                  _fmt(c.point[0]), _fmt(c.point[1]),
-                                  _fmt(c.point[2]), "",
-                                  "CROSSING", _fmt(c.eig_re), _fmt(c.eig_im),
-                                  c.kind])
+                                  *map(_fmt, c.point), "", "CROSSING",
+                                  _fmt(c.eig_re), _fmt(c.eig_im), c.kind])
     w.writerows(crossing_rows)
     return buf.getvalue(), 0
 
@@ -571,12 +564,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text, code = args.handler(args)
-    except NumericalError as exc:
+    except (NumericalError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericalError) else 2
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

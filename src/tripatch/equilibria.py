@@ -32,7 +32,6 @@ import numpy as np
 
 from .model import ModelParams, NumericalError, ParameterError, _coeffs, _count, _gap
 from .newton import (
-    _ORACLE_ITER,
     _abs_max,
     _full_lanes,
     _lane_coeffs,
@@ -675,31 +674,27 @@ def _oracle_batch(params_list, seed):
     for fi in np.flatnonzero(closed.any(axis=1)).tolist():
         planes[fi, :_FACE_STARTS] = _halton(2, _FACE_STARTS, seed * 8 + fi + 1)
     planes[:, _FACE_STARTS:] = [(1.0, 1.0), (1.0, 0.25), (0.25, 1.0)]
-    # Lane n is free in coordinates IJ[:, n] and pinned in the third.
-    IJ = np.repeat(np.array(_FACES)[fid].T, planes.shape[1], axis=1)
-    face = X.shape[1] + np.arange(IJ.shape[1])
-    X = np.concatenate([X, np.zeros((3, len(face)))], axis=1)
-    X[IJ, face] = (planes[fid] * boxes[fsid, None, None]).reshape(-1, 2).T
+    # Edges: patch i alone at its logistic root, wherever that root is positive.
+    roots = _logistic_root(coef[0:3], coef[3:6], coef[12:15])
+    ei, esid = np.nonzero(roots > 0.0)
+    # Lane n is free in coordinates IJ[:, n] and pinned in the others; an
+    # edge lane names its one coordinate twice.
+    IJ = np.concatenate([np.repeat(np.array(_FACES)[fid].T, planes.shape[1], axis=1),
+                         [ei, ei]], axis=1)
+    starts = (planes[fid] * boxes[fsid, None, None]).reshape(-1, 2).T
+    pinned = X.shape[1] + np.arange(IJ.shape[1])
+    X = np.concatenate([X, np.zeros((3, len(pinned)))], axis=1)
+    X[IJ, pinned] = np.concatenate([starts, [roots[ei, esid]] * 2], axis=1)
     free = np.ones(X.shape, dtype=bool)
-    free[:, face] = False
-    free[IJ, face] = True
-    sid = np.concatenate([sid, np.repeat(fsid, planes.shape[1])])
-    # Full-space and face starts run as lanes of one batch.
+    free[:, pinned] = False
+    free[IJ, pinned] = True
+    sid = np.concatenate([sid, np.repeat(fsid, planes.shape[1]), esid])
+    # Full-space, face and edge starts run as lanes of one batch.
     ends, ok = _full_lanes(cs, coef[:, sid], X, free, sid, RESIDUAL_LIMIT)
 
-    # The origin is always a root; then the converged lanes and the edges.
-    X, rsid = [np.zeros((3, n_sets)), ends[:, ok]], [np.arange(n_sets), sid[ok]]
-    for s, c in enumerate(cs):
-        for i in range(3):
-            root = _logistic_root(c[i], c[3 + i], c[12 + i])
-            if root > 0.0:
-                x0 = [0.0, 0.0, 0.0]
-                x0[i] = root
-                got = _newton_full(c, x0, RESIDUAL_LIMIT, _ORACLE_ITER, free=(i,))
-                if got is not None:
-                    X.append(np.array(got[0])[:, None])
-                    rsid.append([s])
-    X, rsid = np.concatenate(X, axis=1), np.concatenate(rsid)
+    # The origin is always a root; then the converged lanes.
+    X = np.concatenate([np.zeros((3, n_sets)), ends[:, ok]], axis=1)
+    rsid = np.concatenate([np.arange(n_sets), sid[ok]])
 
     # Drop roots below -1e-9, snap components within 1e-12·max(1, box) of
     # zero to 0, take every residual and sort each set's roots, in one pass.
@@ -755,8 +750,9 @@ def brute_force_equilibria(params: ModelParams, seed: int = 0
     """Multi-start Newton oracle over the box [0, 2·max k]³.
 
     Interior starts are 64 scrambled Halton points plus the 8 box
-    corners; every edge, and every boundary face that is closed, gets
-    starts of its own, solved by the same damped Newton with the other
+    corners; every boundary face that is closed gets 15 starts of its
+    own, and every edge one at its patch's logistic root where that is
+    positive, solved by the same damped Newton with the other
     coordinates pinned at 0, so equilibria that repel the interior are
     still found.  A face ``x_p = 0`` is closed when no rate flows into
     ``p``.  Its pinned row is ``f_p = m_pi·x_i + m_pj·x_j``, so an arc into
@@ -768,10 +764,9 @@ def brute_force_equilibria(params: ModelParams, seed: int = 0
     positive rate (``m ≤ 0.01``) starts every face.  Converged points
     (full residual ≤ ``RESIDUAL_LIMIT``, components ≥ −1e−9) are
     deduplicated at 1e−6 and returned labeled NUMERICAL.  Deterministic
-    for fixed ``seed``.  The full-space and face starts run as lanes of
-    one batched Newton, which ends each start where the scalar solve from
-    it ends, bit for bit, and the edges run in the scalar solve (see
-    ``newton``).
+    for fixed ``seed``.  Every start, in the full space, on a face or on
+    an edge, is a lane of one batched Newton, which ends it where the
+    scalar solve from it ends, bit for bit (see ``newton``).
 
     Raises
     ------

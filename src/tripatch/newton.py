@@ -11,12 +11,12 @@ the weights are 1.0 and the Jacobian's coefficients are the model's, so
 each added operation is exact.
 
 The scalar solver (``_newton_full``) serves polishing, the coexistence
-route's finish, sweep continuation, the oracle's edges and single
-leftover starts; it returns None where it fails, and the caller decides
-whether that is an error.  It writes the rhs, the Jacobian diagonal and
-the Cramer solve out inline and evaluates the rhs once per trial point.
-The batched one (``_full_lanes``) serves the multi-start oracle: every
-start of every parameter set, in the full space or on a face, is a lane
+route's finish, sweep continuation and the batch's last few lanes; it
+returns None where it fails, and the caller decides whether that is an
+error.  It writes the rhs, the Jacobian diagonal and the Cramer solve
+out inline and evaluates the rhs once per trial point.  The batched one
+(``_full_lanes``) serves the multi-start oracle: every start of every
+parameter set, in the full space, on a face or on an edge, is a lane
 with its own coefficient column and free coordinates, stopped by mask
 once it converges or turns singular.  Every lane performs the scalar
 solve's float operations in the same order (Python's ``max`` tie rule
@@ -185,8 +185,8 @@ def _newton_full(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
 #: 19.2, 18.3, 16.3, 17.8 and 17.8 ms (medians of 6 laps and of 8 passes
 #: over 60 ops): no value was faster than 24 on both.  These timings come
 #: from when the full-space and the face starts ran as two batches, each
-#: with its own handoff.  A set now runs as 72 lanes plus 15 per closed
-#: face (72–117); the value was not re-timed for that.
+#: with its own handoff.  A set now runs as 72 lanes, plus 15 per closed
+#: face, plus one per edge with a positive root (72–120), not re-timed.
 _HANDOFF_LANES = 24
 
 #: Iteration budget of every oracle start.

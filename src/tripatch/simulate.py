@@ -27,9 +27,8 @@ accepted, rejected and retired by mask.  Both forms perform the same
 float operations in the same order (the C library's ``pow`` for the
 controller powers, Python's ``max``/``min`` tie and NaN rules), so each
 start ends in the same terminal state as ``integrate`` from it, bit for
-bit.  The last few live lanes finish in
-``_advance``, because a handful of slow starts would otherwise keep a
-nearly empty batch stepping.
+bit.  The last few live lanes finish in ``_advance``, because a handful
+of slow starts would otherwise keep a nearly empty batch stepping.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ package and in all CLI output.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import permutations
 
 import numpy as np
@@ -63,11 +64,13 @@ _ZEROED = {
 }
 
 _ALL_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+_PERMUTATIONS = tuple(permutations(range(3)))
 
 
 def zeroed_rates(topo: str) -> tuple[tuple[int, int], ...]:
     """Rate-matrix entries (0-based ``(into, from)``) pinned to zero."""
-    _check_topology(topo)
+    if topo not in _ZEROED:
+        raise ParameterError(f"unknown topology token {topo!r}")
     return tuple(_ENTRY[t] for t in _ZEROED[topo])
 
 
@@ -75,11 +78,6 @@ def arcs_of_topology(topo: str) -> frozenset[tuple[int, int]]:
     """Representative arc set of a topology as ``(src, dst)`` pairs."""
     zeroed = set(zeroed_rates(topo))
     return frozenset((j, i) for (i, j) in _ALL_PAIRS if (i, j) not in zeroed)
-
-
-def _check_topology(topo: str) -> None:
-    if topo not in _ZEROED:
-        raise ParameterError(f"unknown topology token {topo!r}")
 
 
 def arc_labels(arcs: frozenset[tuple[int, int]]) -> list[str]:
@@ -106,8 +104,28 @@ def _reaches_all(arcs, start: int) -> bool:
     return len(seen) == 3
 
 
+def _patches(values) -> tuple[int, ...] | None:
+    """``values`` as a tuple of ints, or None unless each is an integer."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        return None
+
+
+def _check_arcs(arcs) -> frozenset[tuple[int, int]]:
+    """``arcs`` as a frozenset, or a ParameterError naming the first arc that
+    is no pair of distinct patch indices in {0, 1, 2}."""
+    arcs = tuple(arcs)
+    for arc in arcs:
+        if not isinstance(arc, tuple) or _patches(arc) not in _ALL_PAIRS:
+            raise ParameterError(f"arc {arc!r} is not a pair of distinct patches 0, 1, 2")
+    return frozenset(arcs)
+
+
 def is_admissible(arcs: frozenset[tuple[int, int]]) -> bool:
-    """True iff no patch is isolated and the undirected graph is connected."""
+    """True iff no patch is isolated and the undirected graph is connected;
+    an arc that is no pair of distinct patches 0, 1, 2 is a ParameterError."""
+    arcs = _check_arcs(arcs)
     return _reaches_all({*arcs, *((d, s) for s, d in arcs)}, 0)
 
 
@@ -120,9 +138,7 @@ def is_strongly_connected(arcs: frozenset[tuple[int, int]]) -> bool:
 
 def _permute_arcs(arcs, perm) -> frozenset[tuple[int, int]]:
     """Relabel patches: ``perm[new] = old``; arcs map through the inverse."""
-    inv = [0, 0, 0]
-    for new, old in enumerate(perm):
-        inv[old] = new
+    inv = [perm.index(old) for old in range(3)]
     return frozenset((inv[s], inv[d]) for s, d in arcs)
 
 
@@ -133,7 +149,10 @@ def permute_params(params: ModelParams, perm: tuple[int, int, int]) -> ModelPara
     ``old`` of the input.  Both indices of ``m`` are permuted together,
     so the relabeled model generates the same dynamics up to renaming.
     """
-    idx = list(perm)
+    idx = _patches(perm)
+    if idx not in _PERMUTATIONS:
+        raise ParameterError(f"perm must be a permutation of (0, 1, 2), got {perm!r}")
+    idx = list(idx)
     m = np.asarray(params.m)[np.ix_(idx, idx)]
     return ModelParams(np.asarray(params.r)[idx], np.asarray(params.k)[idx], m)
 
@@ -152,10 +171,11 @@ def canonical_form(arcs) -> tuple[str, tuple[int, int, int]]:
     lands exactly on the class representative of
     :func:`arcs_of_topology`.  Representatives map to themselves with
     the identity permutation.  The 13 classes hold every admissible arc
-    set, so one that no relabeling lands on is inadmissible.
+    set, so one that no relabeling lands on is inadmissible.  An arc that
+    is no pair of distinct patches 0, 1, 2 is a ParameterError.
     """
-    arcs = frozenset(arcs)
-    for perm in permutations(range(3)):
+    arcs = _check_arcs(arcs)
+    for perm in _PERMUTATIONS:
         topo = _TOPOLOGY_OF.get(_permute_arcs(arcs, perm))
         if topo is not None:
             return topo, perm

@@ -138,8 +138,7 @@ def check_classifier_consistency(seed: int, n: int) -> PropertyResult:
                 if not rec.feasible:
                     continue
                 rep = classify(topo, rec, p)
-                rows = [c for c in rep.conditions
-                        if c.kind == "stability"]
+                rows = [c for c in rep.conditions if c.kind == "stability"]
                 if not rows or rep.classification == "MARGINAL":
                     continue
                 if any(abs(c.lhs - c.rhs) <= 1e-6 for c in rows):
@@ -242,5 +241,8 @@ _CHECKS = (
 
 
 def run_battery(seed: int = 0, n: int = 200) -> list[PropertyResult]:
-    """Run every property check with ``n`` controlling draw counts."""
+    """Run every property check with ``n`` controlling draw counts; a
+    ``seed`` that is no integer >= 0 or an ``n`` no integer >= 1 raises
+    ParameterError."""
+    seed, n = model._count("seed", seed, 0), model._count("n", n, 1)
     return [chk(seed, n) for chk in _CHECKS]

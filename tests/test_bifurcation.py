@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -118,6 +119,34 @@ class TestTranscriticalThresholds:
             assert min(abs(z.real) for z in rep.eigenvalues) <= 1e-8 * scale
             found += 1
         assert found >= 10, f"only {found} admissible boundary draws"
+
+    @pytest.mark.parametrize("topo", ("EX6", "EX7", "EX7N", "EX8", "EX2N",
+                                      "CHAIN", "CONVERGE", "DIVERGE"))
+    def test_every_value_is_a_rate(self, topo):
+        # With any of the pattern's rates cut to 0, or raised until a sum
+        # overflows, every listed value is one with_param accepts.
+        p = apply_topology(draw_params(np.random.default_rng(2), m_lo=0.1), topo)
+        present = [f"m{i + 1}{j + 1}" for i in range(3) for j in range(3)
+                   if p.m[i, j] > 0.0]
+        for value in (0.0, 1e308):
+            for n in range(len(present) + 1):
+                for cut in itertools.combinations(present, n):
+                    q = p
+                    for tok in cut:
+                        q = with_param(q, tok, value)
+                    for tok, val, _ in transcritical_thresholds(topo, q):
+                        assert 0.0 < val < math.inf, (cut, value, tok, val)
+                        with_param(q, tok, val)
+
+    @pytest.mark.parametrize("topo, cut, token", [
+        ("CHAIN", ("m21",), "r1"), ("EX6", ("m12", "m32"), "r2"),
+        ("DIVERGE", ("m12", "m32"), "r2")])
+    def test_a_cut_threshold_is_not_listed(self, topo, cut, token):
+        p = apply_topology(draw_params(np.random.default_rng(2), m_lo=0.1), topo)
+        assert token in {tok for tok, _, _ in transcritical_thresholds(topo, p)}
+        for tok in cut:
+            p = with_param(p, tok, 0.0)
+        assert token not in {tok for tok, _, _ in transcritical_thresholds(topo, p)}
 
     def test_degenerate_denominator_is_skipped(self):
         p = draw_params(np.random.default_rng(6), m_lo=0.2)

@@ -586,6 +586,13 @@ def closed_faces(params):
             if not any(m[3 - sum(free), j] > 0.0 for j in free)]
 
 
+def positive_edges(params):
+    """The edges ``(i,)`` whose logistic root, patch i alone, is positive."""
+    c = _coeffs(params)
+    return [(i,) for i in range(3)
+            if eq._logistic_root(c[i], c[3 + i], c[12 + i]) > 0.0]
+
+
 def reference_roots(params, n_starts=64, seed=0, tol=1e-8, all_faces=False):
     """The oracle's roots before dedup, one scalar Newton solve per start.
 
@@ -836,9 +843,12 @@ class TestBatchedOracle:
         (free, sid), = lanes
         for j, q in enumerate(sets):
             on = free[:, sid == j]
-            faced = {tuple(np.flatnonzero(col).tolist()) for col in on.T} - {(0, 1, 2)}
-            assert sorted(faced) == closed_faces(q), f"set {j}"
-            assert on.shape[1] == 72 + 15 * len(closed_faces(q)), f"set {j}"
+            masks = {tuple(np.flatnonzero(col).tolist()) for col in on.T}
+            faced = sorted(m for m in masks if len(m) == 2)
+            edges = positive_edges(q)
+            assert faced == closed_faces(q), f"set {j}"
+            assert sorted(m for m in masks if len(m) == 1) == edges, f"set {j}"
+            assert on.shape[1] == 72 + 15 * len(faced) + len(edges), f"set {j}"
             assert bits(got[j]) == bits(brute_force_equilibria(q)), f"set {j}"
             assert bits(got[j]) == bits(reference_oracle(q)), f"set {j}"
         face = tuple(sorted({0, 1, 2} - {int(token[1]) - 1}))
@@ -881,7 +891,7 @@ class TestBatchedOracle:
         newton_full = newton._newton_full
 
         def handed(c, x0, tol, max_iter, *args, free=(0, 1, 2), **kwargs):
-            budgets.add(({3: "full", 2: "face"}[len(free)], max_iter))
+            budgets.add(({3: "full", 2: "face", 1: "edge"}[len(free)], max_iter))
             return newton_full(c, x0, tol, max_iter, *args, free=free, **kwargs)
 
         rng = np.random.default_rng(3003)
@@ -897,6 +907,39 @@ class TestBatchedOracle:
             assert_matches_reference(*got, [p])
         assert budgets == (set() if handoff == 0 else
                            {("full", 60), ("face", 60)})
+
+    @pytest.mark.parametrize("handoff", [0, 10**6])
+    def test_edge_starts_that_need_iterations(self, monkeypatch, handoff):
+        # With one r_i scaled by 1e9, the edge row's residual at the
+        # logistic root, about r_i·k_i·2**-52, is above RESIDUAL_LIMIT, so
+        # the edge lane iterates: to the end in the batch without a
+        # handoff, in the scalar Newton with one larger than the batch.
+        rng = np.random.default_rng(7)
+        batch, iterating = [], 0
+        for topo in ("EX6", "CHAIN", "CONVERGE", "DIVERGE"):
+            for _ in range(2):
+                p = apply_topology(draw_params(rng), topo)
+                for i in range(3):
+                    q = with_param(p, f"r{i + 1}", float(p.r[i]) * 1e9)
+                    c = _coeffs(q)
+                    x0 = [0.0, 0.0, 0.0]
+                    x0[i] = eq._logistic_root(c[i], c[3 + i], c[12 + i])
+                    iterating += x0[i] > 0.0 and abs(_rhs(c, *x0)[i]) > eq.RESIDUAL_LIMIT
+                    batch.append(q)
+        handed = []
+        newton_full = newton._newton_full
+
+        def counting(*args, free=(0, 1, 2), **kwargs):
+            handed.append(len(free))
+            return newton_full(*args, free=free, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(newton, "_HANDOFF_LANES", handoff)
+            m.setattr(newton, "_newton_full", counting)
+            got = batched_roots(monkeypatch, batch)
+        assert_matches_reference(*got, batch)
+        assert iterating >= 12
+        assert (1 in handed) == (handoff > 0)
 
     def test_every_branch_is_reached_and_matches(self, monkeypatch):
         # CONVERGE at r1 = m21 has a zero Jacobian determinant at the box

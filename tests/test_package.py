@@ -152,6 +152,20 @@ class TestErrorCategories:
         assert res.detail == "FULL draw 0: formula suspect"
 
 
+class TestBatteryArguments:
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"seed": 0.5}, "seed must be an integer"),
+        ({"n": -5}, "n must be >= 1"),
+        ({"n": 0}, "n must be >= 1"),
+    ])
+    def test_a_bad_seed_or_count_is_a_parameter_error(self, kwargs, match):
+        # seed=-1 used to raise NumPy's ValueError, seed=0.5 a TypeError,
+        # and n=-5 to report "PASS existence theorem: -5 draws".
+        with pytest.raises(ParameterError, match=match):
+            verification.run_battery(**kwargs)
+
+
 class TestBatteryGuards:
     """A battery check fails on a NaN gap or residual instead of passing it."""
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from itertools import permutations
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripatch.model import ModelParams
+from tripatch.model import ModelParams, ParameterError
 from tripatch.topology import (
     TOPOLOGIES,
     InadmissibleArcsError,
@@ -92,6 +93,26 @@ class TestAdmissibility:
     def test_strong_connectivity_rejects_inadmissible(self):
         with pytest.raises(InadmissibleArcsError):
             is_strongly_connected(frozenset({(0, 1)}))
+
+    @pytest.mark.parametrize("arcs, bad", [
+        ([(0, 5)], "(0, 5)"),
+        ([(-1, 0), (0, 1), (1, 2)], "(-1, 0)"),
+        ([(0, 1), (1, 2), (1, 1)], "(1, 1)"),
+        ([(0.0, 1), (1, 2)], "(0.0, 1)"),
+        ([(0, 1, 2)], "(0, 1, 2)"),
+    ])
+    def test_an_arc_that_is_no_pair_of_patches_raises(self, arcs, bad):
+        # (-1, 0) used to wrap to patch 3, (0, 5) to raise IndexError and
+        # (1, 1) to pass is_admissible but fail canonical_form.
+        for check in (canonical_form, is_admissible, is_strongly_connected):
+            with pytest.raises(ParameterError, match=re.escape(f"arc {bad} ")) as err:
+                check(arcs)
+            assert not isinstance(err.value, InadmissibleArcsError)
+
+    def test_numpy_integers_count_as_patches(self):
+        arcs = [(np.int64(1), np.int64(0)), (np.int64(2), np.int64(1))]
+        assert canonical_form(arcs) == canonical_form([(1, 0), (2, 1)])
+        assert is_admissible(arcs) and not is_strongly_connected(arcs)
 
     def test_every_arc_set_against_the_reachability_matrix(self):
         # On three patches every reachable patch is at most two arcs away,
@@ -195,6 +216,14 @@ class TestProjection:
 
     def test_arc_labels_are_sorted_one_based(self):
         assert arc_labels(frozenset({(2, 0), (0, 1)})) == ["1->2", "3->1"]
+
+    @pytest.mark.parametrize("perm", [(0, 0, 1), (0, 1, 3), (0, 1), (2.0, 1, 0)])
+    def test_permute_params_needs_a_permutation(self, perm):
+        # (0, 0, 1) used to copy patch 1 over patch 3, and (0, 1, 3) to
+        # raise IndexError.
+        p = ModelParams(np.ones(3), np.ones(3), np.zeros((3, 3)))
+        with pytest.raises(ParameterError, match="permutation of"):
+            permute_params(p, perm)
 
     def test_unknown_token_raises(self):
         with pytest.raises(ValueError, match="unknown topology"):
