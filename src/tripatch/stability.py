@@ -31,6 +31,7 @@ import numpy as np
 
 from .model import ModelParams, NumericalError, ParameterError, _coeffs, _count, _jac
 from .equilibria import RESIDUAL_LIMIT, EquilibriumRecord
+from .newton import _residual
 from .topology import apply_topology, zeroed_rates
 
 __all__ = [
@@ -57,7 +58,11 @@ _TINY = 2.0 ** -160
 
 
 class StaleEquilibriumError(NumericalError, ValueError):
-    """classify() was handed a record whose residual exceeds RESIDUAL_LIMIT."""
+    """classify() was handed a record whose residual exceeds RESIDUAL_LIMIT.
+
+    Either the stored residual does, or the one recomputed at the record's
+    point under the parameters and topology ``classify`` was given.
+    """
 
 
 class SpectrumOverflowError(NumericalError, OverflowError):
@@ -427,9 +432,20 @@ def classify(topo: str, eq: EquilibriumRecord, params: ModelParams) -> Stability
     ``(topo, eq.label)``, plus the generic sign-test rows.  ``params``
     is projected onto ``topo`` first.  Raises
     :class:`StaleEquilibriumError` if the record's residual exceeds
-    ``RESIDUAL_LIMIT`` or is NaN (the point is not actually an equilibrium).
+    ``RESIDUAL_LIMIT`` or is NaN (the point is not actually an equilibrium),
+    and likewise if the residual recomputed at ``eq.point`` under the
+    projected parameters does (the record belongs to another parameter
+    set or topology).
     """
-    return _classify(topo, _coeffs(apply_topology(params, topo)), eq)
+    c = _coeffs(apply_topology(params, topo))
+    if eq.residual <= RESIDUAL_LIMIT:  # else _classify refuses the record
+        res = _residual(c, *np.asarray(eq.point, dtype=float).tolist())
+        if not res <= RESIDUAL_LIMIT:
+            raise StaleEquilibriumError(
+                f"record {eq.label} has residual {res:.2e} > {RESIDUAL_LIMIT:.0e}"
+                f" under {topo} at these parameters"
+            )
+    return _classify(topo, c, eq)
 
 
 def _classify(topo: str, c: tuple, eq: EquilibriumRecord) -> StabilityReport:

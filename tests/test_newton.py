@@ -9,7 +9,7 @@ import pytest
 
 from tripatch import newton
 from tripatch.equilibria import _halton
-from tripatch.model import _coeffs, _jac, _rhs, with_param
+from tripatch.model import ModelParams, _coeffs, _jac, _rhs, with_param
 from tripatch.newton import (
     _COND_LIMIT,
     _col_min,
@@ -63,8 +63,12 @@ def _solve3(j: tuple, f1: float, f2: float, f3: float):
     return (x1, x2, x3), n_j * n_inv
 
 
-def reference_newton_full(c, x0, tol, max_iter, settle=0):
-    """_newton_full as it was, evaluating the rhs again at each iterate."""
+def reference_newton_full(c, x0, tol, max_iter, settle=0, trace=None):
+    """_newton_full as it was, evaluating the rhs again at each iterate.
+
+    ``trace``, if a list, gets ``(halvings, rose)`` for each step taken:
+    how many times the step was halved, and whether the merit rose.
+    """
     p1, p2, p3 = (float(v) for v in x0)
     res = _residual(c, p1, p2, p3)
     for _ in range(max_iter + settle):
@@ -91,6 +95,8 @@ def reference_newton_full(c, x0, tol, max_iter, settle=0):
             q = (p1 + lam * step[0], p2 + lam * step[1], p3 + lam * step[2])
             new_res = _residual(c, *q)
             halvings += 1
+        if trace is not None:
+            trace.append((halvings, new_res > res))
         p1, p2, p3 = q
         res = new_res
     if res <= tol:
@@ -302,6 +308,52 @@ class TestNewtonSupport:
         pinned = ends[:, ok][~free[:, ok]]
         assert len(pinned) > 100
         assert (pinned == 0.0).all() and not np.signbit(pinned).any()
+
+
+class TestHalvingSearch:
+    """The scalar search drops a trial at its first row above the merit.
+
+    It reads the rows in the order of Python's ``max`` (f1, f2, f3), so a
+    NaN f1 is kept as ``max`` keeps it, and it evaluates the last factor
+    whole, since that trial is taken whatever its merit.
+    """
+
+    def test_nan_first_row_is_kept(self):
+        # Rates near 1 and capacities near 1e306: a root's residual is
+        # about r·k·1e-16 here, so ``tol`` is 1e296.  The start lies just
+        # below patch 1's vertex k1·(r1 - o1)/(2·r1) = 2.5e305, where J11 is
+        # small, and the full step goes out to x1 ≈ -1.2e308.
+        r, k = np.array([3.0, 5.0, 2.0]), np.array([1e306, 8e305, 1.5e306])
+        m = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.25], [1.5, 1.875, 0.0]])
+        c = _coeffs(ModelParams(r, k, m))
+        x0 = (2.4975e305, 3e304, 1.1e306)
+        f = _rhs(c, *x0)
+        step, _ = _solve3(_jac(c, *x0), *f)
+        rows = _rhs(c, *(x + s for x, s in zip(x0, step)))
+        merit = max(abs(v) for v in f)
+        # There f1 is inf - inf while f2 and f3 overflow: max keeps the
+        # NaN, so the trial is taken and the solve never recovers.  A search
+        # that read f2 or f3 first would drop it and end at a root.
+        assert math.isnan(rows[0]) and abs(rows[1]) > merit and abs(rows[2]) > merit
+        want = outcome(reference_newton_full, c, x0, 1e296, 60)
+        assert want == ("none",)
+        assert outcome(reference_newton_free, c, x0, 1e296, 60) == want
+        assert outcome(newton._newton_full, c, x0, 1e296, 60) == want
+
+    def test_stalled_start_takes_the_last_halving(self):
+        # An EX1 corner start runs the whole budget, and about one step in
+        # three is the last halving although the merit rises; a search that
+        # left that trial's f2 and f3 unevaluated would end at a root.
+        p = draws()[TOPOLOGIES.index("EX1")]
+        c = _coeffs(p)
+        box = 2.0 * float(np.max(p.k))
+        x0 = (0.0, box, box)
+        trace = []
+        want = outcome(reference_newton_full, c, x0, 1e-8, 60, trace=trace)
+        assert want == ("none",) and len(trace) == 60
+        assert sum(halvings == 6 and rose for halvings, rose in trace) > 10
+        assert outcome(reference_newton_free, c, x0, 1e-8, 60) == want
+        assert outcome(newton._newton_full, c, x0, 1e-8, 60) == want
 
 
 def solve3_lanes(params_list):

@@ -431,6 +431,22 @@ class TestClassify:
         with pytest.raises(StaleEquilibriumError, match="residual nan"):
             classify("FULL", fake, p)
 
+    def test_record_of_another_topology_is_rejected(self):
+        # FULL's coexistence state (1, 1, 1) has residual 0, but under
+        # EX6's projection of the same set its residual is 2.0: it is no
+        # equilibrium there, and the stored residual cannot tell.
+        p = self.symmetric_full()
+        coex = {r.label: r for r in find_all_equilibria("FULL", p)}["COEX"]
+        assert coex.residual == 0.0
+        assert coex.point.tolist() == [1.0, 1.0, 1.0]
+        assert classify("FULL", coex, p).classification == "STABLE"
+        with pytest.raises(StaleEquilibriumError,
+                           match=r"COEX has residual 2\.00e\+00 > 1e-08 under EX6"):
+            classify("EX6", coex, p)
+        # So is a record classified at another parameter set.
+        with pytest.raises(StaleEquilibriumError, match=r"residual 5\.00e-01"):
+            classify("FULL", coex, with_param(p, "k1", 2.0))
+
     def test_stability_rows_match_spectrum(self):
         # The conjunction of "stability" rows is the closed-form version
         # of "all eigenvalues in the left half-plane"; away from the
