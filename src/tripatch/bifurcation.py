@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import POLISH_TOL, EquilibriumRecord, _find_all_many
-from .model import (ModelParams, PARAM_TOKENS, ParameterError, _coeffs, _count, _gap,
-                    _jac, _with_coeff, with_param)
+from .model import (ModelParams, PARAM_TOKENS, ParameterError, _ENTRY, _coeffs, _count,
+                    _gap, _jac, _with_coeff, with_param)
 from .newton import _newton_full
 from .stability import (StabilityReport, _axis_terms, _characteristic, _classify,
                         eigenvalues_3x3)
@@ -178,7 +178,6 @@ def _detect_crossings(topo, params, param, a_val, b_val, eqs_a, eqs_b,
                       reps_a, reps_b) -> list[Crossing]:
     base = _coeffs(apply_topology(params, topo))
     scale = max(1.0, base[3], base[4], base[5])
-    zeroed = zeroed_rates(topo)
     pts_a = [e.point.tolist() for e in eqs_a]
     pts_b = [e.point.tolist() for e in eqs_b]
     # Distance cap: half the minimum separation between distinct
@@ -206,7 +205,7 @@ def _detect_crossings(topo, params, param, a_val, b_val, eqs_a, eqs_b,
         fb = _axis_terms(reps_b[j].coefficients)
 
         def jac_at(theta: float):
-            c = _with_coeff(base, param, theta, zeroed)
+            c = _with_coeff(base, param, theta)
             t = (theta - a_val) / (b_val - a_val)
             x = _continue_point(c, xa, pts_b[j], t, scale)
             return _jac(c, *x), x
@@ -253,7 +252,8 @@ def sweep(topo: str, params: ModelParams, param: str, lo: float, hi: float,
     ``a1·a2 − a3`` is a COMPLEX_PAIR (at ±i√a2) if ``a2 > 0`` where it
     vanishes.  Each is bisected to well below 1e-6 in the parameter; the
     spectrum is solved once, at the crossing.  A grid value where the
-    term is exactly 0 is the crossing, reported once.
+    term is exactly 0 is the crossing, reported once.  A rate the
+    pattern pins to 0 is refused: every grid point would be one set.
     """
     if param not in PARAM_TOKENS:
         raise ParameterError(f"unknown parameter token {param!r}")
@@ -273,6 +273,8 @@ def sweep(topo: str, params: ModelParams, param: str, lo: float, hi: float,
     elif lo < 0.0:
         raise ParameterError(
             f"{param} must stay nonnegative; sweep range [{lo}, {hi}] leaves its domain")
+    if _ENTRY[param] in zeroed_rates(topo):
+        raise ParameterError(f"{topo} pins {param} to 0; sweep a rate it keeps")
 
     grid = [float(theta) for theta in np.linspace(lo, hi, steps)]
     points = [apply_topology(with_param(params, param, theta), topo)

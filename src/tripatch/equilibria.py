@@ -55,12 +55,6 @@ __all__ = [
     "newton_coexistence",
 ]
 
-#: Stable label tokens for equilibrium records.
-EQUILIBRIUM_LABELS = (
-    "ORIGIN", "COEX", "X_EX2N", "Q1", "M2_EX8", "I2", "I3",
-    "W2", "W3", "X1", "X2", "Y3", "Z1", "Z2", "Z3", "NUMERICAL",
-)
-
 #: Equilibrium labels each topology can exhibit (real points; boundary
 #: points whose formulas involve negative square roots may be absent for
 #: particular parameters, but never anything outside this set).
@@ -79,6 +73,11 @@ ADMITTED_LABELS = {
     "CONVERGE": ("ORIGIN", "X1", "X2", "Y3", "COEX"),
     "DIVERGE": ("ORIGIN", "Z1", "Z2", "Z3", "COEX"),
 }
+
+#: Stable label tokens for equilibrium records: every admitted label, in
+#: order of first appearance, then NUMERICAL.
+EQUILIBRIUM_LABELS = tuple(dict.fromkeys(
+    label for labels in ADMITTED_LABELS.values() for label in labels)) + ("NUMERICAL",)
 
 #: Components may undershoot zero by this much and still count feasible.
 FEASIBLE_TOL = 1e-10

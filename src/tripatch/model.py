@@ -224,12 +224,11 @@ def _with_outflows(r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32) -> tupl
     return (r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3)
 
 
-def _with_coeff(c: tuple, name: str, value: float, zeroed) -> tuple:
+def _with_coeff(c: tuple, name: str, value: float) -> tuple:
     """``c`` with ``name`` set to ``value`` and outflows recomputed, like an
-    unvalidated :func:`with_param`; a rate whose entry is in ``zeroed`` stays 0."""
+    unvalidated :func:`with_param`."""
     v = list(c[:12])
-    if _ENTRY[name] not in zeroed:
-        v[PARAM_TOKENS.index(name)] = value
+    v[PARAM_TOKENS.index(name)] = value
     return _with_outflows(*v)
 
 

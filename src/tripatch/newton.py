@@ -14,14 +14,8 @@ The scalar solver (``_newton_full``) serves polishing, the coexistence
 route's finish, sweep continuation and the batch's last few lanes; it
 returns None where it fails, and the caller decides whether that is an
 error.  It writes the rhs, the Jacobian diagonal and the Cramer solve
-out inline.  Its residual-halving search computes a trial point's rhs
-rows in the order Python's ``max`` reads them (f1, f2, f3) and drops the
-trial at the first row that lifts the running maximum above the merit,
-except at the last factor, which is taken whatever its merit and so is
-evaluated whole.  This is exact: a running maximum above the merit only
-grows, a NaN f1 is never above it and is kept as ``max`` keeps it, and a
-trial that is taken has all three rows, which feed the next step and the
-final residual test.  The batched one
+out inline, and its residual-halving search drops a trial at its first
+rhs row above the merit (see its docstring).  The batched one
 (``_full_lanes``) serves the multi-start oracle: every start of every
 parameter set, in the full space, on a face or on an edge, is a lane
 with its own coefficient column and free coordinates, stopped by mask
@@ -40,8 +34,6 @@ iterations.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -93,12 +85,15 @@ def _newton_full(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
     the settle phase walks that last stretch (the step halves each
     iteration there instead of converging quadratically).
 
-    The halving search stops evaluating a trial at its first rhs row that
-    lifts the running maximum above the merit: that maximum only grows, so
-    the trial cannot be taken, and a NaN f1 is never above the merit, so
-    it is kept as ``max`` keeps it.  The last factor's trial is taken
-    anyway and always evaluated whole, as its rows feed the next step and
-    the final residual test.
+    The halving search tries the factors of ``_STEP_FACTORS`` in turn and
+    takes the first trial that does not raise the merit, or the last one
+    whatever its merit.  A trial's rhs rows are computed in the order
+    ``max`` reads them (f1, f2, f3), and the trial is dropped at its first
+    row that lifts the running maximum above the merit: that maximum only
+    grows, so the trial cannot be taken, and a NaN f1 is never above the
+    merit, so it is kept as ``max`` keeps it.  The last factor's trial is
+    never dropped, so it is always evaluated whole, as its rows feed the
+    next step and the final residual test.
     Inside the loop, the rhs, the Jacobian diagonal and the Cramer solve of
     J s = -w·f are written out with ``_rhs``'s and ``_jac``'s operations in
     their order, and so is Python's ``max`` of three values (a later one
@@ -120,6 +115,7 @@ def _newton_full(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
     ch, cg, bg = j13 * j32, j13 * j31, j12 * j31
     bf, cd, bd = j12 * j23, j13 * j21, j12 * j21
     ab, ac, ad, af, ag, ah = abs(j12), abs(j13), abs(j21), abs(j23), abs(j31), abs(j32)
+    last = _STEP_FACTORS[-1]
     p1, p2, p3 = (float(x0[i]) if i in free else 0.0 for i in range(3))
     f1, f2, f3 = _rhs(c, p1, p2, p3)
     res = max(abs(w1 * f1), abs(w2 * f2), abs(w3 * f3))
@@ -134,7 +130,6 @@ def _newton_full(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
         B = -(j21 * i - fg)
         C = dh - e * j31
         det = a * A + j12 * B + j13 * C
-        cond = math.inf
         if det != 0.0:
             D = -(j12 * i - ch)
             E = a * i - cg
@@ -165,21 +160,18 @@ def _newton_full(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
             scale = 1.0 + max(abs(p1), abs(p2), abs(p3))
             if max(abs(s1), abs(s2), abs(s3)) <= 1e-13 * scale:
                 break
-        # The step, then at most six halvings while the merit rises.  A
-        # trial is dropped at its first row that lifts the running maximum
-        # above the merit; the last halving is taken even if it does not
-        # help, so it is evaluated whole.
-        for lam in _CUT_FACTORS:
+        # The step, then at most six halvings (see the docstring).
+        for lam in _STEP_FACTORS:
             q1, q2, q3 = p1 + lam * s1, p2 + lam * s2, p3 + lam * s3
             f1 = r1 * q1 * (1.0 - q1 / k1) + m12 * q2 + m13 * q3 - o1 * q1
             new_res = abs(w1 * f1)
-            if new_res > res:
+            if new_res > res and lam != last:
                 continue
             f2 = r2 * q2 * (1.0 - q2 / k2) + m21 * q1 + m23 * q3 - o2 * q2
             x = abs(w2 * f2)
             if x > new_res:
                 new_res = x
-                if new_res > res:
+                if new_res > res and lam != last:
                     continue
             f3 = r3 * q3 * (1.0 - q3 / k3) + m31 * q1 + m32 * q2 - o3 * q3
             y = abs(w3 * f3)
@@ -187,17 +179,6 @@ def _newton_full(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
                 new_res = y
             if not new_res > res:
                 break
-        else:
-            lam = _LAST_FACTOR
-            q1, q2, q3 = p1 + lam * s1, p2 + lam * s2, p3 + lam * s3
-            f1 = r1 * q1 * (1.0 - q1 / k1) + m12 * q2 + m13 * q3 - o1 * q1
-            f2 = r2 * q2 * (1.0 - q2 / k2) + m21 * q1 + m23 * q3 - o2 * q2
-            f3 = r3 * q3 * (1.0 - q3 / k3) + m31 * q1 + m32 * q2 - o3 * q3
-            new_res, x, y = abs(w1 * f1), abs(w2 * f2), abs(w3 * f3)
-            if x > new_res:
-                new_res = x
-            if y > new_res:
-                new_res = y
         p1, p2, p3, res = q1, q2, q3, new_res
     full = max(abs(f1), abs(f2), abs(f3))
     return ((p1, p2, p3), full) if res <= tol and full <= tol else None
@@ -212,16 +193,13 @@ def _newton_full(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
 #: in the scalar Newton.  A few starts need many more iterations than the
 #: rest, or never converge; one batch iteration of a set's 72 full-space
 #: lanes cost ≈175 µs when this was timed, and a scalar iteration of a
-#: start that stalls costs ≈5.3 µs (≈6.5 µs before the halving search
-#: dropped trials at their first row above the merit; medians of 25
-#: interleaved replays of one scan lap's 3052 stalled solves, 2-vCPU
-#: x86_64 VM).  At 8, 16, 24, 32 and 48 a
-#: bench scan op took 4.31, 3.54, 3.51, 3.47 and 3.47 ms and a sweep op
-#: 19.2, 18.3, 16.3, 17.8 and 17.8 ms (medians of 6 laps and of 8 passes
-#: over 60 ops): no value was faster than 24 on both.  These timings come
-#: from when the full-space and the face starts ran as two batches, each
-#: with its own handoff.  A set now runs as 72 lanes, plus 15 per closed
-#: face, plus one per edge with a positive root (72–120), not re-timed.
+#: start that stalls costs ≈5.3 µs (medians of 25 interleaved replays of
+#: one scan lap's 3052 stalled solves, 2-vCPU x86_64 VM).  At 8, 16, 24, 32
+#: and 48 a bench scan op took 4.31, 3.54, 3.51, 3.47 and 3.47 ms and a
+#: sweep op 19.2, 18.3, 16.3, 17.8 and 17.8 ms (medians of 6 laps and of 8
+#: passes over 60 ops): no value was faster than 24 on both.  A set runs as
+#: 72 lanes, plus 15 per closed face, plus one per edge with a positive
+#: root (72–120); 24 was not re-timed at these widths.
 _HANDOFF_LANES = 24
 
 #: Iteration budget of every oracle start.
@@ -232,8 +210,6 @@ _ORACLE_ITER = 60
 #: of ``_HALVINGS`` at once.
 _STEP_FACTORS = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
 _HALVINGS = np.array(_STEP_FACTORS[1:])
-# The scalar loop may drop a trial early at every factor but the last.
-_CUT_FACTORS, _LAST_FACTOR = _STEP_FACTORS[:-1], _STEP_FACTORS[-1]
 
 # Lane coefficient rows: _coeffs reordered to r, k, (m12, m21, m31),
 # (m13, m23, m32), o, so that f_i = r_i·p_i·(1 - p_i/k_i) + ma_i·p_a

@@ -19,7 +19,7 @@ from tripatch.bifurcation import (
 from tripatch.equilibria import find_all_equilibria
 from tripatch.model import ModelParams, ParameterError, _coeffs, _jac, with_param
 from tripatch.stability import _axis_terms, characteristic, classify
-from tripatch.topology import apply_topology
+from tripatch.topology import TOPOLOGIES, apply_topology, zeroed_rates
 from tripatch.verification import draw_params
 
 
@@ -201,6 +201,15 @@ class TestSweepValidation:
     def test_migration_domain(self):
         with pytest.raises(ParameterError, match="nonnegative"):
             sweep("FULL", self.p, "m21", -0.5, 1.0, 3)
+
+    def test_zeroed_rate(self):
+        # Projecting onto the pattern resets such a rate to 0 at every grid
+        # point, so every grid point would be the same set.
+        for topo in TOPOLOGIES:
+            for i, j in zeroed_rates(topo):
+                tok = f"m{i + 1}{j + 1}"
+                with pytest.raises(ParameterError, match=f"^{topo} pins {tok} to 0;"):
+                    sweep(topo, self.p, tok, 0.1, 2.0, 4)
 
     @pytest.mark.parametrize("steps", (2.5, "3"))
     def test_steps_must_be_an_integer(self, steps):
@@ -560,11 +569,6 @@ class TestBisectionOnTuples:
         self.sweep_both(monkeypatch, "CONVERGE", p, "k2", 0.5, 4.0, 6)
         assert self.sweep_both(monkeypatch, "EX1", ex1_ring(), "m21", 1.5,
                                2.5, 11) > 0
-
-    def test_zeroed_rate_stays_zero(self, monkeypatch):
-        # EX6 zeroes m21: every grid point is the same parameter set.
-        p = draw_params(np.random.default_rng(16), m_lo=0.2)
-        self.sweep_both(monkeypatch, "EX6", p, "m21", 0.0, 3.0, 4)
 
     def test_sign_test_on_floats_equals_np_sign(self):
         values = (math.nan, -math.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 2.0,

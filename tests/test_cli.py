@@ -424,6 +424,15 @@ class TestSweepCommand:
         assert code == 2
         assert "must stay positive" in err
 
+    def test_zeroed_rate_is_a_usage_error(self, capsys, tmp_path):
+        # EX6 pins m21 to 0, so every grid value would print the same set.
+        cfg = write_config(tmp_path, self.ex6_doc())
+        code, out, err = run(capsys, [
+            "sweep", "--config", cfg, "--param", "m21",
+            "--lo", "0.1", "--hi", "2.0", "--steps", "3"])
+        assert code == 2 and out == ""
+        assert err == "error: EX6 pins m21 to 0; sweep a rate it keeps\n"
+
     @pytest.mark.parametrize("bound", ["--lo", "--hi"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_bound_is_a_usage_error(self, capsys, tmp_path, bound,
