@@ -30,7 +30,7 @@ import numpy as np
 
 from .equilibria import POLISH_TOL, EquilibriumRecord, _find_all_many
 from .model import (ModelParams, PARAM_TOKENS, ParameterError, _ENTRY, _coeffs, _count,
-                    _gap, _jac, _with_coeff, with_param)
+                    _gap, _jac, _with_coeff)
 from .newton import _newton_full
 from .stability import (StabilityReport, _axis_terms, _characteristic, _classify,
                         eigenvalues_3x3)
@@ -174,9 +174,9 @@ def _same_sign(x: float, y: float) -> bool:
     return (x > 0.0) == (y > 0.0) and (x < 0.0) == (y < 0.0) and x == x and y == y
 
 
-def _detect_crossings(topo, params, param, a_val, b_val, eqs_a, eqs_b,
-                      reps_a, reps_b) -> list[Crossing]:
-    base = _coeffs(apply_topology(params, topo))
+def _detect_crossings(base, param, a_val, b_val, eqs_a, eqs_b, reps_a, reps_b
+                      ) -> list[Crossing]:
+    """Crossings between two grid values, each value set in the sweep's tuple ``base``."""
     scale = max(1.0, base[3], base[4], base[5])
     pts_a = [e.point.tolist() for e in eqs_a]
     pts_b = [e.point.tolist() for e in eqs_b]
@@ -245,9 +245,10 @@ def sweep(topo: str, params: ModelParams, param: str, lo: float, hi: float,
     At each of ``steps`` evenly spaced values the full equilibrium set
     is computed (the oracle solves all grid values in one batch, with
     the same result as one ``find_all_equilibria(..., seed=seed)`` per
-    value) and classified.  Between consecutive grid values the
-    same-labeled equilibria are matched by nearest point (capped at
-    half the minimum branch separation).  Of the cubic λ³ + a1λ² + a2λ + a3,
+    value) and classified; grid and bisection values alike are set in
+    the coefficient tuple of ``params`` projected onto ``topo``.  Between
+    consecutive grid values the same-labeled equilibria are matched by
+    nearest point (capped at half the minimum branch separation).  Of the cubic λ³ + a1λ² + a2λ + a3,
     a sign change of ``a3 = −det J`` is a REAL_ZERO crossing, and one of
     ``a1·a2 − a3`` is a COMPLEX_PAIR (at ±i√a2) if ``a2 > 0`` where it
     vanishes.  Each is bisected to well below 1e-6 in the parameter; the
@@ -276,23 +277,22 @@ def sweep(topo: str, params: ModelParams, param: str, lo: float, hi: float,
     if _ENTRY[param] in zeroed_rates(topo):
         raise ParameterError(f"{topo} pins {param} to 0; sweep a rate it keeps")
 
+    base = _coeffs(apply_topology(params, topo))
     grid = [float(theta) for theta in np.linspace(lo, hi, steps)]
-    points = [apply_topology(with_param(params, param, theta), topo)
-              for theta in grid]
+    cs = [_with_coeff(base, param, theta) for theta in grid]
     records: list[SweepRecord] = []
-    for theta, p, eqs in zip(grid, points, _find_all_many(topo, points, seed)):
+    for theta, c, eqs in zip(grid, cs, _find_all_many(topo, cs, seed)):
         eqs = tuple(eqs)
-        coeffs = _coeffs(p)
-        reps = tuple(_classify(topo, coeffs, e) for e in eqs)
+        reps = tuple(_classify(topo, c, e) for e in eqs)
         crossings: tuple[Crossing, ...] = ()
         if records:
             a = records[-1]
             # A grid value on a crossing ends one cell and starts the next;
             # the cell it ends reports it.
-            seen = {(c.label, c.kind, c.param_value) for c in a.crossings}
-            crossings = tuple(c for c in _detect_crossings(
-                topo, params, param, a.param_value, theta, a.equilibria, eqs,
-                a.reports, reps) if (c.label, c.kind, c.param_value) not in seen)
+            seen = {(x.label, x.kind, x.param_value) for x in a.crossings}
+            crossings = tuple(x for x in _detect_crossings(
+                base, param, a.param_value, theta, a.equilibria, eqs,
+                a.reports, reps) if (x.label, x.kind, x.param_value) not in seen)
         records.append(SweepRecord(
             param_name=param, param_value=theta,
             equilibria=eqs, reports=reps, crossings=crossings))

@@ -617,7 +617,11 @@ def closed_form_equilibria(topo: str, params: ModelParams) -> list[EquilibriumRe
     polishes; a ConvergenceError there means an iterate left the float
     range.  An unknown ``topo`` is a ParameterError.
     """
-    c = _coeffs(apply_topology(params, topo))
+    return _catalog(topo, _coeffs(apply_topology(params, topo)))
+
+
+def _catalog(topo: str, c: tuple) -> list[EquilibriumRecord]:
+    """``closed_form_equilibria`` of a projected coefficient tuple ``c``."""
     records = [EquilibriumRecord(point=np.zeros(3), label="ORIGIN",
                                  feasible=True, residual=0.0)]
     # Each closed form gives (point as a tuple of floats, label, conditions).
@@ -649,11 +653,10 @@ _CORNERS = np.array([(a, b, d) for a in (0.0, 1.0) for b in (0.0, 1.0)
 _FACE_STARTS = 12
 
 
-def _oracle_batch(params_list, seed):
-    """``brute_force_equilibria`` of each parameter set, in one batch."""
-    cs = [_coeffs(p) for p in params_list]
-    boxes = np.array([2.0 * float(np.max(p.k)) for p in params_list])
+def _oracle_batch(cs, seed):
+    """``brute_force_equilibria`` of each coefficient tuple in ``cs``, in one batch."""
     coef = _lane_coeffs(cs)
+    boxes = 2.0 * coef[3:6].max(axis=0)
     n_sets = len(cs)
 
     # Full space: Halton starts, then the 8 box corners, per set.
@@ -734,13 +737,13 @@ def _dedup(points, residuals):
     return [n for _, _, n in reps]
 
 
-def _oracle_many(params_list, seed: int = 0) -> list[list[EquilibriumRecord]]:
-    """``brute_force_equilibria`` of every set in ``params_list``, batched."""
+def _oracle_many(cs, seed: int = 0) -> list[list[EquilibriumRecord]]:
+    """``brute_force_equilibria`` of every coefficient tuple in ``cs``, batched."""
     seed = _count("seed", seed, 0)
     out = []
     with np.errstate(all="ignore"):  # overflow and NaN as in scalar floats
-        for lo in range(0, len(params_list), _BATCH_SETS):
-            out += _oracle_batch(params_list[lo:lo + _BATCH_SETS], seed)
+        for lo in range(0, len(cs), _BATCH_SETS):
+            out += _oracle_batch(cs[lo:lo + _BATCH_SETS], seed)
     return out
 
 
@@ -772,7 +775,7 @@ def brute_force_equilibria(params: ModelParams, seed: int = 0
     ParameterError
         If ``seed`` is not an integer >= 0.
     """
-    return _oracle_many([params], seed)[0]
+    return _oracle_many([_coeffs(params)], seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -821,26 +824,23 @@ def find_all_equilibria(topo: str, params: ModelParams, seed: int = 0
         If ``seed`` is not an integer >= 0.
     """
     params = apply_topology(params, topo)
-    return _merge(topo, params, brute_force_equilibria(params, seed=seed))
+    oracle = brute_force_equilibria(params, seed=seed)
+    return _merge(topo, _coeffs(params), closed_form_equilibria(topo, params), oracle)
 
 
-def _find_all_many(topo: str, params_list, seed: int = 0
-                   ) -> list[list[EquilibriumRecord]]:
-    """``find_all_equilibria`` of every set in ``params_list``.
+def _find_all_many(topo: str, cs, seed: int = 0) -> list[list[EquilibriumRecord]]:
+    """``find_all_equilibria`` of every projected coefficient tuple in ``cs``.
 
-    The oracle solves all sets in one batch; the closed forms, polish,
-    merge and cross-check then run set by set.
+    The oracle solves all tuples in one batch; the closed forms, polish,
+    merge and cross-check then run tuple by tuple.
     """
-    params_list = [apply_topology(p, topo) for p in params_list]
-    oracles = _oracle_many(params_list, seed)
-    return [_merge(topo, p, o) for p, o in zip(params_list, oracles)]
+    oracles = _oracle_many(cs, seed)
+    return [_merge(topo, c, _catalog(topo, c), o) for c, o in zip(cs, oracles)]
 
 
-def _merge(topo: str, params: ModelParams, oracle: list[EquilibriumRecord]
-           ) -> list[EquilibriumRecord]:
-    """Polish the catalog and the oracle points of a projected set and merge."""
-    c = _coeffs(params)
-    catalog = [_polish(c, rec) for rec in closed_form_equilibria(topo, params)]
+def _merge(topo: str, c: tuple, catalog, oracle) -> list[EquilibriumRecord]:
+    """Polish the catalog and the oracle points of projected tuple ``c`` and merge."""
+    catalog = [_polish(c, rec) for rec in catalog]
 
     # Polish oracle points before matching: near a transcritical the
     # Jacobian is close to singular, so a raw residual of 1e-8 can leave

@@ -103,8 +103,8 @@ def _newton_full(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
     the Jacobian's coefficients; a product of two rates is the same every
     iteration, so it is taken once.  The condition estimate is the 1-norm
     of J times that of its explicit inverse, and the system counts as
-    singular where the determinant is 0 or the estimate exceeds
-    ``_COND_LIMIT``.
+    singular where the determinant is 0 or the estimate is not at most
+    ``_COND_LIMIT``: a NaN estimate (an overflowed determinant) is singular.
     """
     r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
     jr1, jr2, jr3, _, _, _, j12, j13, j21, j23, j31, j32, jo1, jo2, jo3 = \
@@ -149,7 +149,7 @@ def _newton_full(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
             if y > n_a:
                 n_a = y
             cond = n_j * (n_a / abs(det))
-        if det == 0.0 or cond > _COND_LIMIT:  # singular: no step, no settling
+        if det == 0.0 or not cond <= _COND_LIMIT:  # singular: no step, no settling
             break
         g1, g2, g3 = w1 * f1, w2 * f2, w3 * f3
         s1 = -(A * g1 + D * g2 + G * g3) / det
@@ -303,9 +303,10 @@ def _solve3_lanes(K, diag, F):
     """The scalar Newton's Cramer solve on every lane: step and singular mask.
 
     A lane is singular where the determinant is 0 or the condition
-    estimate exceeds ``_COND_LIMIT``; its step is then meaningless.  Each
-    lane performs ``_newton_full``'s float operations in their order,
-    with ``-(x - y)`` written as ``(x - y)·(-1.0)``, which is exact.
+    estimate is not at most ``_COND_LIMIT`` (NaN included); its step is
+    then meaningless.  Each lane performs ``_newton_full``'s float
+    operations in their order, with ``-(x - y)`` written as
+    ``(x - y)·(-1.0)``, which is exact.
     """
     M = np.concatenate((diag, K[6:12]))
     cof = (M[_X1] * M[_Y1] - M[_X2] * M[_Y2]) * _COFACTOR_SIGN
@@ -317,7 +318,7 @@ def _solve3_lanes(K, diag, F):
     cond = n_j * (n_a / np.abs(det))
     t = cof.reshape(3, 3, -1) * F[:, None]
     step = -(t[0] + t[1] + t[2]) / det
-    return step, (det == 0.0) | (cond > _COND_LIMIT)
+    return step, (det == 0.0) | ~(cond <= _COND_LIMIT)
 
 
 def _ladder(mask):

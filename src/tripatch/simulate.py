@@ -63,8 +63,10 @@ STEADY_STEPS = 10
 #: instead of contracting below the steady-state threshold.
 SLOW_TOL = 1e-5
 
-#: Divergence guard (the flow is bounded for valid parameters; this trips
-#: only for hand-built pathological inputs).
+#: Divergence guard, relative to the capacities: a state whose max-norm
+#: passes DIVERGE_NORM·(1 + max k) has DIVERGED, as has a non-finite one.
+#: The flow is bounded for valid parameters, and scaling every k scales
+#: it, so this trips only for hand-built pathological inputs.
 DIVERGE_NORM = 1e12
 
 #: ``_integrate_lanes`` finishes its last this-many live lanes one at a
@@ -100,7 +102,8 @@ class Trajectory:
     """Accepted integration states; ``times`` strictly increasing.
 
     ``terminal`` is STEADY (vector field vanished), MAX_TIME (reached
-    t_end still moving), or DIVERGED (left the trusted region).
+    t_end still moving), or DIVERGED (a state not finite, or with a
+    max-norm above ``DIVERGE_NORM·(1 + max k)``).
     """
 
     times: np.ndarray
@@ -147,6 +150,7 @@ def _advance(c: tuple, t: float, y: tuple, k1: tuple, h: float, streak: int,
     e1, _, e3, e4, e5, e6, e7 = _E
     # _rhs's coefficients; q1..q3 are the capacities.
     r1, r2, r3, q1, q2, q3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
+    bound = DIVERGE_NORM * (1.0 + max(q1, q2, q3))
     y1, y2, y3 = y
     k11, k12, k13 = k1
 
@@ -227,7 +231,7 @@ def _advance(c: tuple, t: float, y: tuple, k1: tuple, h: float, streak: int,
 
         norm = max(abs(y1), abs(y2), abs(y3))
         if not (math.isfinite(y1) and math.isfinite(y2)
-                and math.isfinite(y3)) or norm > DIVERGE_NORM:
+                and math.isfinite(y3)) or not norm <= bound:
             terminal = "DIVERGED"
             break
         rhs_norm = max(abs(k11), abs(k12), abs(k13))
@@ -278,6 +282,7 @@ def _integrate_lanes(c: tuple, starts: np.ndarray, t_end: float,
     streak = np.zeros(n, dtype=int)
     prev_rhs = np.full(n, math.inf)
     h_min = 1e-14 * t_end
+    bound = DIVERGE_NORM * (1.0 + max(c[3], c[4], c[5]))
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _A2, _A3, _A4, _A5, _A6
     b1, _, b3, b4, b5, b6 = _B
@@ -325,7 +330,7 @@ def _integrate_lanes(c: tuple, starts: np.ndarray, t_end: float,
         # passes a NaN on, so the one test also catches a non-finite state.
         ay = np.abs(y)
         norm = np.maximum(np.maximum(ay[0], ay[1]), ay[2])
-        diverged = acc & ~(norm <= DIVERGE_NORM)
+        diverged = acc & ~(norm <= bound)
         rhs_norm = _abs_max(k1)
         scale = 1.0 + norm
         small = rhs_norm < RHS_TOL * scale

@@ -1,10 +1,12 @@
 """Self-check battery: randomized property scans over the whole library.
 
 Each check returns a PropertyResult with a pass flag and a short detail
-string (the first counterexample, when one exists).  The battery is the
-engine behind ``tripatch verify`` and deliberately routes through the
-public API — a sign error injected into the rhs kernel, for example,
-must surface here as a failed conservation law with a printed witness.
+string (the first counterexample, when one exists).  A NumericalError on
+a draw is a failed property that names the draw; any other exception is
+a bug and propagates.  The battery is the engine behind ``tripatch
+verify`` and deliberately routes through the public API — a sign error
+injected into the rhs kernel, for example, must surface here as a failed
+conservation law with a printed witness.
 """
 
 from __future__ import annotations
@@ -82,8 +84,11 @@ def check_existence_theorem(seed: int, n: int) -> PropertyResult:
     worst = 0.0
     for i in range(n):
         p = draw_params(rng)
-        a = newton_coexistence(p)
-        b = coexistence_by_construction(p)
+        try:
+            a = newton_coexistence(p)
+            b = coexistence_by_construction(p)
+        except NumericalError as exc:
+            return PropertyResult("existence theorem", False, f"draw {i}: {exc}")
         gap = model._gap(a.point.tolist(), b.point.tolist())
         worst = max(worst, gap)
         # Written so that a NaN gap or residual fails.
@@ -134,10 +139,13 @@ def check_classifier_consistency(seed: int, n: int) -> PropertyResult:
     for topo in TOPOLOGIES:
         for i in range(per):
             p = apply_topology(draw_params(rng), topo)
-            for rec in find_all_equilibria(topo, p, seed=i):
-                if not rec.feasible:
-                    continue
-                rep = classify(topo, rec, p)
+            try:
+                found = [(rec, classify(topo, rec, p))
+                         for rec in find_all_equilibria(topo, p, seed=i) if rec.feasible]
+            except NumericalError as exc:
+                return PropertyResult("classifier consistency", False,
+                                      f"{topo} draw {i}: {exc}")
+            for rec, rep in found:
                 rows = [c for c in rep.conditions if c.kind == "stability"]
                 if not rows or rep.classification == "MARGINAL":
                     continue

@@ -395,10 +395,18 @@ class TestBatchedGrid:
     @staticmethod
     def assert_matches_per_point(monkeypatch, topo, p, tok, lo, hi, steps):
         got = sweep(topo, p, tok, lo, hi, steps)
+        grid = np.linspace(lo, hi, steps).tolist()
+
+        def per_point(topo, cs, seed):
+            # One validated parameter set per grid value, as sweep built
+            # them before it set grid values in its coefficient tuple.
+            assert len(cs) == len(grid)
+            return [find_all_equilibria(
+                        topo, apply_topology(with_param(p, tok, theta), topo), seed=seed)
+                    for theta in grid]
+
         with monkeypatch.context() as m:
-            m.setattr(bifurcation, "_find_all_many",
-                      lambda topo, ps, seed: [find_all_equilibria(topo, q)
-                                              for q in ps])
+            m.setattr(bifurcation, "_find_all_many", per_point)
             ref = sweep(topo, p, tok, lo, hi, steps)
         assert [record_bits(r) for r in got] == [record_bits(r) for r in ref]
         return [c for r in got for c in r.crossings]
@@ -429,6 +437,24 @@ class TestBatchedGrid:
         k = float(p.k[i])
         self.assert_matches_per_point(monkeypatch, "CONVERGE", p, f"k{i + 1}",
                                       k, 3.0 * k, 14)
+
+    def test_a_projected_sweep_builds_no_parameter_set(self, monkeypatch):
+        p = apply_topology(draw_params(np.random.default_rng(13), m_lo=0.2),
+                           "EX6")
+        thr = float(p.m[0, 1] + p.m[2, 1])
+        built = []
+        post_init = ModelParams.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ModelParams, "__post_init__", counting)
+        recs = sweep("EX6", p, "r2", 0.52 * thr, 1.48 * thr, 14)
+        assert any(r.crossings for r in recs), "the sweep should refine a crossing"
+        assert built == []
+        with_param(p, "r2", thr)
+        assert len(built) == 1  # the counter sees a parameter set built
 
     def test_seed_reaches_every_grid_point(self, monkeypatch):
         # FULL's records are the catalog's, whatever the seed, so the seed
@@ -535,8 +561,11 @@ class TestBisectionOnTuples:
             evals[-1] += 1
             return continue_point(*args)
 
+        def reference(base, *args):
+            return reference_detect_crossings(topo, p, *args)
+
         runs = []
-        for detect in (bifurcation._detect_crossings, reference_detect_crossings):
+        for detect in (bifurcation._detect_crossings, reference):
             evals.append(0)
             with monkeypatch.context() as m:
                 m.setattr(bifurcation, "_detect_crossings", detect)

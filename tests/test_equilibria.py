@@ -670,7 +670,7 @@ def batched_roots(monkeypatch, params_list, seed=0):
 
     with monkeypatch.context() as m:
         m.setattr(eq, "_dedup", capturing_dedup)
-        return _oracle_many(params_list, seed=seed), roots
+        return _oracle_many([_coeffs(p) for p in params_list], seed=seed), roots
 
 
 def assert_matches_reference(got, roots, params_list, seed=0):
@@ -839,7 +839,7 @@ class TestBatchedOracle:
 
         with monkeypatch.context() as m:
             m.setattr(eq, "_full_lanes", counting)
-            got = _oracle_many(sets)
+            got = _oracle_many([_coeffs(q) for q in sets])
         (free, sid), = lanes
         for j, q in enumerate(sets):
             on = free[:, sid == j]
@@ -866,7 +866,7 @@ class TestBatchedOracle:
     def test_batched_sets_match_find_all_per_set(self, monkeypatch, topo):
         rng = np.random.default_rng([45, TOPOLOGIES.index(topo)])
         params = [draw_params(rng) for _ in range(6)]
-        many = _find_all_many(topo, params)
+        many = _find_all_many(topo, [_coeffs(apply_topology(p, topo)) for p in params])
         for j, p in enumerate(params):
             ref = bits(reference_find_all(monkeypatch, topo, p))
             assert bits(find_all_equilibria(topo, p)) == ref, f"draw {j}"
@@ -876,7 +876,7 @@ class TestBatchedOracle:
         rng = np.random.default_rng(44)
         params = [draw_params(rng) for _ in range(_BATCH_SETS + 3)]
         monkeypatch.setattr(eq, "_N_STARTS", 16)  # a quarter of the work
-        got = _oracle_many(params, seed=3)
+        got = _oracle_many([_coeffs(p) for p in params], seed=3)
         assert len(got) == len(params)
         for j, p in enumerate(params):
             assert bits(got[j]) == \

@@ -77,7 +77,7 @@ def reference_newton_full(c, x0, tol, max_iter, settle=0, trace=None):
             return (p1, p2, p3), res
         f1, f2, f3 = _rhs(c, p1, p2, p3)
         step, cond = _solve3(_jac(c, p1, p2, p3), f1, f2, f3)
-        if step is None or cond > _COND_LIMIT:
+        if step is None or not cond <= _COND_LIMIT:
             if converged:
                 return (p1, p2, p3), res  # cannot settle further
             return None
@@ -128,7 +128,7 @@ def reference_newton_free(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
             j[3 * i:3 * i + 3] = [1.0 if n == i else 0.0 for n in range(3)]
         f = _rhs(c, *p)
         step, cond = _solve3(tuple(j), w[0] * f[0], w[1] * f[1], w[2] * f[2])
-        if step is None or cond > _COND_LIMIT:
+        if step is None or not cond <= _COND_LIMIT:
             break
         if converged:
             settle -= 1
@@ -411,11 +411,42 @@ class TestSolve3Lanes:
                 seen.add("condition estimate")
             elif math.isnan(cond):
                 seen.add("NaN estimate")
-            assert bool(singular[n]) == (want is None or cond > _COND_LIMIT), n
+            assert bool(singular[n]) == (want is None or not cond <= _COND_LIMIT), n
             if not singular[n]:
                 assert [v.hex() for v in step[:, n].tolist()] == \
                     [v.hex() for v in want], n
         assert seen == {"zero determinant", "condition estimate", "NaN estimate"}
+
+
+class TestNanConditionEstimate:
+    """A NaN condition estimate counts as singular, in the scalar solve and
+    in the lanes alike."""
+
+    @staticmethod
+    def overflowing_root():
+        # FULL with r = 1e160, k = 1 and every rate 1e160: (1, 1, 1) is a
+        # root with residual 0, and the Jacobian's products overflow, so
+        # the determinant and the condition estimate are NaN there.
+        m = np.full((3, 3), 1e160)
+        np.fill_diagonal(m, 0.0)
+        c = _coeffs(ModelParams(np.full(3, 1e160), np.ones(3), m))
+        assert _residual(c, 1.0, 1.0, 1.0) == 0.0
+        assert math.isnan(_solve3(_jac(c, 1.0, 1.0, 1.0), 0.0, 0.0, 0.0)[1])
+        return c
+
+    def test_polish_keeps_the_root(self):
+        c = self.overflowing_root()
+        assert newton._newton_full(c, (1.0, 1.0, 1.0), 1e-10, 40, settle=40) == \
+            ((1.0, 1.0, 1.0), 0.0)
+
+    def test_lane_is_singular(self):
+        c = self.overflowing_root()
+        K, P = newton._lane_coeffs([c]), np.ones((3, 1))
+        with np.errstate(all="ignore"):
+            step, singular = newton._solve3_lanes(K, newton._diag_lanes(K, P),
+                                                  newton._rhs_lanes(K, P))
+        assert np.isnan(step).all()
+        assert singular.tolist() == [True]
 
 
 class TestNewtonSupportPaths:

@@ -151,6 +151,23 @@ class TestErrorCategories:
         assert not res.passed
         assert res.detail == "FULL draw 0: formula suspect"
 
+    @pytest.mark.parametrize("callee, check, detail", [
+        ("newton_coexistence", "existence theorem", "draw 0: no root"),
+        ("classify", "classifier consistency", "FULL draw 0: no root"),
+    ])
+    def test_every_check_reports_a_numerical_failure(self, monkeypatch, callee,
+                                                     check, detail):
+        # These two checks used to let the error escape run_battery, so
+        # tripatch verify lost the other six results.
+        def fail(*args, **kwargs):
+            raise SpectrumOverflowError("no root")
+
+        monkeypatch.setattr(verification, callee, fail)
+        results = verification.run_battery(seed=0, n=2)
+        assert len(results) == 7
+        failed = [(r.name, r.detail) for r in results if not r.passed]
+        assert failed == [(check, detail)]
+
 
 class TestBatteryArguments:
     @pytest.mark.parametrize("kwargs, match", [

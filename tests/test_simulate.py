@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +141,7 @@ def reference_advance(c: tuple, t: float, y: tuple, k1: tuple, h: float,
     """
     times, states = ([t], [y]) if record else ([], [])
     h_min = 1e-14 * t_end
+    bound = DIVERGE_NORM * (1.0 + max(c[3], c[4], c[5]))
     terminal = "MAX_TIME"
 
     while t < t_end:
@@ -191,7 +194,7 @@ def reference_advance(c: tuple, t: float, y: tuple, k1: tuple, h: float,
             states.append(y)
 
         norm = max(abs(v) for v in y)
-        if not all(math.isfinite(v) for v in y) or norm > DIVERGE_NORM:
+        if not all(math.isfinite(v) for v in y) or not norm <= bound:
             terminal = "DIVERGED"
             break
         rhs_norm = max(abs(v) for v in k7)
@@ -347,6 +350,32 @@ class TestLanes:
             p = draw_params(rng, m_lo=0.1)
             assert basin_sample(topo, p, n=n, seed=5) == \
                 scalar_basin(topo, p, n, seed=5), topo
+
+
+def golden_full(scale: float) -> ModelParams:
+    """The FULL golden config's parameters with every capacity times ``scale``."""
+    doc = json.loads((Path(__file__).parent / "golden" / "FULL.json").read_text())
+    return ModelParams(doc["r"], scale * np.array(doc["k"]), doc["m"])
+
+
+class TestRelativeDivergenceGuard:
+    """The divergence bound scales with the capacities, as the flow does."""
+
+    def test_scaled_capacities_end_steady(self):
+        # tripatch simulate's run: from x0 = k over t_end = 30.
+        small, big = golden_full(1.0), golden_full(1e12)
+        want = integrate(small, small.k, 30.0)
+        got = integrate(big, big.k, 30.0)
+        assert want.terminal == got.terminal == "STEADY"
+        np.testing.assert_allclose(got.states[-1], 1e12 * want.states[-1],
+                                   rtol=1e-6, atol=0.0)
+
+    def test_lanes_match_integrate_at_scaled_capacities(self):
+        p = golden_full(1e12)
+        box = 2.0 * float(np.max(p.k))
+        starts = np.maximum(_halton(3, 3 * HANDOFF_LANES, 0) * box, 1e-9 * box)
+        assert TestLanes.assert_lanes_match(p, starts, 2000.0, 1e-6, 1e-9) == \
+            {"STEADY"}
 
 
 class TestBasinSample:
