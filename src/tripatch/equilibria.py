@@ -32,6 +32,7 @@ import numpy as np
 
 from .model import ModelParams, NumericalError, ParameterError, _coeffs, _count, _gap
 from .newton import (
+    _DROP_FLOOR,
     _abs_max,
     _full_lanes,
     _lane_coeffs,
@@ -698,9 +699,9 @@ def _oracle_batch(cs, seed):
     X = np.concatenate([np.zeros((3, n_sets)), ends[:, ok]], axis=1)
     rsid = np.concatenate([np.arange(n_sets), sid[ok]])
 
-    # Drop roots below -1e-9, snap components within 1e-12·max(1, box) of
-    # zero to 0, take every residual and sort each set's roots, in one pass.
-    keep = ~(X.min(axis=0) < -1e-9)
+    # Drop roots below _DROP_FLOOR, snap components within 1e-12·max(1, box)
+    # of zero to 0, take every residual and sort each set's roots, in one pass.
+    keep = ~(X.min(axis=0) < _DROP_FLOOR)
     rsid, X = rsid[keep], X[:, keep]
     X = np.where(np.abs(X) <= 1e-12 * np.maximum(1.0, boxes)[rsid], 0.0, X)
     order = np.lexsort((X[2], X[1], X[0], rsid))
@@ -765,10 +766,12 @@ def brute_force_equilibria(params: ModelParams, seed: int = 0
     away where ``m·DEDUP_TOL ≤ RESIDUAL_LIMIT``.  So a set with such a
     positive rate (``m ≤ 0.01``) starts every face.  Converged points
     (full residual ≤ ``RESIDUAL_LIMIT``, components ≥ −1e−9) are
-    deduplicated at 1e−6 and returned labeled NUMERICAL.  Deterministic
-    for fixed ``seed``.  Every start, in the full space, on a face or on
-    an edge, is a lane of one batched Newton, which ends it where the
-    scalar solve from it ends, bit for bit (see ``newton``).
+    deduplicated at 1e−6 and returned labeled NUMERICAL.  A start fails
+    after 60 iterations, or sooner once 16 iterates in a row have had a
+    component below −1e−9, where its root would be dropped anyway.
+    Deterministic for fixed ``seed``.  Every start, in the full space, on
+    a face or on an edge, is a lane of one batched Newton, which ends it
+    where the scalar solve from it ends, bit for bit (see ``newton``).
 
     Raises
     ------

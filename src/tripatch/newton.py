@@ -19,18 +19,24 @@ rhs row above the merit (see its docstring).  The batched one
 (``_full_lanes``) serves the multi-start oracle: every start of every
 parameter set, in the full space, on a face or on an edge, is a lane
 with its own coefficient column and free coordinates, stopped by mask
-once it converges or turns singular.  Every lane performs the scalar
-solve's float operations in the same order (Python's ``max`` tie rule
-included, and the residual-halving search evaluated for all six damping
-factors at once but taken at the first that does not raise the
-residual), so each start ends where the scalar solve from it ends, bit
-for bit.  The residual norms and the condition estimate's column sums
-take Python's ``max`` over at most three operands that are never -0.0
-(absolute values and their sums), so ``_abs_max`` computes it as
-``maximum(a0, fmax(a0, fmax(a1, a2)))``: ``fmax`` skips NaN, ``maximum``
-passes a NaN first operand on, and equal operands have equal bits.  The
-last few live lanes finish in the scalar solver with their remaining
-iterations.
+once it converges or turns singular.  An oracle start also stops, as
+failed, once ``_NEGATIVE_STREAK`` iterates in a row have had a component
+below ``_DROP_FLOOR``, the floor under which the oracle drops a root
+anyway: most starts that never converge wander below it.  The lanes
+count that streak, and a lane handed to the scalar solver takes its
+count along (the ``streak`` keyword); polishing, the coexistence finish
+and sweep continuation leave ``streak`` at None, which turns the rule
+off.  Every lane performs the scalar solve's float operations in the
+same order (Python's ``max`` tie rule included, and the residual-halving
+search evaluated for all six damping factors at once but taken at the
+first that does not raise the residual), so each start ends where the
+scalar solve from it ends, bit for bit.  The residual norms and the
+condition estimate's column sums take Python's ``max`` over at most
+three operands that are never -0.0 (absolute values and their sums), so
+``_abs_max`` computes it as ``maximum(a0, fmax(a0, fmax(a1, a2)))``:
+``fmax`` skips NaN, ``maximum`` passes a NaN first operand on, and equal
+operands have equal bits.  The last few live lanes finish in the scalar
+solver with their remaining iterations.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ def _pinned(c, free):
     return tuple(c)
 
 
-def _newton_full(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
+def _newton_full(c, x0, tol, max_iter, settle=0, free=(0, 1, 2), streak=None):
     """Damped Newton on the coordinates in ``free``: ``(point, residual)`` or None.
 
     The other coordinates start and stay at 0 (see the module docstring),
@@ -77,6 +83,14 @@ def _newton_full(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
     Jacobian turns singular before the merit test is met, where
     ``max_iter`` iterations do not meet it, or where the full residual at
     the end misses ``tol``; the residual returned is the full one.
+
+    ``streak``, where not None, turns on the oracle's stopping rule and
+    counts the iterates before ``x0`` that had a component below
+    ``_DROP_FLOOR``: the solve returns None once ``_NEGATIVE_STREAK``
+    iterates in a row have had one, counted at the top of each iteration
+    after the merit test.  The oracle's lanes hand their count over with
+    the iterate; the other callers (polishing, the coexistence finish and
+    sweep continuation) keep the default None.
 
     ``settle`` grants extra iterations after the merit test is met,
     stopping only once the Newton step itself reaches round-off.  Near a
@@ -123,6 +137,13 @@ def _newton_full(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
         converged = res <= tol
         if converged and settle <= 0:
             break
+        if streak is not None:
+            if p1 < _DROP_FLOOR or p2 < _DROP_FLOOR or p3 < _DROP_FLOOR:
+                streak += 1
+                if streak >= _NEGATIVE_STREAK:
+                    return None
+            else:
+                streak = 0
         a = jr1 - t1 * p1 / k1 - jo1
         e = jr2 - t2 * p2 / k2 - jo2
         i = jr3 - t3 * p3 / k3 - jo3
@@ -191,19 +212,34 @@ def _newton_full(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
 
 #: The batched oracle finishes its last this-many live lanes one at a time
 #: in the scalar Newton.  A few starts need many more iterations than the
-#: rest, or never converge; one batch iteration of a set's 72 full-space
-#: lanes cost ≈175 µs when this was timed, and a scalar iteration of a
-#: start that stalls costs ≈5.3 µs (medians of 25 interleaved replays of
-#: one scan lap's 3052 stalled solves, 2-vCPU x86_64 VM).  At 8, 16, 24, 32
-#: and 48 a bench scan op took 4.31, 3.54, 3.51, 3.47 and 3.47 ms and a
-#: sweep op 19.2, 18.3, 16.3, 17.8 and 17.8 ms (medians of 6 laps and of 8
-#: passes over 60 ops): no value was faster than 24 on both.  A set runs as
-#: 72 lanes, plus 15 per closed face, plus one per edge with a positive
-#: root (72–120); 24 was not re-timed at these widths.
+#: rest; since ``_NEGATIVE_STREAK`` stops most of those that never converge
+#: (a scan lap's failing handoff solves spend ≈33k iterations, 162k without
+#: the rule), the tail is mostly starts that converge late.  Re-timed with
+#: the rule over 20 interleaved rounds of 1040 scan ops and 30 sweep ops
+#: (CPU time, loaded 2-vCPU x86_64 VM): at 16, 24, 32 and 48 a scan op took
+#: 2.33, 2.38, 2.41 and 2.49 ms and a sweep op 13.0, 12.7, 12.0 and 12.2 ms
+#: (medians); against 24, 16, 32 and 48 were faster in 14, 10 and 9 of 20
+#: scan rounds and 13, 15 and 10 of 20 sweep rounds, and two earlier series
+#: split the same way: no value was reliably faster than 24 on both.  A set
+#: runs 72 lanes, plus 15 per closed face, plus one per edge with a
+#: positive root (72–120).
 _HANDOFF_LANES = 24
 
 #: Iteration budget of every oracle start.
 _ORACLE_ITER = 60
+
+#: The oracle drops a root with a component below this floor (absolute).
+_DROP_FLOOR = -1e-9
+
+#: An oracle start stops as failed once this many consecutive iterates have
+#: had a component below ``_DROP_FLOOR``.  Some starts that reach a kept
+#: root spend a long streak below the floor first, so the limit trades
+#: saved iterations against roots only such a start finds: at 12, 3 of
+#: 2400 HUB0 and EX2N tables with a 1e-12 rate into a pinned patch changed
+#: (a near-face root then had only its face point as representative); 13
+#: changed none of the tables the tests compare with the rule off, and 16
+#: leaves a margin.
+_NEGATIVE_STREAK = 16
 
 #: Step factors of the residual-halving search, in the order
 #: the scalar loop tries them; the lanes take the full step, then try all
@@ -332,17 +368,18 @@ def _ladder(mask):
 
 
 def _full_lanes(cs, K, P, free, sid, tol):
-    """``_newton_full(c, x0, tol, 60, free=...)`` on every column of ``P`` at once.
+    """``_newton_full(c, x0, tol, 60, free=..., streak=0)`` on every column of ``P``.
 
     ``K`` holds each lane's coefficient column, ``free`` its (3, n) mask
     of free coordinates and ``sid`` its index into ``cs``.  Returns the
-    (3, n) end points and a mask of the lanes whose scalar solve returns a
-    root.  A lane that converges or turns singular stops moving; the batch
-    drops stopped lanes once half of it has.
+    (3, n) end points and a mask of the lanes whose scalar solve, with
+    ``streak=0``, returns a root.  A lane that converges, turns singular or
+    reaches ``_NEGATIVE_STREAK`` stops moving; the batch drops stopped
+    lanes once half of it has.
     """
     ends, ok = np.empty_like(P), np.zeros(P.shape[1], dtype=bool)
     lane, live = np.arange(P.shape[1]), np.ones(P.shape[1], dtype=bool)
-    conv = ~live
+    conv, since = ~live, np.zeros(P.shape[1], dtype=np.int64)
     pin = np.tile(~free, (5, 1))
     pin[3:6] = False  # the capacities keep their values
     KJ = np.where(pin, _UNIT_ROW, K)  # the Jacobian's coefficients, as in _pinned
@@ -355,14 +392,20 @@ def _full_lanes(cs, K, P, free, sid, tol):
         live &= ~done
         if it == _ORACLE_ITER or np.count_nonzero(live) <= _HANDOFF_LANES:
             break
+        # Iterates since..it have had a component below the floor (none
+        # where since = it + 1); a run of _NEGATIVE_STREAK stops the lane.
+        since = np.where((P < _DROP_FLOOR).any(axis=0), since, it + 1)
         step, singular = _solve3_lanes(KJ, _diag_lanes(KJ, P), F)
         live &= ~singular
+        if it + 1 >= _NEGATIVE_STREAK:
+            live &= since > it + 1 - _NEGATIVE_STREAK
         if 2 * np.count_nonzero(live) <= len(live):
             ends[:, lane], ok[lane] = P, conv
             keep = _ladder(live)
-            lane, K, KJ, W, P, F, res, step, live, conv = (
+            lane, K, KJ, W, P, F, res, step, live, conv, since = (
                 lane[keep], K[:, keep], KJ[:, keep], W[:, keep], P[:, keep],
-                F[:, keep], res[keep], step[:, keep], live[keep], conv[keep])
+                F[:, keep], res[keep], step[:, keep], live[keep], conv[keep],
+                since[keep])
         # The full step (lam = 1.0, exact), then at most six halvings while
         # the merit rises; the last halving is taken even if it does not help.
         Q = P + step
@@ -389,7 +432,8 @@ def _full_lanes(cs, K, P, free, sid, tol):
         for n in np.flatnonzero(live).tolist():
             j = lane[n]
             got = _newton_full(cs[sid[j]], P[:, n].tolist(), tol, _ORACLE_ITER - it,
-                               free=tuple(np.flatnonzero(W[:, n]).tolist()))
+                               free=tuple(np.flatnonzero(W[:, n]).tolist()),
+                               streak=it - int(since[n]))
             if got is not None:
                 ends[:, j], ok[j] = got[0], True
     # A root's full residual meets tol too (the scalar solve's last test).

@@ -32,6 +32,7 @@ from tripatch.equilibria import (
     find_all_equilibria,
     newton_coexistence,
 )
+from tripatch.bifurcation import transcritical_thresholds
 from tripatch.model import ModelParams, _coeffs, _gap, _jac, _rhs, rhs, with_param
 from tripatch.stability import classify
 from tripatch.topology import (
@@ -607,7 +608,7 @@ def reference_roots(params, n_starts=64, seed=0, tol=1e-8, all_faces=False):
     corners = [(a, b, d) for a in (0.0, box) for b in (0.0, box)
                for d in (0.0, box)]
     for x0 in list(interior) + corners:
-        got = newton._newton_full(c, tuple(x0), tol, 60)
+        got = newton._newton_full(c, tuple(x0), tol, 60, streak=0)
         if got is not None:
             found.append(got[0])
     for fi, free in enumerate(((0, 1), (0, 2), (1, 2))):
@@ -619,7 +620,7 @@ def reference_roots(params, n_starts=64, seed=0, tol=1e-8, all_faces=False):
         for s in starts:
             x0 = [0.0, 0.0, 0.0]
             x0[free[0]], x0[free[1]] = s[0], s[1]
-            got = newton._newton_full(c, x0, tol, 60, free=free)
+            got = newton._newton_full(c, x0, tol, 60, free=free, streak=0)
             if got is not None:
                 found.append(got[0])
     for i in range(3):
@@ -627,7 +628,7 @@ def reference_roots(params, n_starts=64, seed=0, tol=1e-8, all_faces=False):
         if root > 0.0:
             x0 = [0.0, 0.0, 0.0]
             x0[i] = root
-            got = newton._newton_full(c, x0, tol, 60, free=(i,))
+            got = newton._newton_full(c, x0, tol, 60, free=(i,), streak=0)
             if got is not None:
                 found.append(got[0])
     scale = max(1.0, box)
@@ -744,14 +745,15 @@ def full_start_branches(monkeypatch, c, x0, tol=1e-8):
         residuals[-1] += 1
         return rhs(c, *p)
 
+    trace = []
     with monkeypatch.context() as m:
         m.setattr(test_newton, "_solve3", counting_solve3)
         m.setattr(newton, "_rhs", counting_rhs)  # _residual's rhs
-        got = test_newton.reference_newton_full(c, x0, tol, 60)
+        got = test_newton.reference_newton_full(c, x0, tol, 60, trace=trace, streak=0)
     if max(residuals) == 7:  # the full step and six halvings
         seen.add("six halvings")
     if got is None and not seen & {"zero determinant", "condition estimate"}:
-        seen.add("iteration cap")
+        seen.add("iteration cap" if len(trace) == 60 else "negative streak")
     return seen
 
 
@@ -944,15 +946,18 @@ class TestBatchedOracle:
     def test_every_branch_is_reached_and_matches(self, monkeypatch):
         # CONVERGE at r1 = m21 has a zero Jacobian determinant at the box
         # corners with p1 = 0, and one ulp above it a condition estimate
-        # past the limit.  Together, FULL draws 2, 7, 23, 47 and 49 of
-        # acceptance 03 have more non-converging starts than the handoff
+        # past the limit.  FULL draws 2, 7, 23, 47 and 49 of acceptance 03
+        # have starts that the negative streak stops.  Starts stall while
+        # they stay feasible where the residual at a root misses the
+        # tolerance: with every k times 1e9, more of them than the handoff
         # takes, so the batch itself runs them to the iteration cap.
         rng = np.random.default_rng(3003)
         draws = [apply_topology(draw_params(rng), "FULL") for _ in range(50)]
         conv = apply_topology(draws[0], "CONVERGE")
         batches = [[draws[i] for i in (2, 7, 23, 47, 49)],
                    [with_param(conv, "r1", float(conv.m[1, 0]))],
-                   [with_param(conv, "r1", float(np.nextafter(conv.m[1, 0], 9)))]]
+                   [with_param(conv, "r1", float(np.nextafter(conv.m[1, 0], 9)))],
+                   [test_newton.wide_full()]]
         batches += [[p] for p in draws[:4]]
         seen = set()
         newton_full = newton._newton_full
@@ -980,7 +985,133 @@ class TestBatchedOracle:
                 got = batched_roots(monkeypatch, batch)
             assert_matches_reference(*got, batch)
         assert seen == {"zero determinant", "condition estimate",
-                        "six halvings", "iteration cap",
+                        "six halvings", "iteration cap", "negative streak",
                         "iteration cap in the batch", "full-space handoff",
                         "face handoff"}
 
+
+
+# ---------------------------------------------------------------------------
+# The oracle's negative-streak rule against the path it replaces.
+# ---------------------------------------------------------------------------
+
+
+def table(topo, params, seed=0):
+    """find_all_equilibria and classify of every record, every float by its
+    bits, or the error they raise."""
+    try:
+        got = find_all_equilibria(topo, params, seed=seed)
+    except (ConsistencyError, ConvergenceError) as exc:
+        return type(exc).__name__, str(exc)
+    return bits(got), [hexed(classify(topo, r, params)) for r in got]
+
+
+def near_threshold_draws():
+    """40 draws per pattern (rng 0), each with its first analytic threshold
+    value times 1 - 1e-6 and 1 + 1e-6, where it has one."""
+    rng = np.random.default_rng(0)
+    cases = []
+    for topo in TOPOLOGIES:
+        for _ in range(40):
+            p = apply_topology(draw_params(rng), topo)
+            thresholds = transcritical_thresholds(topo, p)
+            if thresholds:
+                token, value = thresholds[0][:2]
+                cases += [(topo, with_param(p, token, value * f))
+                          for f in (1 - 1e-6, 1 + 1e-6)]
+    return cases
+
+
+def census(params):
+    """The equilibrium count of the three facts (ROADMAP item 1): the origin,
+    and each closed support whose leaking source components ``C`` all have
+    ``s(A_C) > 0``, with ``A = diag(r - o) + M`` the Jacobian at the origin."""
+    m, r = params.m, params.r
+    A = m + np.diag(r - m.sum(axis=0))
+    count = 1
+    for size in (1, 2, 3):
+        for S in itertools.combinations(range(3), size):
+            if any(m[p, j] > 0.0 for j in S for p in range(3) if p not in S):
+                continue  # an arc leaves S
+            # i reaches j inside S: the transitive closure of the arcs j <- i.
+            reach = {(i, j) for i in S for j in S if i == j or m[j, i] > 0.0}
+            for k in S:
+                reach |= {(i, j) for i in S for j in S
+                          if (i, k) in reach and (k, j) in reach}
+            components = {tuple(j for j in S if (i, j) in reach and (j, i) in reach)
+                          for i in S}
+            ok = True
+            for C in components:
+                fed = any((i, C[0]) in reach for i in S if i not in C)
+                leaks = any(m[j, i] > 0.0 for i in C for j in S if j not in C)
+                if not fed and leaks:
+                    ok &= np.linalg.eigvals(A[np.ix_(C, C)]).real.max() > 0.0
+            count += ok
+    return count
+
+
+class TestNegativeStreakTables:
+    """With the rule on, the tables equal those of the rule off (a limit past
+    the iteration budget), and the feasible records equal the census."""
+
+    @staticmethod
+    def assert_same_tables(monkeypatch, cases):
+        for topo, params, seed in cases:
+            with monkeypatch.context() as m:
+                m.setattr(newton, "_NEGATIVE_STREAK", newton._ORACLE_ITER + 1)
+                want = table(topo, params, seed)
+            assert table(topo, params, seed) == want, (topo, params, seed)
+
+    def test_acceptance_03_draws(self, monkeypatch):
+        # Every 8th draw of acceptance 03, all 13 topologies.
+        rng = np.random.default_rng(3003)
+        cases = []
+        for topo in TOPOLOGIES:
+            for i in range(200):
+                p = apply_topology(draw_params(rng), topo)
+                if i % 8 == 0:
+                    cases.append((topo, p, i))
+        self.assert_same_tables(monkeypatch, cases)
+
+    def test_near_threshold_draws(self, monkeypatch):
+        cases = near_threshold_draws()
+        assert len(cases) == 620
+        self.assert_same_tables(monkeypatch, [(t, p, 0) for t, p in cases])
+
+    @pytest.mark.parametrize("rate", [1e-9, 1e-12])
+    def test_a_small_rate_into_a_pinned_patch(self, monkeypatch, rate):
+        # Every 8th draw of acceptance 03 of HUB0 and EX2N, with the rates
+        # into each face's pinned patch in turn set to ``rate``.
+        rng = np.random.default_rng(3003)
+        cases = []
+        for topo in TOPOLOGIES:
+            for i in range(200):
+                p = apply_topology(draw_params(rng), topo)
+                if i % 8 or topo not in ("HUB0", "EX2N"):
+                    continue
+                for a, b in ((0, 1), (0, 2), (1, 2)):
+                    pin, q = 3 - a - b, p
+                    for j in (a, b):
+                        if p.m[pin, j] > 0.0:
+                            q = with_param(q, f"m{pin + 1}{j + 1}", rate)
+                    if q is not p:
+                        cases.append((topo, q, i))
+        assert len(cases) > 60
+        self.assert_same_tables(monkeypatch, cases)
+
+    def test_feasible_records_equal_the_census(self):
+        # Unscaled draws, 40 per pattern (rng 99).
+        rng = np.random.default_rng(99)
+        for topo in TOPOLOGIES:
+            for i in range(40):
+                p = apply_topology(draw_params(rng), topo)
+                got = find_all_equilibria(topo, p)
+                assert sum(r.feasible for r in got) == census(p), (topo, i)
+
+    @pytest.mark.parametrize("topo, count", [
+        ("FULL", 2), ("CHAIN", 4), ("CONVERGE", 5), ("EX2N", 3), ("EX8", 3)])
+    def test_census_hand_cases(self, topo, count):
+        # All rates 1 and r = 2: every closed support carries a state.
+        p = apply_topology(ModelParams(np.full(3, 2.0), np.ones(3),
+                                       np.ones((3, 3)) - np.eye(3)), topo)
+        assert census(p) == count

@@ -21,7 +21,8 @@ import pytest
 from tripatch.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-NAMES = ("FULL", "EX6", "CHAIN", "CONVERGE", "DIVERGE", "EX7", "EX7N", "EX8", "EX2N")
+NAMES = ("FULL", "EX1", "EX2", "EX3", "HUB0", "EX6", "CHAIN", "CONVERGE", "DIVERGE", "EX7",
+         "EX7N", "EX8", "EX2N")
 VERBS = {
     "analyze": [],
     "sweep": [],

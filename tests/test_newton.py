@@ -63,11 +63,20 @@ def _solve3(j: tuple, f1: float, f2: float, f3: float):
     return (x1, x2, x3), n_j * n_inv
 
 
-def reference_newton_full(c, x0, tol, max_iter, settle=0, trace=None):
+def below_floor(streak, p):
+    """The negative streak after iterate ``p``: one more where a component
+    of ``p`` is below the oracle's drop floor, else 0."""
+    return streak + 1 if any(v < newton._DROP_FLOOR for v in p) else 0
+
+
+def reference_newton_full(c, x0, tol, max_iter, settle=0, trace=None, streak=None):
     """_newton_full as it was, evaluating the rhs again at each iterate.
 
     ``trace``, if a list, gets ``(halvings, rose)`` for each step taken:
     how many times the step was halved, and whether the merit rose.
+    ``streak``, if not None, counts the iterates before ``x0`` that had a
+    component below the drop floor; the solve fails where
+    ``newton._NEGATIVE_STREAK`` iterates in a row have had one.
     """
     p1, p2, p3 = (float(v) for v in x0)
     res = _residual(c, p1, p2, p3)
@@ -75,6 +84,10 @@ def reference_newton_full(c, x0, tol, max_iter, settle=0, trace=None):
         converged = res <= tol
         if converged and settle <= 0:
             return (p1, p2, p3), res
+        if streak is not None:
+            streak = below_floor(streak, (p1, p2, p3))
+            if streak >= newton._NEGATIVE_STREAK:
+                return None
         f1, f2, f3 = _rhs(c, p1, p2, p3)
         step, cond = _solve3(_jac(c, p1, p2, p3), f1, f2, f3)
         if step is None or not cond <= _COND_LIMIT:
@@ -104,13 +117,17 @@ def reference_newton_full(c, x0, tol, max_iter, settle=0, trace=None):
     return None
 
 
-def reference_newton_free(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
+def reference_newton_free(c, x0, tol, max_iter, settle=0, free=(0, 1, 2),
+                          streak=None, why=None):
     """_newton_full on a support, written with _rhs, _jac and _solve3.
 
     A pinned coordinate starts at 0, its Jacobian row is e_i and its rhs
     row is weighted 0 in the step and in the merit; a root's full residual
-    meets ``tol`` too.
+    meets ``tol`` too.  ``streak`` is ``reference_newton_full``'s.
+    ``why``, if a list, gets the way out of the loop: "merit" (the test is
+    met), "streak", "singular", "round-off" (settled) or "iteration cap".
     """
+    why = [] if why is None else why
     w = [1.0 if i in free else 0.0 for i in range(3)]
     p = [float(x0[i]) if i in free else 0.0 for i in range(3)]
 
@@ -122,17 +139,25 @@ def reference_newton_free(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
     for _ in range(max_iter + settle):
         converged = res <= tol
         if converged and settle <= 0:
+            why.append("merit")
             break
+        if streak is not None:
+            streak = below_floor(streak, p)
+            if streak >= newton._NEGATIVE_STREAK:
+                why.append("streak")
+                return None
         j = list(_jac(c, *p))
         for i in set(range(3)) - set(free):
             j[3 * i:3 * i + 3] = [1.0 if n == i else 0.0 for n in range(3)]
         f = _rhs(c, *p)
         step, cond = _solve3(tuple(j), w[0] * f[0], w[1] * f[1], w[2] * f[2])
         if step is None or not cond <= _COND_LIMIT:
+            why.append("singular")
             break
         if converged:
             settle -= 1
             if max(abs(s) for s in step) <= 1e-13 * (1.0 + max(abs(v) for v in p)):
+                why.append("round-off")
                 break
         lam = 1.0
         q = [p[i] + lam * step[i] for i in range(3)]
@@ -144,6 +169,8 @@ def reference_newton_free(c, x0, tol, max_iter, settle=0, free=(0, 1, 2)):
             new_res = merit(q)
             halvings += 1
         p, res = q, new_res
+    else:
+        why.append("iteration cap")
     full = _residual(c, *p)
     return (tuple(p), full) if res <= tol and full <= tol else None
 
@@ -198,9 +225,10 @@ class TestNewtonFull:
                 kinds.add(want[0])
         return kinds
 
-    def test_oracle_solves(self):
-        assert self.assert_same(draws() + singular_converge(), 1e-8, 60) == \
-            {"root", "none"}
+    @pytest.mark.parametrize("streak", [None, 0])
+    def test_oracle_solves(self, streak):
+        assert self.assert_same(draws() + singular_converge(), 1e-8, 60,
+                                streak=streak) == {"root", "none"}
 
     def test_settle(self):
         # The polish call, from starts and from the roots they reach.
@@ -245,9 +273,10 @@ class TestNewtonSupport:
                     results.add(want[0])
         return results
 
-    def test_oracle_solves(self):
-        assert self.assert_same(draws() + singular_converge(), 1e-8, 60) == \
-            {"root", "none"}
+    @pytest.mark.parametrize("streak", [None, 0])
+    def test_oracle_solves(self, streak):
+        assert self.assert_same(draws() + singular_converge(), 1e-8, 60,
+                                streak=streak) == {"root", "none"}
 
     def test_settle(self):
         # The polish call.
@@ -294,7 +323,7 @@ class TestNewtonSupport:
                         frees.append([i in free for i in range(3)])
         roots = 0
         for c, x0, free in zip(cs, points, frees):
-            got = newton._newton_full(c, x0, 1e-8, 60,
+            got = newton._newton_full(c, x0, 1e-8, 60, streak=0,
                                       free=tuple(i for i in range(3) if free[i]))
             if got is not None:
                 roots += 1
@@ -497,6 +526,114 @@ class TestNewtonSupportPaths:
         assert j[0] * j[4] - j[1] * j[3] == 0.0
         assert _residual(c, 0.0, 1.0, 0.0) > 1e-8
         assert _jac(c, 0.0, 0.0, 0.0)[0] == 0.0
+
+
+def wide_full():
+    """FULL draw 0 with every k times 1e9: the residual at its coexistence
+    state, about r·k·2**-52, misses 1e-8, so starts that reach it stall
+    there, feasible, for the whole budget."""
+    p = q = draws()[0]
+    for i in range(3):
+        q = with_param(q, f"k{i + 1}", float(p.k[i]) * 1e9)
+    return q
+
+
+class TestNegativeStreak:
+    """An oracle start fails once ``_NEGATIVE_STREAK`` iterates in a row have
+    had a component below the drop floor, in the lanes and in the scalar
+    tail alike; a lane handed to the scalar solve carries its count."""
+
+    FREE = ((0, 1, 2), (0, 1), (2,))
+
+    def test_a_carried_count_equals_its_reference(self):
+        # 11 stops a solve at its first iterate below the floor.
+        kinds = set()
+        for p in draws() + singular_converge():
+            c = _coeffs(p)
+            for x0 in starts(p, n=8):
+                for free in self.FREE:
+                    why = []
+                    want = outcome(reference_newton_free, c, x0, 1e-8, 60, free=free,
+                                   streak=newton._NEGATIVE_STREAK - 1, why=why)
+                    assert outcome(newton._newton_full, c, x0, 1e-8, 60, free=free,
+                                   streak=newton._NEGATIVE_STREAK - 1) == want
+                    kinds.add(why[0])
+        assert {"merit", "streak"} <= kinds
+
+    def test_the_rule_can_stop_a_start_that_reaches_a_root(self):
+        # EX2N draw 94 of acceptance 03 from the box corner (b, b, 0): the
+        # solve spends more than 16 iterates below the floor on its way to
+        # the boundary point (0, k2, 0), which the oracle's edge start on
+        # patch 2 finds as well.
+        rng = np.random.default_rng(3003)
+        draws = [draw_params(rng) for _ in range(200 * len(TOPOLOGIES))]
+        p = apply_topology(draws[200 * TOPOLOGIES.index("EX2N") + 94], "EX2N")
+        box = 2.0 * float(np.max(p.k))
+        c, x0 = _coeffs(p), (box, box, 0.0)
+        got = newton._newton_full(c, x0, 1e-8, 60)
+        assert got is not None and abs(got[0][1] - p.k[1]) < 1e-9
+        trace, why = [], []
+        assert outcome(reference_newton_full, c, x0, 1e-8, 60, trace=trace,
+                       streak=0) == ("none",)
+        assert len(trace) == newton._NEGATIVE_STREAK
+        reference_newton_free(c, x0, 1e-8, 60, streak=0, why=why)
+        assert why == ["streak"]
+        assert outcome(newton._newton_full, c, x0, 1e-8, 60, streak=0) == ("none",)
+
+    def test_lanes_equal_the_scalar_solve_at_every_handoff(self, monkeypatch):
+        # Every start of ``starts`` in the full space, on a face and on an
+        # edge.  Without a handoff the rule and the iteration cap stop lanes
+        # in the batch; a handoff larger than the batch gives every lane to
+        # the scalar solve with a count of 0.  The 61 lanes of ``wide_full``
+        # that stall keep more than 32 lanes live to the cap; at 100, lanes
+        # arrive in the scalar solve with a count above 0, and the rule
+        # stops some of them there.
+        cs, points, frees = [], [], []
+        for p in draws() + [wide_full()]:
+            for x0 in starts(p):
+                for free in self.FREE:
+                    cs.append(_coeffs(p))
+                    points.append(x0)
+                    frees.append([i in free for i in range(3)])
+        ways, want = [], []
+        for c, x0, free in zip(cs, points, frees):
+            why = []
+            got = reference_newton_free(c, x0, 1e-8, 60, streak=0, why=why,
+                                        free=tuple(i for i in range(3) if free[i]))
+            ways.append(why[0])
+            want.append(None if got is None else [v.hex() for v in got[0]])
+        assert {"streak", "iteration cap"} <= set(ways)
+        K, P, free = newton._lane_coeffs(cs), np.array(points).T, np.array(frees).T
+        newton_full = newton._newton_full
+        for handoff in (0, 32, 100, 10**6):
+            handed = []
+
+            def counting(c, x0, tol, max_iter, *, free, streak):
+                got = newton_full(c, x0, tol, max_iter, free=free, streak=streak)
+                handed.append((c, x0, max_iter, free, streak, got))
+                return got
+
+            with monkeypatch.context() as m, np.errstate(all="ignore"):
+                m.setattr(newton, "_HANDOFF_LANES", handoff)
+                m.setattr(newton, "_newton_full", counting)
+                ends, ok = newton._full_lanes(cs, K, P, free, np.arange(len(cs)), 1e-8)
+            assert [[v.hex() for v in ends[:, n].tolist()] if ok[n] else None
+                    for n in range(len(cs))] == want, handoff
+            carried = [h for h in handed if h[4] > 0]
+            if handoff <= 32:
+                assert not handed
+            elif handoff == 100:
+                stops = set()
+                for c, x0, max_iter, on, streak, got in carried:
+                    why = []
+                    ref = reference_newton_free(c, x0, 1e-8, max_iter, free=on,
+                                                streak=streak, why=why)
+                    assert outcome(lambda: got) == outcome(lambda: ref)
+                    stops.update(why)
+                assert "streak" in stops
+            else:  # every lane not converged at its start, the rule's included
+                assert {h[4] for h in handed} == {0}
+                assert len(handed) >= len(cs) - ways.count("merit")
 
 
 class TestColMax:
