@@ -336,11 +336,27 @@ def canonical_json(cfg: RunConfig) -> str:
 
 # ------------------------------------------------------------------ verbs
 
-def _resolve(cfg: RunConfig, args) -> tuple[str, ModelParams, int]:
-    """Topology token, projected parameters, and effective seed."""
+def _settings(args, block: str | None = None):
+    """A verb's topology token, projected parameters, seed and options.
+
+    Each setting is the flag if given, else the config's field, else the
+    default; the options are those of config block ``block``, if any.
+    """
+    cfg = load_config(args.config)
     topo = args.topology or cfg.topology or "FULL"
     seed = cfg.seed if args.seed is None else args.seed
-    return topo, apply_topology(cfg.params, topo), seed
+    params = apply_topology(cfg.params, topo)
+    if block is None:
+        return topo, params, seed, None
+    given, plan = getattr(cfg, block), {}
+    for f in fields(_BLOCKS[block]):
+        flag = getattr(args, f.name, None)
+        plan[f.name] = getattr(given, f.name, f.default) if flag is None else flag
+    missing = [f"--{name}" for name, v in plan.items() if v is MISSING]
+    if missing:
+        raise ConfigError(f"{block} needs " + ", ".join(missing)
+                          + f" (flags or a {block} block in the config)")
+    return topo, params, seed, _BLOCKS[block](**plan)
 
 
 def _fmt(v: float) -> str:
@@ -397,31 +413,19 @@ def _report_doc(topo: str, params: ModelParams, seed: int) -> dict:
 
 def cmd_analyze(args) -> tuple[str, int]:
     """Equilibrium/stability table as a JSON document."""
-    cfg = load_config(args.config)
-    topo, params, seed = _resolve(cfg, args)
+    topo, params, seed, _ = _settings(args)
     doc = _report_doc(topo, params, seed)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n", 0
 
 
 def cmd_sweep(args) -> tuple[str, int]:
     """One-parameter sweep as CSV with appended crossing rows."""
-    cfg = load_config(args.config)
-    topo, params, seed = _resolve(cfg, args)
-    # Each flag overrides its field of the config's sweep block.
-    flags = {f.name: getattr(args, f.name) for f in fields(SweepOptions)}
-    plan = {name: getattr(cfg.sweep, name, None) if v is None else v
-            for name, v in flags.items()}
-    missing = [name for name, v in plan.items() if v is None]
-    if missing:
-        raise ConfigError(
-            "sweep needs " + ", ".join(f"--{n}" for n in missing)
-            + " (flags or a sweep block in the config)")
-    param, lo, hi, steps = plan.values()
-
-    records = _sweep(topo, params, param, float(lo), float(hi), int(steps), seed)
+    topo, params, seed, opts = _settings(args, "sweep")
+    param = opts.param
+    records = _sweep(topo, params, param, opts.lo, opts.hi, opts.steps, seed)
     buf = io.StringIO()
     buf.write(f"# seed={seed} topology={topo} param={param} "
-              f"lo={_fmt(lo)} hi={_fmt(hi)} steps={int(steps)}\n")
+              f"lo={_fmt(opts.lo)} hi={_fmt(opts.hi)} steps={opts.steps}\n")
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["param_name", "param_value", "eq_label", "p1", "p2", "p3",
                 "feasible", "class", "lead_re", "lead_im", "crossing"])
@@ -442,16 +446,13 @@ def cmd_sweep(args) -> tuple[str, int]:
 
 def cmd_simulate(args) -> tuple[str, int]:
     """Integrate one trajectory and emit it as CSV."""
-    cfg = load_config(args.config)
-    topo, params, seed = _resolve(cfg, args)
-    opts = cfg.simulate or SimulateOptions()
-    t_end = args.t_end if args.t_end is not None else opts.t_end
+    topo, params, seed, opts = _settings(args, "simulate")
     x0 = np.array(opts.x0) if opts.x0 is not None else np.array(params.k)
-    traj = integrate(params, x0, float(t_end),
+    traj = integrate(params, x0, opts.t_end,
                      rel_tol=opts.rel_tol, abs_tol=opts.abs_tol)
     buf = io.StringIO()
     buf.write(f"# seed={seed} topology={topo} terminal={traj.terminal} "
-              f"t_end={_fmt(t_end)}\n")
+              f"t_end={_fmt(opts.t_end)}\n")
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["t", "p1", "p2", "p3"])
     for t, x in zip(traj.times, traj.states):
@@ -461,16 +462,13 @@ def cmd_simulate(args) -> tuple[str, int]:
 
 def cmd_basin(args) -> tuple[str, int]:
     """Attractor fractions from scattered starts, as JSON."""
-    cfg = load_config(args.config)
-    topo, params, seed = _resolve(cfg, args)
-    opts = cfg.basin or BasinOptions()
-    samples = args.samples if args.samples is not None else opts.samples
-    fractions = basin_sample(topo, params, n=int(samples), seed=seed,
+    topo, params, seed, opts = _settings(args, "basin")
+    fractions = basin_sample(topo, params, n=opts.samples, seed=seed,
                              t_end=opts.t_end, match_tol=opts.match_tol)
     doc = {
         "command": "basin",
         "seed": seed,
-        "samples": int(samples),
+        "samples": opts.samples,
         "topology": topo,
         "t_end": opts.t_end,
         "fractions": fractions,

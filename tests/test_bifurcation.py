@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import bits
 from tripatch import bifurcation, equilibria
 from tripatch.bifurcation import (
     Crossing,
@@ -377,16 +378,10 @@ class TestCrossingTerms:
         assert self.crossings(recs, "COEX") == []
 
 
-def equilibria_bits(eqs):
-    """Equilibrium records as comparable tuples, every float by its exact bits."""
-    return [(e.label, e.feasible, float(e.residual).hex(),
-             [v.hex() for v in e.point.tolist()]) for e in eqs]
-
-
 def record_bits(rec: SweepRecord):
     """A sweep record as a comparable tuple, equilibria by their exact bits."""
     return (rec.param_name, rec.param_value.hex(),
-            equilibria_bits(rec.equilibria), rec.reports, rec.crossings)
+            bits(rec.equilibria), rec.reports, rec.crossings)
 
 
 class TestBatchedGrid:
@@ -467,10 +462,10 @@ class TestBatchedGrid:
             return oracle(params_list, seed)
 
         monkeypatch.setattr(equilibria, "_oracle_many", recording_oracle)
-        grid = [equilibria_bits(r.equilibria)
+        grid = [bits(r.equilibria)
                 for r in sweep("FULL", p, "k1", 0.5, 1.5, 6, seed=3)]
         assert seen == [(6, 3)]
-        want = [equilibria_bits(find_all_equilibria(
+        want = [bits(find_all_equilibria(
                     "FULL", with_param(p, "k1", theta), seed=3))
                 for theta in np.linspace(0.5, 1.5, 6).tolist()]
         assert grid == want

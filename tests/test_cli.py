@@ -301,6 +301,17 @@ class TestConfigErrors:
         assert "r1: expected a finite number, got 999" in err
         assert err.startswith("error: ") and err.count("\n") == 2
 
+    @pytest.mark.parametrize("verb", ["analyze", "sweep", "simulate", "basin"])
+    def test_malformed_config_exits_2_with_one_error_line(self, capsys, tmp_path,
+                                                         verb):
+        path = tmp_path / "bad.json"
+        path.write_text('{"r": [1, 1], "k": [1, 1, 1], "m": [[0, 1]]}')
+        code, out, err = run(capsys, [verb, "--config", str(path)])
+        assert code == 2 and out == ""
+        assert [line for line in err.splitlines() if line.startswith("error: ")] \
+            == [f"error: {path}: invalid configuration:"]
+        assert "Traceback" not in err
+
     def test_overlong_integer_literal_is_a_config_error(self, capsys, tmp_path):
         path = tmp_path / "overlong.json"
         path.write_text('{"r": [' + "9" * 5000 + ", 1, 1]}")

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_newton
+from helpers import bits, build, hexes
 from tripatch import equilibria as eq
 from tripatch import newton
 from tripatch.equilibria import (
@@ -48,12 +49,6 @@ rates = st.floats(0.1, 5.0)
 # The construction oracle divides by m12, m21, m13, m23; keep them off
 # the boundary where it is documented not to apply.
 positive_migrations = st.floats(0.001, 2.0)
-
-
-def build(r, k, m6):
-    m = np.zeros((3, 3))
-    (m[0, 1], m[0, 2], m[1, 0], m[1, 2], m[2, 0], m[2, 1]) = m6
-    return ModelParams(np.array(r), np.array(k), m)
 
 
 coupled_params_st = st.builds(
@@ -333,10 +328,6 @@ def reference_make_record(c, point, label, conditions_ok=True):
             warned)
 
 
-def hexes(values):
-    return [float.hex(float(v)) for v in values]
-
-
 class TestMakeRecord:
     """_make_record on floats equals its NumPy form, NaN rule included."""
 
@@ -604,11 +595,8 @@ def reference_roots(params, n_starts=64, seed=0, tol=1e-8, all_faces=False):
     c = _coeffs(params)
     box = 2.0 * float(np.max(params.k))
     found = [(0.0, 0.0, 0.0)]
-    interior = eq._halton(3, n_starts, seed) * box
-    corners = [(a, b, d) for a in (0.0, box) for b in (0.0, box)
-               for d in (0.0, box)]
-    for x0 in list(interior) + corners:
-        got = newton._newton_full(c, tuple(x0), tol, 60, streak=0)
+    for x0 in test_newton.starts(params, n_starts, seed):
+        got = newton._newton_full(c, x0, tol, 60, streak=0)
         if got is not None:
             found.append(got[0])
     for fi, free in enumerate(((0, 1), (0, 2), (1, 2))):
@@ -652,12 +640,6 @@ def reference_oracle(params, n_starts=64, seed=0, tol=1e-8, all_faces=False):
     return [eq.EquilibriumRecord(point=np.array(p), label="NUMERICAL",
                                  feasible=bool(min(p) >= -eq.FEASIBLE_TOL),
                                  residual=newton._residual(c, *p)) for p in reps]
-
-
-def bits(records):
-    """Records as comparable tuples, every float by its exact bits."""
-    return [(r.label, r.feasible, float(r.residual).hex(),
-             [v.hex() for v in r.point.tolist()]) for r in records]
 
 
 def batched_roots(monkeypatch, params_list, seed=0):
@@ -727,10 +709,10 @@ def assert_same_roots(got, want, max_ulps=2):
 
 
 def full_start_branches(monkeypatch, c, x0, tol=1e-8):
-    """Branches ``_newton_full(c, x0, tol, 60)`` takes, seen via the kernels
-    of its reference copy ``test_newton.reference_newton_full``."""
-    seen, residuals = set(), [0]
-    solve3, rhs = test_newton._solve3, newton._rhs
+    """Branches ``_newton_full(c, x0, tol, 60)`` takes, seen via the solve
+    and the trace of its reference copy ``test_newton.reference_newton_free``."""
+    seen = set()
+    solve3 = test_newton._solve3
 
     def counting_solve3(j, *f):
         step, cond = solve3(j, *f)
@@ -738,22 +720,17 @@ def full_start_branches(monkeypatch, c, x0, tol=1e-8):
             seen.add("zero determinant")
         elif cond > newton._COND_LIMIT:
             seen.add("condition estimate")
-        residuals.append(0)
         return step, cond
 
-    def counting_rhs(c, *p):
-        residuals[-1] += 1
-        return rhs(c, *p)
-
-    trace = []
+    trace, why = [], []
     with monkeypatch.context() as m:
         m.setattr(test_newton, "_solve3", counting_solve3)
-        m.setattr(newton, "_rhs", counting_rhs)  # _residual's rhs
-        got = test_newton.reference_newton_full(c, x0, tol, 60, trace=trace, streak=0)
-    if max(residuals) == 7:  # the full step and six halvings
+        got = test_newton.reference_newton_free(c, x0, tol, 60, streak=0,
+                                                why=why, trace=trace)
+    if any(halvings == 6 for halvings, _ in trace):
         seen.add("six halvings")
-    if got is None and not seen & {"zero determinant", "condition estimate"}:
-        seen.add("iteration cap" if len(trace) == 60 else "negative streak")
+    if got is None and why[0] in ("iteration cap", "streak"):
+        seen.add("negative streak" if why[0] == "streak" else why[0])
     return seen
 
 
@@ -970,11 +947,7 @@ class TestBatchedOracle:
             capped = 0
             for p in batch:
                 c = _coeffs(p)
-                box = 2.0 * float(np.max(p.k))
-                starts = [tuple(x) for x in eq._halton(3, 64, 0) * box]
-                starts += [(a, b, d) for a in (0.0, box) for b in (0.0, box)
-                           for d in (0.0, box)]
-                for x0 in starts:
+                for x0 in test_newton.starts(p, n=64):
                     branches = full_start_branches(monkeypatch, c, x0)
                     capped += "iteration cap" in branches
                     seen |= branches

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import build, hexes
 from tripatch.model import (
     BOUNDARY_TOL,
     PARAM_TOKENS,
@@ -30,12 +31,6 @@ rates = st.floats(0.1, 5.0)
 capacities = st.floats(0.1, 5.0)
 migrations = st.floats(0.0, 2.0)
 populations = st.floats(0.0, 10.0)
-
-
-def build(r, k, m6):
-    m = np.zeros((3, 3))
-    (m[0, 1], m[0, 2], m[1, 0], m[1, 2], m[2, 0], m[2, 1]) = m6
-    return ModelParams(np.array(r), np.array(k), m)
 
 
 params_st = st.builds(
@@ -158,10 +153,6 @@ def reference_coeffs(params: ModelParams) -> tuple:
     return (r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3)
 
 
-def bits(values) -> list[str]:
-    return [float(v).hex() for v in values]
-
-
 class TestValidationMessages:
     """The whole-array test passes valid input; faults keep their messages."""
 
@@ -229,9 +220,9 @@ class TestCoefficientTuples:
         rng = np.random.default_rng(1)
         for _ in range(50):
             p = draw_params(rng)
-            assert bits(_coeffs(p)) == bits(reference_coeffs(p))
+            assert hexes(_coeffs(p)) == hexes(reference_coeffs(p))
         q = ModelParams.unchecked(np.zeros(3), [1.0, -0.0, 2.0], hollow(-0.0))
-        assert bits(_coeffs(q)) == bits(reference_coeffs(q))
+        assert hexes(_coeffs(q)) == hexes(reference_coeffs(q))
 
     @pytest.mark.parametrize("topo", TOPOLOGIES)
     def test_with_coeff_matches_rebuilt_params(self, topo):
@@ -250,7 +241,7 @@ class TestCoefficientTuples:
                     values = (float(rng.uniform(0.1, 5.0)), 1e-300)
                 for v in values:
                     want = _coeffs(apply_topology(with_param(p, tok, v), topo))
-                    assert bits(_with_coeff(c, tok, v)) == bits(want), (topo, tok, v)
+                    assert hexes(_with_coeff(c, tok, v)) == hexes(want), (topo, tok, v)
 
 
 class TestGap:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import hexes
 from tripatch import newton
 from tripatch.equilibria import _halton
 from tripatch.model import ModelParams, _coeffs, _jac, _rhs, with_param
@@ -63,69 +64,19 @@ def _solve3(j: tuple, f1: float, f2: float, f3: float):
     return (x1, x2, x3), n_j * n_inv
 
 
-def below_floor(streak, p):
-    """The negative streak after iterate ``p``: one more where a component
-    of ``p`` is below the oracle's drop floor, else 0."""
-    return streak + 1 if any(v < newton._DROP_FLOOR for v in p) else 0
-
-
-def reference_newton_full(c, x0, tol, max_iter, settle=0, trace=None, streak=None):
-    """_newton_full as it was, evaluating the rhs again at each iterate.
-
-    ``trace``, if a list, gets ``(halvings, rose)`` for each step taken:
-    how many times the step was halved, and whether the merit rose.
-    ``streak``, if not None, counts the iterates before ``x0`` that had a
-    component below the drop floor; the solve fails where
-    ``newton._NEGATIVE_STREAK`` iterates in a row have had one.
-    """
-    p1, p2, p3 = (float(v) for v in x0)
-    res = _residual(c, p1, p2, p3)
-    for _ in range(max_iter + settle):
-        converged = res <= tol
-        if converged and settle <= 0:
-            return (p1, p2, p3), res
-        if streak is not None:
-            streak = below_floor(streak, (p1, p2, p3))
-            if streak >= newton._NEGATIVE_STREAK:
-                return None
-        f1, f2, f3 = _rhs(c, p1, p2, p3)
-        step, cond = _solve3(_jac(c, p1, p2, p3), f1, f2, f3)
-        if step is None or not cond <= _COND_LIMIT:
-            if converged:
-                return (p1, p2, p3), res  # cannot settle further
-            return None
-        if converged:
-            settle -= 1
-            scale = 1.0 + max(abs(p1), abs(p2), abs(p3))
-            if max(abs(s) for s in step) <= 1e-13 * scale:
-                return (p1, p2, p3), res
-        lam = 1.0
-        q = (p1 + lam * step[0], p2 + lam * step[1], p3 + lam * step[2])
-        new_res = _residual(c, *q)
-        halvings = 0
-        while new_res > res and halvings < 6:
-            lam *= 0.5
-            q = (p1 + lam * step[0], p2 + lam * step[1], p3 + lam * step[2])
-            new_res = _residual(c, *q)
-            halvings += 1
-        if trace is not None:
-            trace.append((halvings, new_res > res))
-        p1, p2, p3 = q
-        res = new_res
-    if res <= tol:
-        return (p1, p2, p3), res
-    return None
-
-
 def reference_newton_free(c, x0, tol, max_iter, settle=0, free=(0, 1, 2),
-                          streak=None, why=None):
-    """_newton_full on a support, written with _rhs, _jac and _solve3.
+                          streak=None, why=None, trace=None):
+    """_newton_full as it was, written with _rhs, _jac and _solve3.
 
     A pinned coordinate starts at 0, its Jacobian row is e_i and its rhs
     row is weighted 0 in the step and in the merit; a root's full residual
-    meets ``tol`` too.  ``streak`` is ``reference_newton_full``'s.
+    meets ``tol`` too.  ``streak``, if not None, counts the iterates before
+    ``x0`` that had a component below the drop floor; the solve fails
+    where ``newton._NEGATIVE_STREAK`` iterates in a row have had one.
     ``why``, if a list, gets the way out of the loop: "merit" (the test is
     met), "streak", "singular", "round-off" (settled) or "iteration cap".
+    ``trace``, if a list, gets ``(halvings, rose)`` for each step taken:
+    how many times the step was halved, and whether the merit rose.
     """
     why = [] if why is None else why
     w = [1.0 if i in free else 0.0 for i in range(3)]
@@ -142,7 +93,7 @@ def reference_newton_free(c, x0, tol, max_iter, settle=0, free=(0, 1, 2),
             why.append("merit")
             break
         if streak is not None:
-            streak = below_floor(streak, p)
+            streak = streak + 1 if any(v < newton._DROP_FLOOR for v in p) else 0
             if streak >= newton._NEGATIVE_STREAK:
                 why.append("streak")
                 return None
@@ -168,6 +119,8 @@ def reference_newton_free(c, x0, tol, max_iter, settle=0, free=(0, 1, 2),
             q = [p[i] + lam * step[i] for i in range(3)]
             new_res = merit(q)
             halvings += 1
+        if trace is not None:
+            trace.append((halvings, new_res > res))
         p, res = q, new_res
     else:
         why.append("iteration cap")
@@ -189,6 +142,8 @@ def outcome(fn, *args, **kwargs):
 
 
 def starts(params, n=24, seed=0):
+    """The oracle's full-space starts: ``n`` Halton points in the box
+    [0, 2·max k]³, then its eight corners."""
     box = 2.0 * float(np.max(params.k))
     corners = [(a, b, d) for a in (0.0, box) for b in (0.0, box) for d in (0.0, box)]
     return [tuple(x) for x in _halton(3, n, seed) * box] + corners
@@ -212,56 +167,11 @@ def draws():
     return [apply_topology(draw_params(rng), topo) for topo in TOPOLOGIES]
 
 
-class TestNewtonFull:
-    """_newton_full equals its earlier form on every path, bit for bit."""
-
-    def assert_same(self, params_list, *args, **kwargs):
-        kinds = set()
-        for p in params_list:
-            c = _coeffs(p)
-            for x0 in starts(p):
-                want = outcome(reference_newton_full, c, x0, *args, **kwargs)
-                assert outcome(newton._newton_full, c, x0, *args, **kwargs) == want
-                kinds.add(want[0])
-        return kinds
-
-    def test_oracle_solves(self):
-        assert self.assert_same(draws() + singular_converge(), 1e-8, 60) == \
-            {"root", "none"}
-
-    def test_oracle_solves_with_streak(self):
-        assert self.assert_same(draws() + singular_converge(), 1e-8, 60,
-                                streak=0) == {"root", "none"}
-
-    def test_settle(self):
-        # The polish call, from starts and from the roots they reach.
-        params = draws() + near_threshold() + singular_converge()
-        assert "root" in self.assert_same(params, 1e-10, 40, settle=40)
-        for p in params:
-            c = _coeffs(p)
-            for x0 in starts(p):
-                got = reference_newton_full(c, x0, 1e-8, 60)
-                if got is not None:
-                    assert outcome(newton._newton_full, c, got[0], 1e-10, 40,
-                                   settle=40) == \
-                        outcome(reference_newton_full, c, got[0], 1e-10, 40,
-                                settle=40)
-
-    def test_singular(self):
-        assert "none" in self.assert_same(singular_converge(), 1e-8, 60)
-        # Converged at a singular point: returned as it is.
-        c = _coeffs(singular_converge()[0])
-        assert outcome(newton._newton_full, c, (0.0, 0.0, 0.0), 1e-8, 5,
-                       settle=5) == ("root", ("0x0.0p+0",) * 4)
-
-    def test_iteration_cap(self):
-        assert "none" in self.assert_same(draws(), 1e-300, 60)
-
-
 class TestNewtonSupport:
-    """_newton_full on faces and edges equals its reference, bit for bit."""
+    """_newton_full in the full space, on faces and on edges equals its
+    reference, bit for bit."""
 
-    FREE = ((0, 1), (0, 2), (1, 2), (0,), (1,), (2,))
+    FREE = ((0, 1, 2), (0, 1), (0, 2), (1, 2), (0,), (1,), (2,))
 
     def assert_same(self, params_list, tol, *args, **kwargs):
         results = set()
@@ -285,9 +195,19 @@ class TestNewtonSupport:
                                 streak=0) == {"root", "none"}
 
     def test_settle(self):
-        # The polish call.
-        assert "root" in self.assert_same(draws() + near_threshold(), 1e-10,
-                                          40, settle=40)
+        # The polish call, from starts and from the roots they reach.
+        params = draws() + near_threshold() + singular_converge()
+        assert "root" in self.assert_same(params, 1e-10, 40, settle=40)
+        for p in params:
+            c = _coeffs(p)
+            for x0 in starts(p):
+                for free in self.FREE:
+                    got = reference_newton_free(c, x0, 1e-8, 60, free=free)
+                    if got is not None:
+                        assert outcome(newton._newton_full, c, got[0], 1e-10, 40,
+                                       settle=40, free=free) == \
+                            outcome(reference_newton_free, c, got[0], 1e-10, 40,
+                                    settle=40, free=free)
 
     def test_singular_and_iteration_cap(self):
         # J11 = 0 on the p1 = 0 edge of CONVERGE at r1 = m21: the (0, 1)
@@ -296,6 +216,9 @@ class TestNewtonSupport:
         x0 = (0.0, 1.0, 0.0)
         for fn in (newton._newton_full, reference_newton_free):
             assert outcome(fn, c, x0, 1e-8, 60, free=(0, 1)) == ("none",)
+            # Converged at a singular point: returned as it is.
+            assert outcome(fn, c, (0.0, 0.0, 0.0), 1e-8, 5, settle=5) == \
+                ("root", ("0x0.0p+0",) * 4)
         assert "none" in self.assert_same(draws(), 1e-300, 60)
 
     def test_blow_up_and_three_free_coordinates(self):
@@ -309,11 +232,9 @@ class TestNewtonSupport:
         for p in draws():
             c = _coeffs(p)
             for x0 in starts(p):
-                want = outcome(reference_newton_full, c, x0, 1e-8, 60)
-                assert outcome(reference_newton_free, c, x0, 1e-8, 60) == want
-                for free in ((0, 1, 2), (2, 0, 1)):
-                    assert outcome(newton._newton_full, c, x0, 1e-8, 60,
-                                   free=free) == want
+                assert outcome(newton._newton_full, c, x0, 1e-8, 60,
+                               free=(2, 0, 1)) == \
+                    outcome(reference_newton_free, c, x0, 1e-8, 60)
 
     def test_pinned_coordinates_end_at_plus_zero(self):
         # Starts with a nonzero, -0.0 or non-finite pinned coordinate.
@@ -370,9 +291,8 @@ class TestHalvingSearch:
         # NaN, so the trial is taken and the solve never recovers.  A search
         # that read f2 or f3 first would drop it and end at a root.
         assert math.isnan(rows[0]) and abs(rows[1]) > merit and abs(rows[2]) > merit
-        want = outcome(reference_newton_full, c, x0, 1e296, 60)
+        want = outcome(reference_newton_free, c, x0, 1e296, 60)
         assert want == ("none",)
-        assert outcome(reference_newton_free, c, x0, 1e296, 60) == want
         assert outcome(newton._newton_full, c, x0, 1e296, 60) == want
 
     def test_stalled_start_takes_the_last_halving(self):
@@ -384,10 +304,9 @@ class TestHalvingSearch:
         box = 2.0 * float(np.max(p.k))
         x0 = (0.0, box, box)
         trace = []
-        want = outcome(reference_newton_full, c, x0, 1e-8, 60, trace=trace)
+        want = outcome(reference_newton_free, c, x0, 1e-8, 60, trace=trace)
         assert want == ("none",) and len(trace) == 60
         assert sum(halvings == 6 and rose for halvings, rose in trace) > 10
-        assert outcome(reference_newton_free, c, x0, 1e-8, 60) == want
         assert outcome(newton._newton_full, c, x0, 1e-8, 60) == want
 
 
@@ -579,11 +498,9 @@ class TestNegativeStreak:
         got = newton._newton_full(c, x0, 1e-8, 60)
         assert got is not None and abs(got[0][1] - p.k[1]) < 1e-9
         trace, why = [], []
-        assert outcome(reference_newton_full, c, x0, 1e-8, 60, trace=trace,
-                       streak=0) == ("none",)
-        assert len(trace) == newton._NEGATIVE_STREAK
-        reference_newton_free(c, x0, 1e-8, 60, streak=0, why=why)
-        assert why == ["streak"]
+        assert outcome(reference_newton_free, c, x0, 1e-8, 60, trace=trace,
+                       streak=0, why=why) == ("none",)
+        assert len(trace) == newton._NEGATIVE_STREAK and why == ["streak"]
         assert outcome(newton._newton_full, c, x0, 1e-8, 60, streak=0) == ("none",)
 
     def test_lanes_equal_the_scalar_solve_at_every_handoff(self, monkeypatch):
@@ -664,11 +581,6 @@ class TestColMax:
 # subnormals, ±0 and ordinary values of both signs.
 SPECIAL = (math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 0.0, -0.0,
            1.0, -1.0, -2.5, 1e308)
-
-
-def hexes(a):
-    """Each entry's ``float.hex``: exact, with the sign of zero, NaN as 'nan'."""
-    return [float.hex(v) for v in np.asarray(a, dtype=float).ravel().tolist()]
 
 
 class TestAbsMax:

@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import symmetric_full
 from tripatch import simulate
 from tripatch.equilibria import _halton, find_all_equilibria
 from tripatch.model import ModelParams, _coeffs, _rhs
 from tripatch.simulate import (_A2, _A3, _A4, _A5, _A6, _B, _E, DIVERGE_NORM,
                                HANDOFF_LANES, RHS_TOL, SLOW_TOL, STEADY_STEPS,
-                               StepUnderflowError, Trajectory, _integrate_lanes,
+                               StepUnderflowError, _integrate_lanes,
                                basin_sample, integrate)
 from tripatch.topology import apply_topology
 from tripatch.verification import draw_params
@@ -23,11 +24,6 @@ from tripatch.verification import draw_params
 def logistic_exact(r, k, p0, t):
     e = math.exp(r * t)
     return k * p0 * e / (k + p0 * (e - 1.0))
-
-
-def symmetric_full() -> ModelParams:
-    m = np.full((3, 3), 1.0) * (1 - np.eye(3))
-    return ModelParams(np.ones(3), np.ones(3), m)
 
 
 class TestIntegrate:

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import symmetric_full
 from tripatch import stability
 from tripatch.equilibria import EquilibriumRecord, find_all_equilibria
 from tripatch.model import ModelParams, ParameterError, _coeffs, _jac, with_param
@@ -340,12 +341,8 @@ class TestClassifyMatrix:
 
 
 class TestClassify:
-    def symmetric_full(self):
-        m = np.full((3, 3), 1.0) * (1 - np.eye(3))
-        return ModelParams(np.ones(3), np.ones(3), m)
-
     def test_symmetric_coexistence_is_stable(self):
-        p = self.symmetric_full()
+        p = symmetric_full()
         recs = {r.label: r for r in find_all_equilibria("FULL", p)}
         rep = classify("FULL", recs["COEX"], p)
         assert rep.classification == "STABLE"
@@ -355,7 +352,7 @@ class TestClassify:
         assert rep.eigenvalues[0] == pytest.approx(-1.0, abs=1e-10)
 
     def test_symmetric_origin_is_unstable(self):
-        p = self.symmetric_full()
+        p = symmetric_full()
         recs = {r.label: r for r in find_all_equilibria("FULL", p)}
         rep = classify("FULL", recs["ORIGIN"], p)
         assert rep.classification == "UNSTABLE"
@@ -412,13 +409,13 @@ class TestClassify:
                     repr(classify(topo, rec, q)), (topo, rec.label)
 
     def test_unknown_topology_is_refused(self):
-        p = self.symmetric_full()
+        p = symmetric_full()
         rec = find_all_equilibria("FULL", p)[0]
         with pytest.raises(ParameterError, match="unknown topology"):
             classify("BOGUS", rec, p)
 
     def test_stale_record_is_rejected(self):
-        p = self.symmetric_full()
+        p = symmetric_full()
         fake = EquilibriumRecord(point=np.array([0.5, 0.5, 0.5]),
                                  label="COEX", feasible=True,
                                  residual=1e-3)
@@ -435,7 +432,7 @@ class TestClassify:
         # FULL's coexistence state (1, 1, 1) has residual 0, but under
         # EX6's projection of the same set its residual is 2.0: it is no
         # equilibrium there, and the stored residual cannot tell.
-        p = self.symmetric_full()
+        p = symmetric_full()
         coex = {r.label: r for r in find_all_equilibria("FULL", p)}["COEX"]
         assert coex.residual == 0.0
         assert coex.point.tolist() == [1.0, 1.0, 1.0]
