@@ -167,47 +167,86 @@ def draws():
     return [apply_topology(draw_params(rng), topo) for topo in TOPOLOGIES]
 
 
-class TestNewtonSupport:
-    """_newton_full in the full space, on faces and on edges equals its
-    reference, bit for bit."""
+FULL_SPACE = ((0, 1, 2),)
 
-    FREE = ((0, 1, 2), (0, 1), (0, 2), (1, 2), (0,), (1,), (2,))
 
-    def assert_same(self, params_list, tol, *args, **kwargs):
-        results = set()
-        for p in params_list:
-            c = _coeffs(p)
-            for x0 in starts(p):
-                for free in self.FREE:
-                    want = outcome(reference_newton_free, c, x0, tol, *args,
-                                   free=free, **kwargs)
-                    assert outcome(newton._newton_full, c, x0, tol, *args,
-                                   free=free, **kwargs) == want
-                    results.add(want[0])
-        return results
+def assert_same(frees, params_list, tol, *args, **kwargs):
+    """Assert _newton_full equals its reference from every start on every
+    support in ``frees``; returns the outcome kinds seen."""
+    results = set()
+    for p in params_list:
+        c = _coeffs(p)
+        for x0 in starts(p):
+            for free in frees:
+                want = outcome(reference_newton_free, c, x0, tol, *args,
+                               free=free, **kwargs)
+                assert outcome(newton._newton_full, c, x0, tol, *args,
+                               free=free, **kwargs) == want
+                results.add(want[0])
+    return results
+
+
+def assert_same_polish(frees, params_list):
+    """Assert the polish call agrees from each root the starts reach."""
+    for p in params_list:
+        c = _coeffs(p)
+        for x0 in starts(p):
+            for free in frees:
+                got = reference_newton_free(c, x0, 1e-8, 60, free=free)
+                if got is not None:
+                    assert outcome(newton._newton_full, c, got[0], 1e-10, 40,
+                                   settle=40, free=free) == \
+                        outcome(reference_newton_free, c, got[0], 1e-10, 40,
+                                settle=40, free=free)
+
+
+class TestNewtonFull:
+    """_newton_full in the full space equals its reference, bit for bit."""
 
     def test_oracle_solves(self):
-        assert self.assert_same(draws() + singular_converge(), 1e-8, 60) == \
+        assert assert_same(FULL_SPACE, draws() + singular_converge(), 1e-8, 60) == \
             {"root", "none"}
 
     def test_oracle_solves_with_streak(self):
-        assert self.assert_same(draws() + singular_converge(), 1e-8, 60,
-                                streak=0) == {"root", "none"}
+        assert assert_same(FULL_SPACE, draws() + singular_converge(), 1e-8, 60,
+                           streak=0) == {"root", "none"}
 
     def test_settle(self):
         # The polish call, from starts and from the roots they reach.
         params = draws() + near_threshold() + singular_converge()
-        assert "root" in self.assert_same(params, 1e-10, 40, settle=40)
-        for p in params:
-            c = _coeffs(p)
-            for x0 in starts(p):
-                for free in self.FREE:
-                    got = reference_newton_free(c, x0, 1e-8, 60, free=free)
-                    if got is not None:
-                        assert outcome(newton._newton_full, c, got[0], 1e-10, 40,
-                                       settle=40, free=free) == \
-                            outcome(reference_newton_free, c, got[0], 1e-10, 40,
-                                    settle=40, free=free)
+        assert "root" in assert_same(FULL_SPACE, params, 1e-10, 40, settle=40)
+        assert_same_polish(FULL_SPACE, params)
+
+    def test_singular(self):
+        assert "none" in assert_same(FULL_SPACE, singular_converge(), 1e-8, 60)
+        # Converged at a singular point: returned as it is.
+        c = _coeffs(singular_converge()[0])
+        for fn in (newton._newton_full, reference_newton_free):
+            assert outcome(fn, c, (0.0, 0.0, 0.0), 1e-8, 5, settle=5) == \
+                ("root", ("0x0.0p+0",) * 4)
+
+    def test_iteration_cap(self):
+        assert "none" in assert_same(FULL_SPACE, draws(), 1e-300, 60)
+
+
+class TestNewtonSupport:
+    """_newton_full on faces and on edges equals its reference, bit for bit."""
+
+    FREE = ((0, 1), (0, 2), (1, 2), (0,), (1,), (2,))
+
+    def test_oracle_solves(self):
+        assert assert_same(self.FREE, draws() + singular_converge(), 1e-8, 60) \
+            == {"root", "none"}
+
+    def test_oracle_solves_with_streak(self):
+        assert assert_same(self.FREE, draws() + singular_converge(), 1e-8, 60,
+                           streak=0) == {"root", "none"}
+
+    def test_settle(self):
+        # The polish call, from starts and from the roots they reach.
+        params = draws() + near_threshold() + singular_converge()
+        assert "root" in assert_same(self.FREE, params, 1e-10, 40, settle=40)
+        assert_same_polish(self.FREE, params)
 
     def test_singular_and_iteration_cap(self):
         # J11 = 0 on the p1 = 0 edge of CONVERGE at r1 = m21: the (0, 1)
@@ -216,15 +255,12 @@ class TestNewtonSupport:
         x0 = (0.0, 1.0, 0.0)
         for fn in (newton._newton_full, reference_newton_free):
             assert outcome(fn, c, x0, 1e-8, 60, free=(0, 1)) == ("none",)
-            # Converged at a singular point: returned as it is.
-            assert outcome(fn, c, (0.0, 0.0, 0.0), 1e-8, 5, settle=5) == \
-                ("root", ("0x0.0p+0",) * 4)
-        assert "none" in self.assert_same(draws(), 1e-300, 60)
+        assert "none" in assert_same(self.FREE, draws(), 1e-300, 60)
 
     def test_blow_up_and_three_free_coordinates(self):
         c = _coeffs(draws()[0])
         for x0 in ((1e200, 1e200, 1e200), (-1e300, 1e300, 5.0)):
-            for free in self.FREE:
+            for free in FULL_SPACE + self.FREE:
                 assert outcome(newton._newton_full, c, x0, 1e-8, 60, free=free) \
                     == outcome(reference_newton_free, c, x0, 1e-8, 60, free=free) \
                     == ("none",)
@@ -242,7 +278,7 @@ class TestNewtonSupport:
         cs, points, frees = [], [], []
         for p in params:
             for x0 in starts(p, n=8):
-                for free in self.FREE:
+                for free in FULL_SPACE + self.FREE:
                     for pinned in (x0, (-0.0,) * 3, (math.nan, -1.0, math.inf)):
                         cs.append(_coeffs(p))
                         points.append([x0[i] if i in free else pinned[i]
