@@ -32,6 +32,7 @@ import numpy as np
 
 from .model import ModelParams, NumericalError, ParameterError, _coeffs, _count, _gap
 from .newton import (
+    RESIDUAL_LIMIT,
     _DROP_FLOOR,
     _abs_max,
     _full_lanes,
@@ -85,11 +86,6 @@ FEASIBLE_TOL = 1e-10
 
 #: Two equilibria closer than this (max-norm) are considered identical.
 DEDUP_TOL = 1e-6
-
-#: A point is an equilibrium when the max-norm of the vector field there is
-#: at most this: the oracle keeps its roots by it, and ``classify`` refuses
-#: a record above it.
-RESIDUAL_LIMIT = 1e-8
 
 #: Polishing Newton solves aim for a max-norm residual of at most this.
 POLISH_TOL = 1e-10
@@ -693,7 +689,7 @@ def _oracle_batch(cs, seed):
     free[IJ, pinned] = True
     sid = np.concatenate([sid, np.repeat(fsid, planes.shape[1]), esid])
     # Full-space, face and edge starts run as lanes of one batch.
-    ends, ok = _full_lanes(cs, coef[:, sid], X, free, sid, RESIDUAL_LIMIT)
+    ends, ok = _full_lanes(cs, sid, X, free)
 
     # The origin is always a root; then the converged lanes.
     X = np.concatenate([np.zeros((3, n_sets)), ends[:, ok]], axis=1)

@@ -105,26 +105,21 @@ class ModelParams:
             raise ParameterError(f"k must have shape (3,), got {k.shape}")
         if m.shape != (3, 3):
             raise ParameterError(f"m must have shape (3, 3), got {m.shape}")
-        # One test on plain floats; the entry checks only name the first fault.
-        rk, ms = r.tolist() + k.tolist(), m.ravel().tolist()
-        if not (all(0.0 < v < math.inf for v in rk)
-                and all(0.0 <= v < math.inf for v in ms)
-                and ms[0] == ms[4] == ms[8] == 0.0):
-            for name, arr in (("r", r), ("k", k), ("m", m)):
-                if not np.all(np.isfinite(arr)):
-                    raise ParameterError(f"{name} contains non-finite entries")
-            for i in range(3):
-                if r[i] <= 0.0:
-                    raise ParameterError(f"r[{i}] must be strictly positive, got {r[i]}")
-                if k[i] <= 0.0:
-                    raise ParameterError(f"k[{i}] must be strictly positive, got {k[i]}")
-                if m[i, i] != 0.0:
-                    raise ParameterError(f"m[{i}][{i}] must be zero, got {m[i, i]}")
-                for j in range(3):
-                    if i != j and m[i, j] < 0.0:
-                        raise ParameterError(
-                            f"m[{i}][{j}] must be nonnegative, got {m[i, j]}"
-                        )
+        rs, ks, ms = r.tolist(), k.tolist(), m.tolist()
+        for name, vals in (("r", rs), ("k", ks), ("m", ms[0] + ms[1] + ms[2])):
+            if not all(map(math.isfinite, vals)):
+                raise ParameterError(f"{name} contains non-finite entries")
+        for i in range(3):
+            if rs[i] <= 0.0:
+                raise ParameterError(f"r[{i}] must be strictly positive, got {rs[i]}")
+            if ks[i] <= 0.0:
+                raise ParameterError(f"k[{i}] must be strictly positive, got {ks[i]}")
+            if ms[i][i] != 0.0:
+                raise ParameterError(f"m[{i}][{i}] must be zero, got {ms[i][i]}")
+            for j in range(3):
+                if i != j and ms[i][j] < 0.0:
+                    raise ParameterError(
+                        f"m[{i}][{j}] must be nonnegative, got {ms[i][j]}")
         for name, arr in (("r", r), ("k", k), ("m", m)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

@@ -18,25 +18,26 @@ out inline, and its residual-halving search drops a trial at its first
 rhs row above the merit (see its docstring).  The batched one
 (``_full_lanes``) serves the multi-start oracle: every start of every
 parameter set, in the full space, on a face or on an edge, is a lane
-with its own coefficient column and free coordinates, stopped by mask
-once it converges or turns singular.  An oracle start also stops, as
-failed, once ``_NEGATIVE_STREAK`` iterates in a row have had a component
-below ``_DROP_FLOOR``, the floor under which the oracle drops a root
-anyway: most starts that never converge wander below it.  The lanes
-count that streak, and a lane handed to the scalar solver takes its
-count along (the ``streak`` keyword); polishing, the coexistence finish
-and sweep continuation leave ``streak`` at None, which turns the rule
-off.  Every lane performs the scalar solve's float operations in the
-same order (Python's ``max`` tie rule included, and the residual-halving
-search evaluated for all six damping factors at once but taken at the
-first that does not raise the residual), so each start ends where the
-scalar solve from it ends, bit for bit.  The residual norms and the
+with its set's coefficient column and its own free coordinates, stopped
+by mask once it converges or turns singular.  An oracle start also
+stops, as failed, once ``_NEGATIVE_STREAK`` iterates in a row have had a
+component below ``_DROP_FLOOR``, the floor under which the oracle drops
+a root anyway: most starts that never converge wander below it.  Each
+lane counts that streak as the scalar solver does; polishing, the
+coexistence finish and sweep continuation leave ``streak`` at None,
+which turns the rule off.  Every lane performs the scalar solve's float
+operations in the same order (Python's ``max`` tie rule included, and
+the residual-halving search evaluated, for the lanes whose merit rose,
+at all six damping factors at once but taken at the first that does not
+raise the residual), so each start ends where the scalar solve from it
+ends, bit for bit.  The residual norms and the
 condition estimate's column sums take Python's ``max`` over at most
 three operands that are never -0.0 (absolute values and their sums), so
 ``_abs_max`` computes it as ``maximum(a0, fmax(a0, fmax(a1, a2)))``:
 ``fmax`` skips NaN, ``maximum`` passes a NaN first operand on, and equal
 operands have equal bits.  The last few live lanes finish in the scalar
-solver with their remaining iterations.
+solver: each carries its iterate, its set's coefficient tuple, its free
+coordinates, its remaining iterations and its streak count.
 """
 
 from __future__ import annotations
@@ -85,12 +86,12 @@ def _newton_full(c, x0, tol, max_iter, settle=0, free=(0, 1, 2), streak=None):
     the end misses ``tol``; the residual returned is the full one.
 
     ``streak``, where not None, turns on the oracle's stopping rule and
-    counts the iterates before ``x0`` that had a component below
+    counts the iterates in a row before ``x0`` that had a component below
     ``_DROP_FLOOR``: the solve returns None once ``_NEGATIVE_STREAK``
     iterates in a row have had one, counted at the top of each iteration
-    after the merit test.  The oracle's lanes hand their count over with
-    the iterate; the other callers (polishing, the coexistence finish and
-    sweep continuation) keep the default None.
+    after the merit test.  The oracle's lanes keep the same count and
+    hand it over with the iterate; the other callers (polishing, the
+    coexistence finish and sweep continuation) keep the default None.
 
     ``settle`` grants extra iterations after the merit test is met,
     stopping only once the Newton step itself reaches round-off.  Near a
@@ -225,6 +226,11 @@ def _newton_full(c, x0, tol, max_iter, settle=0, free=(0, 1, 2), streak=None):
 #: positive root (72–120).
 _HANDOFF_LANES = 24
 
+#: A point is an equilibrium when the max-norm of the vector field there is
+#: at most this: the oracle keeps its roots by it, and ``classify`` refuses
+#: a record above it.
+RESIDUAL_LIMIT = 1e-8
+
 #: Iteration budget of every oracle start.
 _ORACLE_ITER = 60
 
@@ -242,8 +248,8 @@ _DROP_FLOOR = -1e-9
 _NEGATIVE_STREAK = 16
 
 #: Step factors of the residual-halving search, in the order
-#: the scalar loop tries them; the lanes take the full step, then try all
-#: of ``_HALVINGS`` at once.
+#: the scalar loop tries them; the lanes take the full step, then the lanes
+#: whose merit rose try all of ``_HALVINGS`` at once.
 _STEP_FACTORS = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
 _HALVINGS = np.array(_STEP_FACTORS[1:])
 
@@ -360,70 +366,64 @@ def _solve3_lanes(K, diag, F):
 def _ladder(mask):
     """Indices of the ``mask`` lanes, padded with others to a power of two.
 
-    Keeping every batch on a few fixed widths keeps NumPy's cache of
-    freed small blocks (up to 7 per size under 1 KiB) to a few sizes.
+    Keeping the compacted batch on a few fixed widths keeps NumPy's cache
+    of freed small blocks (up to 7 per size under 1 KiB) to a few sizes.
     """
     width = min(len(mask), 1 << (int(np.count_nonzero(mask)) - 1).bit_length())
     return np.argsort(~mask, kind="stable")[:width]
 
 
-def _full_lanes(cs, K, P, free, sid, tol):
-    """``_newton_full(c, x0, tol, 60, free=..., streak=0)`` on every column of ``P``.
+def _full_lanes(cs, sid, P, free):
+    """The oracle's Newton solve of every column of ``P``, batched.
 
-    ``K`` holds each lane's coefficient column, ``free`` its (3, n) mask
-    of free coordinates and ``sid`` its index into ``cs``.  Returns the
-    (3, n) end points and a mask of the lanes whose scalar solve, with
-    ``streak=0``, returns a root.  A lane that converges, turns singular or
-    reaches ``_NEGATIVE_STREAK`` stops moving; the batch drops stopped
-    lanes once half of it has.
+    Lane ``n`` runs ``_newton_full(cs[sid[n]], P[:, n], RESIDUAL_LIMIT,
+    _ORACLE_ITER, free=..., streak=0)``, free in the coordinates of its
+    column of the (3, n) mask ``free``.  Returns the (3, n) end points and
+    a mask of the lanes whose scalar solve returns a root.  Each lane
+    counts its streak as the scalar solve does; a lane that converges,
+    turns singular or reaches ``_NEGATIVE_STREAK`` stops moving, and the
+    batch drops stopped lanes once half of it has.
     """
     ends, ok = np.empty_like(P), np.zeros(P.shape[1], dtype=bool)
     lane, live = np.arange(P.shape[1]), np.ones(P.shape[1], dtype=bool)
-    conv, since = ~live, np.zeros(P.shape[1], dtype=np.int64)
+    conv, streak = ~live, np.zeros(P.shape[1], dtype=np.int64)
+    K = K0 = _lane_coeffs(cs)[:, sid]
     pin = np.tile(~free, (5, 1))
     pin[3:6] = False  # the capacities keep their values
     KJ = np.where(pin, _UNIT_ROW, K)  # the Jacobian's coefficients, as in _pinned
-    K0, W, P = K, free * 1.0, np.where(free, P, 0.0)
+    W, P = free * 1.0, np.where(free, P, 0.0)
     F = W * _rhs_lanes(K, P)  # the rhs with its pinned rows weighted 0
     res = _abs_max(F)
     for it in range(_ORACLE_ITER + 1):
-        done = live & (res <= tol)
+        done = live & (res <= RESIDUAL_LIMIT)
         conv |= done
         live &= ~done
         if it == _ORACLE_ITER or np.count_nonzero(live) <= _HANDOFF_LANES:
             break
-        # Iterates since..it have had a component below the floor (none
-        # where since = it + 1); a run of _NEGATIVE_STREAK stops the lane.
-        since = np.where((P < _DROP_FLOOR).any(axis=0), since, it + 1)
+        streak = np.where((P < _DROP_FLOOR).any(axis=0), streak + 1, 0)
         step, singular = _solve3_lanes(KJ, _diag_lanes(KJ, P), F)
-        live &= ~singular
-        if it + 1 >= _NEGATIVE_STREAK:
-            live &= since > it + 1 - _NEGATIVE_STREAK
+        live &= ~singular & (streak < _NEGATIVE_STREAK)
         if 2 * np.count_nonzero(live) <= len(live):
             ends[:, lane], ok[lane] = P, conv
             keep = _ladder(live)
-            lane, K, KJ, W, P, F, res, step, live, conv, since = (
+            lane, K, KJ, W, P, F, res, step, live, conv, streak = (
                 lane[keep], K[:, keep], KJ[:, keep], W[:, keep], P[:, keep],
                 F[:, keep], res[keep], step[:, keep], live[keep], conv[keep],
-                since[keep])
+                streak[keep])
         # The full step (lam = 1.0, exact), then at most six halvings while
         # the merit rises; the last halving is taken even if it does not help.
         Q = P + step
         FQ = W * _rhs_lanes(K, Q)
         rq = _abs_max(FQ)
-        up = live & (rq > res)
-        if up.any():
-            idx = _ladder(up)
-            Qc = P[:, idx][:, None] + _HALVINGS[:, None] * step[:, idx][:, None]
-            Fc = W[:, idx][:, None] * _rhs_lanes(K[:, idx][:, None], Qc)
+        up = np.flatnonzero(live & (rq > res))
+        if len(up):
+            Qc = P[:, up][:, None] + _HALVINGS[:, None] * step[:, up][:, None]
+            Fc = W[:, up][:, None] * _rhs_lanes(K[:, up][:, None], Qc)
             rc = _abs_max(Fc)
             # Take the first factor whose merit does not rise, else the last.
-            rises = rc > res[idx]
+            rises = rc > res[up]
             rises[-1] = False
-            # _ladder puts the lanes of up first, in order, then padding.
-            n_up = np.count_nonzero(up)
-            pick, cols = rises.argmin(axis=0)[:n_up], np.arange(n_up)
-            up = idx[:n_up]
+            pick, cols = rises.argmin(axis=0), np.arange(len(up))
             Q[:, up], FQ[:, up], rq[up] = (Qc[:, pick, cols], Fc[:, pick, cols],
                                            rc[pick, cols])
         P, F, res = np.where(live, Q, P), FQ, rq
@@ -431,10 +431,11 @@ def _full_lanes(cs, K, P, free, sid, tol):
     if it < _ORACLE_ITER:  # the last few live lanes finish in the scalar solve
         for n in np.flatnonzero(live).tolist():
             j = lane[n]
-            got = _newton_full(cs[sid[j]], P[:, n].tolist(), tol, _ORACLE_ITER - it,
+            got = _newton_full(cs[sid[j]], P[:, n].tolist(), RESIDUAL_LIMIT,
+                               _ORACLE_ITER - it,
                                free=tuple(np.flatnonzero(W[:, n]).tolist()),
-                               streak=it - int(since[n]))
+                               streak=int(streak[n]))
             if got is not None:
                 ends[:, j], ok[j] = got[0], True
-    # A root's full residual meets tol too (the scalar solve's last test).
-    return ends, ok & (_abs_max(_rhs_lanes(K0, ends)) <= tol)
+    # A root's full residual meets the limit too (the scalar solve's last test).
+    return ends, ok & (_abs_max(_rhs_lanes(K0, ends)) <= RESIDUAL_LIMIT)

@@ -28,7 +28,9 @@ float operations in the same order (the C library's ``pow`` for the
 controller powers, Python's ``max``/``min`` tie and NaN rules), so each
 start ends in the same terminal state as ``integrate`` from it, bit for
 bit.  The last few live lanes finish in ``_advance``, because a handful
-of slow starts would otherwise keep a nearly empty batch stepping.
+of slow starts would otherwise keep a nearly empty batch stepping; each
+carries its time, state, next step, steady-state streak and last rhs
+norm, and ``_advance`` recomputes the rhs at the state, its cached stage.
 """
 
 from __future__ import annotations
@@ -118,24 +120,23 @@ def integrate(params: ModelParams, x0, t_end: float, rel_tol: float = 1e-8,
     _positive("tolerances", rel_tol, abs_tol)
     y = tuple(float(v) for v in np.maximum(as_state(x0), 0.0))
     c = _coeffs(params)
-    k1 = _rhs(c, *y)
     scale0 = 1.0 + max(abs(v) for v in y)
-    f0 = max(abs(v) for v in k1)
+    f0 = max(abs(v) for v in _rhs(c, *y))
     h = min(t_end, 0.01 * scale0 / (1.0 + f0))
-    terminal, _, times, states = _advance(c, 0.0, y, k1, h, 0, math.inf,
-                                          t_end, rel_tol, abs_tol, True)
+    terminal, _, times, states = _advance(c, 0.0, y, h, 0, math.inf, t_end,
+                                          rel_tol, abs_tol, True)
     return Trajectory(times=np.array(times), states=np.array(states),
                       terminal=terminal)
 
 
-def _advance(c: tuple, t: float, y: tuple, k1: tuple, h: float, streak: int,
+def _advance(c: tuple, t: float, y: tuple, h: float, streak: int,
              prev_rhs: float, t_end: float, rel_tol: float, abs_tol: float,
              record: bool) -> tuple[str, tuple, list, list]:
     """Step one trajectory from a step attempt's state to its terminus.
 
-    ``k1`` is the rhs at ``y`` (first-same-as-last), ``h`` the step to
-    try next, ``streak`` the count of consecutive small-rhs steps and
-    ``prev_rhs`` the rhs norm of the last accepted step.  Returns
+    ``h`` is the step to try next, ``streak`` the count of consecutive
+    small-rhs steps and ``prev_rhs`` the rhs norm of the last accepted
+    step; the first stage is the rhs at ``y`` (first-same-as-last).  Returns
     ``(terminal, y, times, states)``; with ``record`` the lists hold the
     given state and every accepted one, otherwise they are empty.  The
     seven stage evaluations write ``_rhs`` out inline, operation for
@@ -152,7 +153,7 @@ def _advance(c: tuple, t: float, y: tuple, k1: tuple, h: float, streak: int,
     r1, r2, r3, q1, q2, q3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
     bound = DIVERGE_NORM * (1.0 + max(q1, q2, q3))
     y1, y2, y3 = y
-    k11, k12, k13 = k1
+    k11, k12, k13 = _rhs(c, y1, y2, y3)
 
     while t < t_end:
         h = min(h, t_end - t)
@@ -366,8 +367,8 @@ def _integrate_lanes(c: tuple, starts: np.ndarray, t_end: float,
 
     for i, j in enumerate(lane.tolist()):
         terminals[j], ends[j], _, _ = _advance(
-            c, float(t[i]), y[:, i].tolist(), k1[:, i].tolist(), float(h[i]),
-            int(streak[i]), float(prev_rhs[i]), t_end, rel_tol, abs_tol, False)
+            c, float(t[i]), y[:, i].tolist(), float(h[i]), int(streak[i]),
+            float(prev_rhs[i]), t_end, rel_tol, abs_tol, False)
     return terminals, ends
 
 

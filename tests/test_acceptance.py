@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from tripatch.bifurcation import hopf_candidate, sweep
+from tripatch.bifurcation import hopf_candidate, sweep, transcritical_thresholds
 from tripatch.equilibria import (
     brute_force_equilibria,
     closed_form_equilibria,
@@ -216,11 +216,7 @@ def test_06_transcritical_detection():
             # sits on the second threshold while sweeping the first.
             if abs(float(p.r[2] - p.m[0, 2])) < 1e-2:
                 p = with_param(p, "r3", float(p.m[0, 2]) + 0.5)
-            partner = "I2" if p.r[2] < p.m[0, 2] else "I3"
-            for tok, thr, pair in (
-                ("r2", float(p.m[0, 1] + p.m[2, 1]), (partner, "COEX")),
-                ("r3", float(p.m[0, 2]), ("I2", "I3")),
-            ):
+            for tok, thr, pair in transcritical_thresholds("EX6", p):
                 # Off-node window: 14 points over [0.52, 1.48]*thr never
                 # land on the threshold, so refinement does the work.
                 recs = sweep("EX6", p, tok, 0.52 * thr, 1.48 * thr, 14)

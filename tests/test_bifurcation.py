@@ -38,18 +38,37 @@ class TestTranscriticalThresholds:
 
     def test_formula_values(self):
         p = draw_params(np.random.default_rng(2), m_lo=0.1)
-        thr = {(tok, pair): val
-               for tok, val, pair in transcritical_thresholds("EX6", p)}
-        assert thr[("r2", ("I2", "COEX"))] == p.m[0, 1] + p.m[2, 1]
-        assert thr[("r2", ("I3", "COEX"))] == p.m[0, 1] + p.m[2, 1]
-        assert thr[("r3", ("I2", "I3"))] == p.m[0, 2]
-
-        chain = {tok: val
-                 for tok, val, _ in transcritical_thresholds("CHAIN", p)}
-        assert chain == {"r1": p.m[1, 0], "r2": p.m[2, 1]}
+        m12, m13, m21, m32 = p.m[0, 1], p.m[0, 2], p.m[1, 0], p.m[2, 1]
+        # COEX meets I2 below r3 = m13 and I3 from there on; W2 below
+        # r2 = m32 and W3 from there on.
+        for r3, partner in ((0.5 * m13, "I2"), (m13, "I3"), (2.0 * m13, "I3")):
+            q = with_param(p, "r3", float(r3))
+            assert transcritical_thresholds("EX6", q) == [
+                ("r2", m12 + m32, (partner, "COEX")), ("r3", m13, ("I2", "I3"))]
+        for r2, partner in ((0.5 * m32, "W2"), (m32, "W3"), (2.0 * m32, "W3")):
+            q = with_param(p, "r2", float(r2))
+            assert transcritical_thresholds("CHAIN", q) == [
+                ("r1", m21, (partner, "COEX")), ("r2", m32, ("W2", "W3"))]
 
         div = transcritical_thresholds("DIVERGE", p)
-        assert div == [("r2", p.m[0, 1] + p.m[2, 1], ("Z3", "COEX"))]
+        assert div == [("r2", m12 + m32, ("Z3", "COEX"))]
+
+    @pytest.mark.parametrize("topo", ("EX6", "CHAIN", "CONVERGE", "DIVERGE"))
+    def test_listed_pairs_meet_at_the_value(self, topo):
+        # Wherever both labels of a listed pair exist at the critical value,
+        # they are one point up to the solvers' round-off.
+        rng = np.random.default_rng(606)
+        met = 0
+        for _ in range(30):
+            p = apply_topology(draw_params(rng), topo)
+            for tok, val, pair in transcritical_thresholds(topo, p):
+                at = {r.label: r.point for r in
+                      find_all_equilibria(topo, with_param(p, tok, val))}
+                if set(pair) <= set(at):
+                    gap = float(np.max(np.abs(at[pair[0]] - at[pair[1]])))
+                    assert gap <= 1e-5, (tok, val, pair, gap)
+                    met += 1
+        assert met >= 30
 
     @pytest.mark.parametrize("topo", ("EX6", "CHAIN", "CONVERGE", "DIVERGE",
                                       "EX7", "EX7N"))

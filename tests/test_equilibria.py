@@ -812,9 +812,9 @@ class TestBatchedOracle:
         lanes = []
         full_lanes = eq._full_lanes
 
-        def counting(cs, K, P, free, sid, tol):
+        def counting(cs, sid, P, free):
             lanes.append((free, sid))
-            return full_lanes(cs, K, P, free, sid, tol)
+            return full_lanes(cs, sid, P, free)
 
         with monkeypatch.context() as m:
             m.setattr(eq, "_full_lanes", counting)

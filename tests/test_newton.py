@@ -293,9 +293,9 @@ class TestNewtonSupport:
                 assert [got[0][i].hex() for i in range(3) if not free[i]] == \
                     ["0x0.0p+0"] * (3 - sum(free))
         assert roots > 100
-        K, P, free = newton._lane_coeffs(cs), np.array(points).T, np.array(frees).T
+        P, free = np.array(points).T, np.array(frees).T
         with np.errstate(all="ignore"):
-            ends, ok = newton._full_lanes(cs, K, P, free, np.arange(len(cs)), 1e-8)
+            ends, ok = newton._full_lanes(cs, np.arange(len(cs)), P, free)
         assert np.count_nonzero(ok) == roots
         pinned = ends[:, ok][~free[:, ok]]
         assert len(pinned) > 100
@@ -562,7 +562,7 @@ class TestNegativeStreak:
             ways.append(why[0])
             want.append(None if got is None else [v.hex() for v in got[0]])
         assert {"streak", "iteration cap"} <= set(ways)
-        K, P, free = newton._lane_coeffs(cs), np.array(points).T, np.array(frees).T
+        P, free = np.array(points).T, np.array(frees).T
         newton_full = newton._newton_full
         for handoff in (0, 32, 100, 10**6):
             handed = []
@@ -575,7 +575,7 @@ class TestNegativeStreak:
             with monkeypatch.context() as m, np.errstate(all="ignore"):
                 m.setattr(newton, "_HANDOFF_LANES", handoff)
                 m.setattr(newton, "_newton_full", counting)
-                ends, ok = newton._full_lanes(cs, K, P, free, np.arange(len(cs)), 1e-8)
+                ends, ok = newton._full_lanes(cs, np.arange(len(cs)), P, free)
             assert [[v.hex() for v in ends[:, n].tolist()] if ok[n] else None
                     for n in range(len(cs))] == want, handoff
             carried = [h for h in handed if h[4] > 0]

@@ -121,21 +121,21 @@ def loose_case():
     return p, starts
 
 
-def reference_advance(c: tuple, t: float, y: tuple, k1: tuple, h: float,
-                      streak: int, prev_rhs: float, t_end: float,
-                      rel_tol: float, abs_tol: float,
-                      record: bool) -> tuple[str, tuple, list, list]:
+def reference_advance(c: tuple, t: float, y: tuple, h: float, streak: int,
+                      prev_rhs: float, t_end: float, rel_tol: float,
+                      abs_tol: float, record: bool) -> tuple[str, tuple, list, list]:
     """The generator-based scalar stepper, kept as the unrolled one's reference.
 
     Step one trajectory from a step attempt's state to its terminus.
 
-    ``k1`` is the rhs at ``y`` (first-same-as-last), ``h`` the step to
-    try next, ``streak`` the count of consecutive small-rhs steps and
-    ``prev_rhs`` the rhs norm of the last accepted step.  Returns
-    ``(terminal, y, times, states)``; with ``record`` the lists hold the
-    given state and every accepted one, otherwise they are empty.
+    ``h`` is the step to try next, ``streak`` the count of consecutive
+    small-rhs steps and ``prev_rhs`` the rhs norm of the last accepted
+    step; the first stage is the rhs at ``y`` (first-same-as-last).
+    Returns ``(terminal, y, times, states)``; with ``record`` the lists
+    hold the given state and every accepted one, otherwise they are empty.
     """
     times, states = ([t], [y]) if record else ([], [])
+    k1 = _rhs(c, *y)
     h_min = 1e-14 * t_end
     bound = DIVERGE_NORM * (1.0 + max(c[3], c[4], c[5]))
     terminal = "MAX_TIME"
