@@ -89,28 +89,30 @@ def transcritical_thresholds(topo: str, params: ModelParams
     at the critical value of the token (all other parameters held at
     their current values) the two labeled equilibria collide and trade
     stability or feasibility; where the branch COEX meets depends on a
-    second sign (EX6's r3 - m13, CHAIN's r2 - m32), the pair names the
+    second sign (EX6's r3 - o3, CHAIN's r2 - o2), the pair names the
     one it meets.  Thresholds are the equality cases of the
-    closed-form catalog conditions; topologies whose catalog has no
-    single-parameter boundary (the strongly connected ones) return [].
+    closed-form catalog conditions; on the one-way patterns each is a
+    growth rate equal to its patch's total outflow, ``r_i = o_i``.
+    Topologies whose catalog has no single-parameter boundary (the
+    strongly connected ones) return [].
     Only values in (0, inf), the domain of a rate, are listed.
     """
     c = _coeffs(apply_topology(params, topo))
-    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32 = c[:12]
+    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
     out: list[tuple[str, float, tuple[str, str]]] = []
     if topo == "EX6":
-        out = [("r2", m12 + m32, ("I2" if r3 < m13 else "I3", "COEX")),
-               ("r3", m13, ("I2", "I3"))]
+        out = [("r2", o2, ("I2" if r3 < o3 else "I3", "COEX")),
+               ("r3", o3, ("I2", "I3"))]
     elif topo in ("EX7", "EX7N"):
-        out = [("r2", m12 + m32, ("Q1", "COEX"))]
+        out = [("r2", o2, ("Q1", "COEX"))]
     elif topo == "CHAIN":
-        out = [("r1", m21, ("W2" if r2 < m32 else "W3", "COEX")),
-               ("r2", m32, ("W2", "W3"))]
+        out = [("r1", o1, ("W2" if r2 < o2 else "W3", "COEX")),
+               ("r2", o2, ("W2", "W3"))]
     elif topo == "CONVERGE":
-        out = [("r1", m21, ("X1", "X2")), ("r1", m21, ("Y3", "COEX")),
-               ("r3", m23, ("X1", "Y3")), ("r3", m23, ("X2", "COEX"))]
+        out = [("r1", o1, ("X1", "X2")), ("r1", o1, ("Y3", "COEX")),
+               ("r3", o3, ("X1", "Y3")), ("r3", o3, ("X2", "COEX"))]
     elif topo == "DIVERGE":
-        out = [("r2", m12 + m32, ("Z3", "COEX"))]
+        out = [("r2", o2, ("Z3", "COEX"))]
     elif topo == "EX8":
         # Determinant boundary of the 2×2 block at (k1, 0, 0), solved
         # for r2; the trace boundary is the (degenerate) Hopf candidate.

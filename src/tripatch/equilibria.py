@@ -500,15 +500,15 @@ def _cf_ex7(c):
         return out
     scale = max(k1, k2, k3)
     # Patch-2-free point: intersection of the two face parabolae.
-    if not (r1 < m31 and r3 < m13):
-        qa = (r1 / d1, (m31 - r1) / m13, 0.0)
-        qb = (r3 / d3, (m13 - r3) / m31, 0.0)
+    if not (r1 < o1 and r3 < o3):
+        qa = (r1 / d1, (o1 - r1) / m13, 0.0)
+        qb = (r3 / d3, (o3 - r3) / m31, 0.0)
         x, y = _parabola_intersection(qa, qb, scale)
         out.append(((x, 0.0, y), "Q1", True))
-    p2 = _logistic_root(r2, k2, m12 + m32)
+    p2 = _logistic_root(r2, k2, o2)
     if p2 > 0.0:
-        qa = (r1 / d1, (m31 - r1) / m13, -m12 * p2 / m13)
-        qb = (r3 / d3, (m13 - r3) / m31, -m32 * p2 / m31)
+        qa = (r1 / d1, (o1 - r1) / m13, -m12 * p2 / m13)
+        qb = (r3 / d3, (o3 - r3) / m31, -m32 * p2 / m31)
         x, y = _parabola_intersection(qa, qb, scale)
         out.append(((x, p2, y), "COEX", p2 > 0.0))
     return out
@@ -522,50 +522,50 @@ def _cf_ex8(c):
 def _cf_ex6(c):
     r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
     out = [((k1, 0.0, 0.0), "I2", True)]
-    beta = _logistic_root(r3, k3, m13)
-    alpha = _sqrt_branch(r1, k1, 0.0, m13 * beta)
+    beta = _logistic_root(r3, k3, o3)
+    alpha = _sqrt_branch(r1, k1, o1, m13 * beta)
     if alpha is not None:
-        out.append(((alpha, 0.0, beta), "I3", r3 > m13))
-    p2 = _logistic_root(r2, k2, m12 + m32)
-    p3 = _sqrt_branch(r3, k3, m13, m32 * p2)
+        out.append(((alpha, 0.0, beta), "I3", r3 > o3))
+    p2 = _logistic_root(r2, k2, o2)
+    p3 = _sqrt_branch(r3, k3, o3, m32 * p2)
     if p3 is not None:
-        p1 = _sqrt_branch(r1, k1, 0.0, m12 * p2 + m13 * p3)
+        p1 = _sqrt_branch(r1, k1, o1, m12 * p2 + m13 * p3)
         if p1 is not None:
-            out.append(((p1, p2, p3), "COEX", r2 > m12 + m32))
+            out.append(((p1, p2, p3), "COEX", r2 > o2))
     return out
 
 
 def _cf_chain(c):
     r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
     out = [((0.0, 0.0, k3), "W2", True)]
-    p2p = _logistic_root(r2, k2, m32)
-    p3p = _sqrt_branch(r3, k3, 0.0, m32 * p2p)
+    p2p = _logistic_root(r2, k2, o2)
+    p3p = _sqrt_branch(r3, k3, o3, m32 * p2p)
     if p3p is not None:
-        out.append(((0.0, p2p, p3p), "W3", r2 >= m32))
-    p1 = _logistic_root(r1, k1, m21)
-    p2 = _sqrt_branch(r2, k2, m32, m21 * p1)
+        out.append(((0.0, p2p, p3p), "W3", r2 >= o2))
+    p1 = _logistic_root(r1, k1, o1)
+    p2 = _sqrt_branch(r2, k2, o2, m21 * p1)
     if p2 is not None:
-        p3 = _sqrt_branch(r3, k3, 0.0, m32 * p2)
+        p3 = _sqrt_branch(r3, k3, o3, m32 * p2)
         if p3 is not None:
-            out.append(((p1, p2, p3), "COEX", r1 > m21))
+            out.append(((p1, p2, p3), "COEX", r1 > o1))
     return out
 
 
 def _cf_converge(c):
     r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
     out = [((0.0, k2, 0.0), "X1", True)]
-    p1x = _logistic_root(r1, k1, m21)
-    p2x = _sqrt_branch(r2, k2, 0.0, m21 * p1x)
+    p1x = _logistic_root(r1, k1, o1)
+    p2x = _sqrt_branch(r2, k2, o2, m21 * p1x)
     if p2x is not None:
-        out.append(((p1x, p2x, 0.0), "X2", r1 >= m21))
-    p3y = _logistic_root(r3, k3, m23)
-    p2y = _sqrt_branch(r2, k2, 0.0, m23 * p3y)
+        out.append(((p1x, p2x, 0.0), "X2", r1 >= o1))
+    p3y = _logistic_root(r3, k3, o3)
+    p2y = _sqrt_branch(r2, k2, o2, m23 * p3y)
     if p2y is not None:
-        out.append(((0.0, p2y, p3y), "Y3", r3 >= m23))
+        out.append(((0.0, p2y, p3y), "Y3", r3 >= o3))
     p1, p3 = p1x, p3y
-    p2 = _sqrt_branch(r2, k2, 0.0, m21 * p1 + m23 * p3)
+    p2 = _sqrt_branch(r2, k2, o2, m21 * p1 + m23 * p3)
     if p2 is not None:
-        out.append(((p1, p2, p3), "COEX", r1 > m21 and r3 > m23))
+        out.append(((p1, p2, p3), "COEX", r1 > o1 and r3 > o3))
     return out
 
 
@@ -576,11 +576,11 @@ def _cf_diverge(c):
         ((0.0, 0.0, k3), "Z2", True),
         ((k1, 0.0, k3), "Z3", True),
     ]
-    p2 = _logistic_root(r2, k2, m12 + m32)
-    p1 = _sqrt_branch(r1, k1, 0.0, m12 * p2)
-    p3 = _sqrt_branch(r3, k3, 0.0, m32 * p2)
+    p2 = _logistic_root(r2, k2, o2)
+    p1 = _sqrt_branch(r1, k1, o1, m12 * p2)
+    p3 = _sqrt_branch(r3, k3, o3, m32 * p2)
     if p1 is not None and p3 is not None:
-        out.append(((p1, p2, p3), "COEX", r2 > m12 + m32))
+        out.append(((p1, p2, p3), "COEX", r2 > o2))
     return out
 
 

@@ -12,18 +12,25 @@ which ``classify`` does not call: on model Jacobians, whose
 off-diagonal entries are the rates ``m_ij ≥ 0``, it agrees with the
 sign test.
 
+On the one-way patterns (EX6, EX7/EX7N at Q1, CHAIN, CONVERGE,
+DIVERGE) every row is one rule: a source patch's Jacobian block at
+extinction is ``r_i − o_i``, with ``o_i`` its total outflow, so the row
+compares ``r_i`` with ``o_i``.
+
 Two of the transcribed inequalities are *corrected* relative to their
 printed source: the patch-2-at-capacity conditions for the EX2N
 topology use m23 where the print had m32 (which is identically zero in
 that topology), and the X1 condition for CONVERGE compares r1 — not
-r2 — against m21 (the explicit Jacobian entry at X1 is r1 − m21).  Both
-corrections are forced by the 2×2 blocks the conditions summarize, and
-the classifier-consistency tests would fail with the printed versions.
+r2 — with patch 1's outflow o1 = m21, as the rule does for every source
+patch.  Both corrections are forced by the blocks the conditions
+summarize, and the classifier-consistency tests would fail with the
+printed versions.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -269,10 +276,10 @@ def _classify_entries(entries):
 # ---------------------------------------------------------------------------
 # Closed-form condition catalog, keyed by (topology, equilibrium label).
 #
-# Each entry maps to a list of (condition id, kind, row builder); a row
-# builder takes the flat coefficient tuple and the equilibrium point and
-# returns (lhs, rhs, holds).  The conjunction of the "stability" rows of a
-# pair is equivalent to all eigenvalues having negative real part, which the
+# Each entry is a row builder: it takes the flat coefficient tuple and the
+# equilibrium point and returns a list of (condition id, kind, (lhs, rhs,
+# holds)).  The conjunction of the "stability" rows of a pair is equivalent
+# to all eigenvalues having negative real part, which the
 # classifier-consistency suite checks against the spectrum.
 # ---------------------------------------------------------------------------
 
@@ -295,25 +302,17 @@ def _rows_ex2n_x(c, p):
 
 
 def _rows_ex7_origin(c, p):
-    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32 = c[:12]
+    (r1, r2, r3), (o1, o2, o3) = c[:3], c[12:]
     return [
-        ("stab_orig_mod7bis_1", "stability", _gt(m12 + m32, r2)),
-        ("stab_orig_mod7bis_2", "stability", _gt(m13 + m31, r1 + r3)),
-        ("stab_orig_mod7bis_3", "stability", _gt(r1 * r3, r1 * m13 + r3 * m31)),
+        ("stab_orig_mod7bis_1", "stability", _gt(o2, r2)),
+        ("stab_orig_mod7bis_2", "stability", _gt(o3 + o1, r1 + r3)),
+        ("stab_orig_mod7bis_3", "stability", _gt(r1 * r3, r1 * o3 + r3 * o1)),
     ]
 
 
 def _rows_ex7_coex(c, p):
-    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32 = c[:12]
-    return [
-        ("stab_1_mod7bis", "stability",
-         _gt(m12 + m32 + 2.0 * r2 * p[1] / k2, r2)),
-    ]
-
-
-def _rows_ex7_q1(c, p):
-    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32 = c[:12]
-    return [("Q1_stab_mod7bis", "stability", _lt(r2, m12 + m32))]
+    r2, k2, o2 = c[1], c[4], c[13]
+    return [("stab_1_mod7bis", "stability", _gt(o2 + 2.0 * r2 * p[1] / k2, r2))]
 
 
 def _rows_ex8_coex(c, p):
@@ -330,74 +329,34 @@ def _rows_ex8_m2(c, p):
     ]
 
 
-def _rows_ex6_coex(c, p):
-    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32 = c[:12]
-    return [("ce4", "stability", _gt(r2, m12 + m32))]
+#: The one-way patterns' rows (module docstring), each (condition id, kind,
+#: patch i, _lt or _gt).
+_ONE_WAY_ROWS = {
+    ("EX7", "Q1"): (("Q1_stab_mod7bis", "stability", 1, _lt),),
+    ("EX7N", "Q1"): (("Q1_stab_mod7bis", "stability", 1, _lt),),
+    ("EX6", "COEX"): (("ce4", "stability", 1, _gt),),
+    ("EX6", "I2"): (("stab_I2_1", "stability", 1, _lt),
+                    ("stab_I2_2", "stability", 2, _lt)),
+    ("EX6", "I3"): (("stab_I2_1", "stability", 1, _lt),
+                    ("feas_I3", "feasibility", 2, _gt)),
+    ("CHAIN", "W2"): (("stab_Q2_1", "stability", 0, _lt),
+                      ("stab_Q2_2", "stability", 1, _lt)),
+    ("CHAIN", "W3"): (("stab_Q2_1", "stability", 0, _lt),),
+    ("CONVERGE", "X1"): (("stab_X1_1", "stability", 0, _lt),
+                         ("stab_X1_2", "stability", 2, _lt)),
+    ("CONVERGE", "X2"): (("feas_X2", "stability", 2, _lt),),
+    ("CONVERGE", "Y3"): (("feas_Y3", "stability", 0, _lt),),
+    ("CONVERGE", "COEX"): (("feas_P*_n2_1", "stability", 0, _gt),
+                           ("feas_P*_n2_2", "stability", 2, _gt)),
+    ("DIVERGE", "Z3"): (("stab_Z3", "stability", 1, _lt),),
+    ("DIVERGE", "COEX"): (("feas_P*_16", "stability", 1, _gt),),
+}
 
 
-def _rows_ex6_i2(c, p):
-    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32 = c[:12]
-    return [
-        ("stab_I2_1", "stability", _lt(r2, m12 + m32)),
-        ("stab_I2_2", "stability", _lt(r3, m13)),
-    ]
-
-
-def _rows_ex6_i3(c, p):
-    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32 = c[:12]
-    return [
-        ("stab_I2_1", "stability", _lt(r2, m12 + m32)),
-        ("feas_I3", "feasibility", _gt(r3, m13)),
-    ]
-
-
-def _rows_chain_w2(c, p):
-    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32 = c[:12]
-    return [
-        ("stab_Q2_1", "stability", _lt(r1, m21)),
-        ("stab_Q2_2", "stability", _lt(r2, m32)),
-    ]
-
-
-def _rows_chain_w3(c, p):
-    r1, m21 = c[0], c[8]
-    return [("stab_Q2_1", "stability", _lt(r1, m21))]
-
-
-def _rows_conv_x1(c, p):
-    r1, r3, m21, m23 = c[0], c[2], c[8], c[9]
-    return [
-        ("stab_X1_1", "stability", _lt(r1, m21)),
-        ("stab_X1_2", "stability", _lt(r3, m23)),
-    ]
-
-
-def _rows_conv_x2(c, p):
-    r3, m23 = c[2], c[9]
-    return [("feas_X2", "stability", _lt(r3, m23))]
-
-
-def _rows_conv_y3(c, p):
-    r1, m21 = c[0], c[8]
-    return [("feas_Y3", "stability", _lt(r1, m21))]
-
-
-def _rows_conv_coex(c, p):
-    r1, r3, m21, m23 = c[0], c[2], c[8], c[9]
-    return [
-        ("feas_P*_n2_1", "stability", _gt(r1, m21)),
-        ("feas_P*_n2_2", "stability", _gt(r3, m23)),
-    ]
-
-
-def _rows_div_z3(c, p):
-    r2, m12, m32 = c[1], c[6], c[11]
-    return [("stab_Z3", "stability", _lt(r2, m12 + m32))]
-
-
-def _rows_div_coex(c, p):
-    r2, m12, m32 = c[1], c[6], c[11]
-    return [("feas_P*_16", "stability", _gt(r2, m12 + m32))]
+def _one_way(rows, c, p):
+    """The rows of one ``_ONE_WAY_ROWS`` entry, each comparing r_i = ``c[i]``
+    with o_i = ``c[12 + i]``."""
+    return [(cid, kind, op(c[i], c[12 + i])) for cid, kind, i, op in rows]
 
 
 _CONDITION_TABLE = {
@@ -406,21 +365,9 @@ _CONDITION_TABLE = {
     ("EX7N", "ORIGIN"): _rows_ex7_origin,
     ("EX7", "COEX"): _rows_ex7_coex,
     ("EX7N", "COEX"): _rows_ex7_coex,
-    ("EX7", "Q1"): _rows_ex7_q1,
-    ("EX7N", "Q1"): _rows_ex7_q1,
     ("EX8", "COEX"): _rows_ex8_coex,
     ("EX8", "M2_EX8"): _rows_ex8_m2,
-    ("EX6", "COEX"): _rows_ex6_coex,
-    ("EX6", "I2"): _rows_ex6_i2,
-    ("EX6", "I3"): _rows_ex6_i3,
-    ("CHAIN", "W2"): _rows_chain_w2,
-    ("CHAIN", "W3"): _rows_chain_w3,
-    ("CONVERGE", "X1"): _rows_conv_x1,
-    ("CONVERGE", "X2"): _rows_conv_x2,
-    ("CONVERGE", "Y3"): _rows_conv_y3,
-    ("CONVERGE", "COEX"): _rows_conv_coex,
-    ("DIVERGE", "Z3"): _rows_div_z3,
-    ("DIVERGE", "COEX"): _rows_div_coex,
+    **{key: functools.partial(_one_way, rows) for key, rows in _ONE_WAY_ROWS.items()},
 }
 
 
@@ -449,7 +396,11 @@ def classify(topo: str, eq: EquilibriumRecord, params: ModelParams) -> Stability
 
 
 def _classify(topo: str, c: tuple, eq: EquilibriumRecord) -> StabilityReport:
-    """``classify`` with the projected set's coefficient tuple ``c``."""
+    """``classify`` with the projected set's coefficient tuple ``c``.
+
+    ``c`` must be projected onto ``topo``: the one-way rows read the
+    outflows ``o_i``, which would otherwise count a rate the pattern zeroes.
+    """
     if not eq.residual <= RESIDUAL_LIMIT:  # a NaN residual is refused too
         raise StaleEquilibriumError(
             f"record {eq.label} has residual {eq.residual:.2e} > {RESIDUAL_LIMIT:.0e}"

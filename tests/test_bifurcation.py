@@ -30,6 +30,15 @@ def ex1_ring(rate: float = 2.0) -> ModelParams:
     return ModelParams(np.full(3, 3.0), np.ones(3), m)
 
 
+#: Known defect, left for the one threshold rule of ROADMAP item 4: fixing
+#: it changes which thresholds the sweep benchmark workload runs.
+NO_EXCHANGE = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "EX8 and EX2N list det A_C = 0 of their {2,3} and {1,3} blocks as an "
+    "exchange with COEX, but where that block's trace is positive COEX exists "
+    "on both sides and the listed pair lies far apart (rng 606, 30 draws: 15 "
+    "of 25 EX8 and 15 of 18 EX2N thresholds)"))
+
+
 class TestTranscriticalThresholds:
     @pytest.mark.parametrize("topo", ("FULL", "EX2", "HUB0", "EX3", "EX1"))
     def test_strongly_connected_have_no_boundaries(self, topo):
@@ -53,7 +62,9 @@ class TestTranscriticalThresholds:
         div = transcritical_thresholds("DIVERGE", p)
         assert div == [("r2", m12 + m32, ("Z3", "COEX"))]
 
-    @pytest.mark.parametrize("topo", ("EX6", "CHAIN", "CONVERGE", "DIVERGE"))
+    @pytest.mark.parametrize("topo", (
+        "EX6", "CHAIN", "CONVERGE", "DIVERGE",
+        *(pytest.param(topo, marks=NO_EXCHANGE) for topo in ("EX8", "EX2N"))))
     def test_listed_pairs_meet_at_the_value(self, topo):
         # Wherever both labels of a listed pair exist at the critical value,
         # they are one point up to the solvers' round-off.
@@ -192,8 +203,9 @@ class TestHopfCandidate:
             assert validity == "DEGENERATE"
 
     def test_nonpositive_candidate_short_circuits(self):
-        p = draw_params(np.random.default_rng(9), m_lo=0.0, m_hi=0.1)
-        p = with_param(p, "r3", 4.9)
+        p = draw_params(np.random.default_rng(9))
+        # Rates in [0, 0.1]: 0.05 times a rate in [0, 2] is exact.
+        p = with_param(ModelParams(p.r, p.k, 0.05 * p.m), "r3", 4.9)
         r2c, validity = hopf_candidate(p)
         assert r2c <= 0.0 and validity == "DEGENERATE"
 
@@ -297,6 +309,16 @@ class TestSweep:
         assert best <= 1e-6, f"refined crossing off by {best:.2e}"
         assert all(c.kind == "REAL_ZERO" for c in cross
                    if abs(c.param_value - thr) <= 1e-6)
+
+    def test_stalled_continuation_falls_back_to_the_interpolant(self, monkeypatch):
+        # Where Newton stalls, the interpolant stands in, with the coordinates
+        # that are near zero at both ends pinned at 0.
+        frees = []
+        monkeypatch.setattr(bifurcation, "_newton_full",
+                            lambda *args, free: frees.append(free))
+        x = bifurcation._continue_point(_coeffs(ex1_ring()), (1.0, 1e-12, 2.0),
+                                        (3.0, -1e-12, 4.0), 0.25, 1.0)
+        assert x == (1.5, 0.0, 2.5) and frees == [(0, 2)]
 
     def test_oscillatory_crossing_on_the_ring(self):
         # A cyclic 1->2->3->1 arrangement loses origin stability through

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +18,9 @@ from test_equilibria import NAMED_ERRORS, R1_DRAW
 import tripatch.cli
 import tripatch.equilibria
 import tripatch.model
+import tripatch.stability
+import tripatch.topology
+import tripatch.verification
 from tripatch.cli import (
     ConfigError,
     RunConfig,
@@ -65,6 +73,14 @@ class TestEnumerate:
         strong = [n for n, row in by_name.items()
                   if row["strongly_connected"] == "true"]
         assert sorted(strong) == ["EX1", "EX2", "EX3", "FULL", "HUB0"]
+
+    def test_module_entry_point_prints_the_same(self, capsys):
+        # ``python -m tripatch.cli`` is how a fresh process launches a verb.
+        src = str(pathlib.Path(tripatch.cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "tripatch.cli", "enumerate"],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, ["enumerate"])
 
     def test_each_arc_listed_once(self, capsys):
         _, out, _ = run(capsys, ["enumerate"])
@@ -541,6 +557,47 @@ class TestVerifyCommand:
         assert fail_lines, f"no conservation FAIL line in:\n{out}"
         assert "drift" in fail_lines[0] or "sum" in fail_lines[0] \
             or any(ch.isdigit() for ch in fail_lines[0])
+
+    @staticmethod
+    def failed_line(capsys, check):
+        """The FAIL line of ``check`` in a failing ``verify`` run."""
+        code, out, _ = run(capsys, ["verify", "--samples", "10"])
+        assert code == 1 and "6/7 properties passed" in out
+        return next(line for line in out.splitlines()
+                    if line.startswith(f"FAIL {check}: "))
+
+    @staticmethod
+    def drop_diverge(arcs):
+        token, perm = tripatch.topology.canonical_form(arcs)
+        return ("CONVERGE" if token == "DIVERGE" else token), perm
+
+    @pytest.mark.parametrize("name, fake, detail", [
+        ("enumerate_canonical", lambda: tripatch.topology.enumerate_canonical()[1:],
+         "expected 13 classes, got 12"),
+        ("canonical_form", drop_diverge, "orbit scan found ['CHAIN', 'CONVERGE', "
+         "'EX1', 'EX2', 'EX2N', 'EX3', 'EX6', 'EX7', 'EX7N', 'EX8', 'FULL', 'HUB0']"),
+        ("is_strongly_connected", lambda arcs: False, "strongly connected set ()"),
+    ], ids=["count", "orbits", "strong"])
+    def test_a_wrong_census_is_caught(self, capsys, monkeypatch, name, fake, detail):
+        monkeypatch.setattr(tripatch.verification, name, fake)
+        assert self.failed_line(capsys, "topology census") == \
+            f"FAIL topology census: {detail}"
+
+    def test_a_lost_coexistence_state_is_caught(self, capsys, monkeypatch):
+        find_all = tripatch.verification.find_all_equilibria
+        monkeypatch.setattr(
+            tripatch.verification, "find_all_equilibria", lambda topo, p, seed:
+            [rec for rec in find_all(topo, p, seed=seed) if rec.label != "COEX"])
+        assert self.failed_line(capsys, "oracle equivalence") == \
+            "FAIL oracle equivalence: FULL draw 0: labels ['ORIGIN']"
+
+    def test_a_flipped_one_way_row_is_caught(self, capsys, monkeypatch):
+        # Z3 is stable iff r2 < o2; the flipped row says the opposite.
+        st = tripatch.stability
+        monkeypatch.setitem(st._CONDITION_TABLE, ("DIVERGE", "Z3"), functools.partial(
+            st._one_way, (("stab_Z3", "stability", 1, st._gt),)))
+        assert self.failed_line(capsys, "classifier consistency").startswith(
+            "FAIL classifier consistency: DIVERGE/Z3 draw 0: conditions say ")
 
 
 class TestUsage:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_newton
-from helpers import bits, build, hexes
+from helpers import bits, build, hexes, symmetric_full
 from tripatch import equilibria as eq
 from tripatch import newton
 from tripatch.equilibria import (
@@ -34,7 +34,8 @@ from tripatch.equilibria import (
     newton_coexistence,
 )
 from tripatch.bifurcation import transcritical_thresholds
-from tripatch.model import ModelParams, _coeffs, _gap, _jac, _rhs, rhs, with_param
+from tripatch.model import (ModelParams, ParameterError, _coeffs, _gap, _jac, _rhs,
+                            rhs, with_param)
 from tripatch.stability import classify
 from tripatch.topology import (
     TOPOLOGIES,
@@ -116,6 +117,16 @@ class TestCoexistenceSolvers:
         p = ModelParams(np.ones(3), np.ones(3), m)
         rec = newton_coexistence(p)
         assert np.allclose(rec.point, [1.0, 1.0, 1.0], atol=1e-12)
+
+    def test_a_failed_newton_finish_raises(self, monkeypatch):
+        monkeypatch.setattr(eq, "_newton_full", lambda *args, **kw: None)
+        with pytest.raises(ConvergenceError, match="did not reach residual 1e-10"):
+            newton_coexistence(symmetric_full())
+
+    @pytest.mark.parametrize("name", ["m12", "m21", "m13", "m23"])
+    def test_construction_needs_its_four_rates(self, name):
+        with pytest.raises(ParameterError, match=f"requires {name} > 0, got 0.0"):
+            coexistence_by_construction(with_param(symmetric_full(), name, 0.0))
 
 
 #: A FULL draw's r, k and m, its r1 raised to 1e10.

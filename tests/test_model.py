@@ -194,6 +194,7 @@ class TestValidationMessages:
         m = hollow(1.0)
         m[2, 1], m[1, 1] = -1.0, 3.0
         cases = [
+            ((np.ones(3), np.ones(2), m), "k must have shape (3,), got (2,)"),
             ((np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, np.inf]), m),
              "k contains non-finite entries"),
             ((np.array([1.0, -1.0, 1.0]), np.array([1.0, 0.0, 1.0]), m),

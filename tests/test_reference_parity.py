@@ -61,6 +61,13 @@ def test_brentq_matches_scipy_at_both_call_sites(monkeypatch):
     assert calls.count("g") == 500
     assert calls.count("F") > 10_000
 
+    def ends_at_one(x):
+        return x * (x - 1.0)
+
+    # A root at either end of the bracket is returned as it is.
+    assert checked(ends_at_one, 1.0, 2.0, 1e-12, 8.9e-16) == 1.0
+    assert checked(ends_at_one, 0.5, 1.0, 1e-12, 8.9e-16) == 1.0
+
 
 def test_brentq_errors():
     optimize = pytest.importorskip("scipy.optimize")
