@@ -2,10 +2,11 @@
 
 Four complementary routes to the steady states:
 
-* ``closed_form_equilibria`` — the per-topology algebraic catalog
-  (explicit points and single-variable root-finding on parabola
-  intersections); on the five strongly connected patterns its COEX is
-  the limit of the coexistence descent.
+* ``closed_form_equilibria`` — the per-topology algebraic catalog: the
+  state of each closed support whose strongly connected components are
+  single patches, patch by patch in feed order; parabola intersections
+  on EX7 and EX7N; the coexistence descent's limit on the five strongly
+  connected patterns.
 * ``newton_coexistence`` — the coexistence descent: the map that sets
   each patch at balance with its inflow falls monotonically from a
   super-solution to the maximal equilibrium; Newton finishes from there.
@@ -25,12 +26,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, NumericalError, ParameterError, _coeffs, _count, _gap
+from .model import (PARAM_TOKENS, ModelParams, NumericalError, ParameterError, _coeffs,
+                    _count, _gap)
 from .newton import (
     RESIDUAL_LIMIT,
     _DROP_FLOOR,
@@ -41,7 +44,7 @@ from .newton import (
     _residual,
     _rhs_lanes,
 )
-from .topology import apply_topology
+from .topology import apply_topology, arcs_of_topology
 
 __all__ = [
     "ADMITTED_LABELS",
@@ -482,11 +485,6 @@ def _sqrt_branch(r: float, k: float, loss: float, inflow: float):
     return (k / (2.0 * r)) * (s + root)
 
 
-def _cf_ex2n(c):
-    k2 = c[4]
-    return [((0.0, k2, 0.0), "X_EX2N", True)]
-
-
 def _cf_ex7(c):
     """Patch 2 is a pure source: its level at coexistence is explicit."""
     r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
@@ -514,105 +512,86 @@ def _cf_ex7(c):
     return out
 
 
-def _cf_ex8(c):
-    k1 = c[3]
-    return [((k1, 0.0, 0.0), "M2_EX8", True)]
-
-
-def _cf_ex6(c):
-    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
-    out = [((k1, 0.0, 0.0), "I2", True)]
-    beta = _logistic_root(r3, k3, o3)
-    alpha = _sqrt_branch(r1, k1, o1, m13 * beta)
-    if alpha is not None:
-        out.append(((alpha, 0.0, beta), "I3", r3 > o3))
-    p2 = _logistic_root(r2, k2, o2)
-    p3 = _sqrt_branch(r3, k3, o3, m32 * p2)
-    if p3 is not None:
-        p1 = _sqrt_branch(r1, k1, o1, m12 * p2 + m13 * p3)
-        if p1 is not None:
-            out.append(((p1, p2, p3), "COEX", r2 > o2))
-    return out
-
-
-def _cf_chain(c):
-    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
-    out = [((0.0, 0.0, k3), "W2", True)]
-    p2p = _logistic_root(r2, k2, o2)
-    p3p = _sqrt_branch(r3, k3, o3, m32 * p2p)
-    if p3p is not None:
-        out.append(((0.0, p2p, p3p), "W3", r2 >= o2))
-    p1 = _logistic_root(r1, k1, o1)
-    p2 = _sqrt_branch(r2, k2, o2, m21 * p1)
-    if p2 is not None:
-        p3 = _sqrt_branch(r3, k3, o3, m32 * p2)
-        if p3 is not None:
-            out.append(((p1, p2, p3), "COEX", r1 > o1))
-    return out
-
-
-def _cf_converge(c):
-    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
-    out = [((0.0, k2, 0.0), "X1", True)]
-    p1x = _logistic_root(r1, k1, o1)
-    p2x = _sqrt_branch(r2, k2, o2, m21 * p1x)
-    if p2x is not None:
-        out.append(((p1x, p2x, 0.0), "X2", r1 >= o1))
-    p3y = _logistic_root(r3, k3, o3)
-    p2y = _sqrt_branch(r2, k2, o2, m23 * p3y)
-    if p2y is not None:
-        out.append(((0.0, p2y, p3y), "Y3", r3 >= o3))
-    p1, p3 = p1x, p3y
-    p2 = _sqrt_branch(r2, k2, o2, m21 * p1 + m23 * p3)
-    if p2 is not None:
-        out.append(((p1, p2, p3), "COEX", r1 > o1 and r3 > o3))
-    return out
-
-
-def _cf_diverge(c):
-    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
-    out = [
-        ((k1, 0.0, 0.0), "Z1", True),
-        ((0.0, 0.0, k3), "Z2", True),
-        ((k1, 0.0, k3), "Z3", True),
-    ]
-    p2 = _logistic_root(r2, k2, o2)
-    p1 = _sqrt_branch(r1, k1, o1, m12 * p2)
-    p3 = _sqrt_branch(r3, k3, o3, m32 * p2)
-    if p1 is not None and p3 is not None:
-        out.append(((p1, p2, p3), "COEX", r2 > o2))
-    return out
-
-
 def _cf_strong(c):
     return [(_descent_limit(c), "COEX", True)]
 
 
+#: The closed supports of each pattern whose strongly connected components
+#: are single patches: one catalog row per support, its label and its
+#: patches in feed order (each after every patch that feeds it).
+_SUPPORTS = {
+    "EX2N": (("X_EX2N", (1,)),),
+    "EX8": (("M2_EX8", (0,)),),
+    "EX6": (("I2", (0,)), ("I3", (2, 0)), ("COEX", (1, 2, 0))),
+    "CHAIN": (("W2", (2,)), ("W3", (1, 2)), ("COEX", (0, 1, 2))),
+    "CONVERGE": (("X1", (1,)), ("X2", (0, 1)), ("Y3", (2, 1)), ("COEX", (0, 2, 1))),
+    "DIVERGE": (("Z1", (0,)), ("Z2", (2,)), ("Z3", (0, 2)), ("COEX", (1, 0, 2))),
+}
+
+
+def _feed_order(rows, c):
+    """The catalog rows of ``rows``, by the rule of ``closed_form_equilibria``.
+
+    Each row is a label and its support's patches ``i`` in feed order, each
+    with its feeders there as (index of ``m_ij`` in ``c``, ``j``) pairs and
+    whether an arc leaves it.
+    """
+    out = []
+    for label, steps in rows:
+        x = [0.0, 0.0, 0.0]
+        ok = True
+        for i, feeders, leaks in steps:
+            r, k, o = c[i], c[3 + i], c[12 + i]
+            if feeders:
+                # In _rhs's order, from the first term: a 0.0 start would
+                # turn a lone -0.0 term (a kept rate given as -0.0) into 0.0.
+                x[i] = _sqrt_branch(r, k, o, functools.reduce(
+                    operator.add, [c[a] * x[j] for a, j in feeders]))
+                if x[i] is None:
+                    break
+            elif leaks:
+                x[i] = _logistic_root(r, k, o)
+                ok = ok and r > o
+            else:
+                x[i] = k
+        else:
+            out.append((tuple(x), label, ok))
+    return out
+
+
+def _one_way(topo):
+    """``_feed_order`` bound to the rows of ``_SUPPORTS[topo]``, read off the
+    pattern's arcs."""
+    arcs = arcs_of_topology(topo)
+    rows = [(label, [(i, [(PARAM_TOKENS.index(f"m{i + 1}{j + 1}"), j)
+                          for j in sorted(patches) if (j, i) in arcs],
+                      any(src == i for src, _ in arcs)) for i in patches])
+            for label, patches in _SUPPORTS[topo]]
+    return functools.partial(_feed_order, rows)
+
+
 _CLOSED_FORMS = {
     **dict.fromkeys(("FULL", "EX2", "HUB0", "EX3", "EX1"), _cf_strong),
-    "EX2N": _cf_ex2n,
     "EX7": _cf_ex7,
     "EX7N": _cf_ex7,
-    "EX8": _cf_ex8,
-    "EX6": _cf_ex6,
-    "CHAIN": _cf_chain,
-    "CONVERGE": _cf_converge,
-    "DIVERGE": _cf_diverge,
+    **{topo: _one_way(topo) for topo in _SUPPORTS},
 }
 
 
 def closed_form_equilibria(topo: str, params: ModelParams) -> list[EquilibriumRecord]:
     """Algebraic equilibrium catalog of a topology.
 
-    ``params`` is projected onto ``topo`` first.  The origin is always
-    included; the per-topology boundary points and explicit coexistence
-    expressions follow.  A point whose formula involves the square root
-    of a negative number does not exist in the reals and is omitted;
-    points that exist but violate their side conditions are returned
-    with ``feasible=False``.  On the five strongly connected patterns COEX
-    is the last iterate of ``_descent``, which ``find_all_equilibria``
-    polishes; a ConvergenceError there means an iterate left the float
-    range.  An unknown ``topo`` is a ParameterError.
+    ``params`` is projected onto ``topo`` first, and the origin comes
+    first.  Each closed support whose strongly connected components are
+    single patches gives one point, patch by patch in feed order: a patch
+    the support does not feed sits at ``k_i``, or at its logistic root
+    ``k_i·(r_i − o_i)/r_i`` where an arc leaves it, feasible only where
+    ``r_i > o_i`` (Smith 1986); a fed patch sits at the positive root of
+    its balance with its inflow, and without one the point is omitted.
+    EX7's and EX7N's points intersect two parabolae.  On the five strongly
+    connected patterns COEX is the last iterate of ``_descent``, which
+    ``find_all_equilibria`` polishes; a ConvergenceError there means an
+    iterate left the float range.  An unknown ``topo`` is a ParameterError.
     """
     return _catalog(topo, _coeffs(apply_topology(params, topo)))
 

@@ -7,6 +7,10 @@ import numpy as np
 
 from tripatch.model import ModelParams
 
+#: The five strongly connected patterns, by hand: the reference that
+#: ``is_strongly_connected`` is checked against.
+STRONG = ("FULL", "EX2", "HUB0", "EX3", "EX1")
+
 
 def build(r, k, m6):
     """A parameter set from r, k and the off-diagonal rates

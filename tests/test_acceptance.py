@@ -17,6 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from helpers import STRONG
 from tripatch.bifurcation import hopf_candidate, sweep, transcritical_thresholds
 from tripatch.equilibria import (
     brute_force_equilibria,
@@ -43,8 +44,6 @@ from tripatch.topology import (
     iter_arc_sets,
 )
 from tripatch.verification import draw_params
-
-STRONG = ("FULL", "EX2", "HUB0", "EX3", "EX1")
 
 #: One verdict line per criterion; echoed by the terminal-summary hook.
 VERDICTS: list[str] = []

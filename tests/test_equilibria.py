@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_newton
-from helpers import bits, build, hexes, symmetric_full
+from helpers import STRONG, bits, build, hexes, symmetric_full
 from tripatch import equilibria as eq
 from tripatch import newton
 from tripatch.equilibria import (
@@ -40,6 +40,7 @@ from tripatch.stability import classify
 from tripatch.topology import (
     TOPOLOGIES,
     apply_topology,
+    arcs_of_topology,
     is_admissible,
     is_strongly_connected,
     iter_arc_sets,
@@ -154,8 +155,6 @@ NAMED_ERRORS = [
      [[0.0, 1.0, 1.0], [1e-3, 0.0, 1.0], [1e-3, 1.0, 0.0]],
      ConvergenceError, "leave the float range"),
 ]
-
-STRONG = ("FULL", "EX2", "HUB0", "EX3", "EX1")
 
 
 @functools.lru_cache(maxsize=1)
@@ -296,6 +295,31 @@ class TestClosedForms:
             labels = {rec.label for rec in closed_form_equilibria(topo, p)}
             assert labels <= admitted, f"{topo}: unexpected labels {labels - admitted}"
             assert "ORIGIN" in labels
+
+    @pytest.mark.parametrize("topo", TOPOLOGIES)
+    def test_support_table_matches_the_arcs(self, topo):
+        # The closed supports whose strongly connected components are single
+        # patches, read off the arcs, are exactly the table's; each row lists
+        # a patch after every patch that feeds it, in ADMITTED_LABELS order.
+        arcs = arcs_of_topology(topo)
+        want = set()
+        for size in (1, 2, 3):
+            for S in itertools.combinations(range(3), size):
+                if any(s in S and d not in S for s, d in arcs):
+                    continue  # an arc leaves S
+                reach = {(s, d) for s, d in arcs if s in S and d in S}
+                for _ in S:
+                    reach |= {(i, j) for i, a in reach for b, j in reach if a == b}
+                if not any((j, i) in reach for i, j in reach):
+                    want.add(frozenset(S))
+        rows = eq._SUPPORTS.get(topo, ())
+        assert {frozenset(patches) for _, patches in rows} == want
+        for label, patches in rows:
+            for n, i in enumerate(patches):
+                feeders = {s for s, d in arcs if d == i and s in patches}
+                assert feeders <= set(patches[:n]), (label, patches)
+        labels = [label for label, _ in rows]
+        assert labels == sorted(labels, key=ADMITTED_LABELS[topo].index)
 
     def test_origin_is_always_first_and_exact(self):
         p = apply_topology(
@@ -476,7 +500,7 @@ class TestFindAll:
 
     def test_strongly_connected_set_is_origin_and_coex(self):
         rng = np.random.default_rng(21)
-        for topo in ("FULL", "EX2", "HUB0", "EX3", "EX1"):
+        for topo in STRONG:
             for i in range(10):
                 p = apply_topology(draw_params(rng, m_lo=0.05), topo)
                 labels = sorted(r.label for r in find_all_equilibria(topo, p))
@@ -1091,6 +1115,22 @@ class TestNegativeStreakTables:
                 p = apply_topology(draw_params(rng), topo)
                 got = find_all_equilibria(topo, p)
                 assert sum(r.feasible for r in got) == census(p), (topo, i)
+
+    def test_exact_thresholds_equal_the_census(self):
+        # Each patch with positive outflow at r_i = o_i exactly, 40 draws per
+        # pattern (rng 4040): a state of a support that patch leaks from lies
+        # on a smaller support there and counts once.  CHAIN's W3 and
+        # CONVERGE's X2 and Y3 used to count twice.
+        rng = np.random.default_rng(4040)
+        for topo in TOPOLOGIES:
+            for i in range(40):
+                p = apply_topology(draw_params(rng), topo)
+                c = _coeffs(p)
+                for n in range(3):
+                    if c[12 + n] > 0.0:
+                        q = with_param(p, f"r{n + 1}", c[12 + n])
+                        got = find_all_equilibria(topo, q)
+                        assert sum(r.feasible for r in got) == census(q), (topo, i, n)
 
     @pytest.mark.parametrize("topo, count", [
         ("FULL", 2), ("CHAIN", 4), ("CONVERGE", 5), ("EX2N", 3), ("EX8", 3)])
