@@ -1,11 +1,13 @@
 """Transcritical thresholds, the Hopf candidate, and one-parameter sweeps.
 
-The closed-form stability/feasibility inequalities of the sparse
-topologies all degenerate to equalities on simple parameter loci; those
-loci are where boundary equilibria exchange stability with a
-neighboring branch (transcritical bifurcations).  This module collects
-them analytically and, independently, detects the crossings numerically
-by sweeping one parameter (see :func:`sweep`).
+Where a boundary equilibrium exchanges stability with a neighboring
+branch (a transcritical bifurcation), a patch's growth equals its total
+outflow, ``r_i = o_i``, on every pattern but EX8 and EX2N: one rule over
+the support table ``equilibria._SUPPORTS`` finds each locus (see
+transcritical_thresholds), while EX8 and EX2N take their 2×2 block's
+determinant boundary.  This module collects the loci analytically and,
+independently, detects the crossings numerically by sweeping one
+parameter (see :func:`sweep`).
 
 No pattern has an oscillatory (Hopf) onset from a stable state.  Every
 model Jacobian is Metzler (its off-diagonal entries are the rates
@@ -28,13 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import POLISH_TOL, EquilibriumRecord, _find_all_many
+from .equilibria import _SUPPORTS, POLISH_TOL, EquilibriumRecord, _find_all_many
 from .model import (ModelParams, PARAM_TOKENS, ParameterError, _ENTRY, _coeffs, _count,
                     _gap, _jac, _with_coeff)
 from .newton import _newton_full
 from .stability import (StabilityReport, _axis_terms, _characteristic, _classify,
                         eigenvalues_3x3)
-from .topology import apply_topology, zeroed_rates
+from .topology import apply_topology, arcs_of_topology, zeroed_rates
 # Unused since sweep batches its grid: bench/test_bench.py checks that the
 # benchmark tracer wraps this binding.
 from .equilibria import find_all_equilibria  # noqa: F401
@@ -88,32 +90,31 @@ def transcritical_thresholds(topo: str, params: ModelParams
     Each entry is ``(parameter token, critical value, (label_a, label_b))``:
     at the critical value of the token (all other parameters held at
     their current values) the two labeled equilibria collide and trade
-    stability or feasibility; where the branch COEX meets depends on a
-    second sign (EX6's r3 - o3, CHAIN's r2 - o2), the pair names the
-    one it meets.  Thresholds are the equality cases of the
-    closed-form catalog conditions; on the one-way patterns each is a
-    growth rate equal to its patch's total outflow, ``r_i = o_i``.
-    Topologies whose catalog has no single-parameter boundary (the
-    strongly connected ones) return [].
-    Only values in (0, inf), the domain of a rate, are listed.
+    stability or feasibility.  For each state ``b`` on a closed support
+    ``S`` of ``equilibria._SUPPORTS`` and each patch ``i`` of ``S`` that no
+    patch of ``S`` feeds and that an arc leaves, ``r_i = o_i`` is listed
+    with ``(a, b)``: ``a`` is the state on ``S − {i}`` less, repeatedly,
+    each patch that had a feeder in ``S``, has none left and has
+    ``r_j < o_j``.  Entries are sorted stably by token; EX8 and EX2N list
+    their 2×2 block's determinant boundary instead.  Only values in
+    (0, inf), the domain of a rate, are listed.
     """
     c = _coeffs(apply_topology(params, topo))
     r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
-    out: list[tuple[str, float, tuple[str, str]]] = []
-    if topo == "EX6":
-        out = [("r2", o2, ("I2" if r3 < o3 else "I3", "COEX")),
-               ("r3", o3, ("I2", "I3"))]
-    elif topo in ("EX7", "EX7N"):
-        out = [("r2", o2, ("Q1", "COEX"))]
-    elif topo == "CHAIN":
-        out = [("r1", o1, ("W2" if r2 < o2 else "W3", "COEX")),
-               ("r2", o2, ("W2", "W3"))]
-    elif topo == "CONVERGE":
-        out = [("r1", o1, ("X1", "X2")), ("r1", o1, ("Y3", "COEX")),
-               ("r3", o3, ("X1", "Y3")), ("r3", o3, ("X2", "COEX"))]
-    elif topo == "DIVERGE":
-        out = [("r2", o2, ("Z3", "COEX"))]
-    elif topo == "EX8":
+    arcs = arcs_of_topology(topo)
+    feeders = [{s for s, d in arcs if d == j} for j in range(3)]
+    label_of = {frozenset(patches): label for label, patches in _SUPPORTS[topo]}
+    out = []
+    for S, label in label_of.items():
+        for i in S:
+            if feeders[i] & S or not any(s == i for s, _ in arcs):
+                continue
+            rest = S - {i}
+            while drop := {j for j in rest if feeders[j] & S and not feeders[j] & rest
+                           and c[j] < c[12 + j]}:
+                rest -= drop
+            out.append((f"r{i + 1}", c[12 + i], (label_of[rest], label)))
+    if topo == "EX8":
         # Determinant boundary of the 2×2 block at (k1, 0, 0), solved
         # for r2; the trace boundary is the (degenerate) Hopf candidate.
         den = r3 - m13 - m23
@@ -126,6 +127,7 @@ def transcritical_thresholds(topo: str, params: ModelParams
         den = m13 + m23 - r3
         if abs(den) > 1e-12:
             out = [("r1", m31 - m13 * m31 / den, ("X_EX2N", "COEX"))]
+    out.sort(key=lambda t: t[0])
     # 0 where every rate in a formula is cut, inf where a sum overflows.
     return [t for t in out if 0.0 < t[1] < math.inf]
 

@@ -44,7 +44,7 @@ from .newton import (
     _residual,
     _rhs_lanes,
 )
-from .topology import apply_topology, arcs_of_topology
+from .topology import apply_topology, arcs_of_topology, is_strongly_connected
 
 __all__ = [
     "ADMITTED_LABELS",
@@ -60,24 +60,22 @@ __all__ = [
     "newton_coexistence",
 ]
 
-#: Equilibrium labels each topology can exhibit (real points; boundary
-#: points whose formulas involve negative square roots may be absent for
-#: particular parameters, but never anything outside this set).
-ADMITTED_LABELS = {
-    "FULL": ("ORIGIN", "COEX"),
-    "EX2": ("ORIGIN", "COEX"),
-    "HUB0": ("ORIGIN", "COEX"),
-    "EX3": ("ORIGIN", "COEX"),
-    "EX1": ("ORIGIN", "COEX"),
-    "EX2N": ("ORIGIN", "X_EX2N", "COEX"),
-    "EX7": ("ORIGIN", "Q1", "COEX"),
-    "EX7N": ("ORIGIN", "Q1", "COEX"),
-    "EX8": ("ORIGIN", "M2_EX8", "COEX"),
-    "EX6": ("ORIGIN", "I2", "I3", "COEX"),
-    "CHAIN": ("ORIGIN", "W2", "W3", "COEX"),
-    "CONVERGE": ("ORIGIN", "X1", "X2", "Y3", "COEX"),
-    "DIVERGE": ("ORIGIN", "Z1", "Z2", "Z3", "COEX"),
+#: Each pattern's states but the origin (whose support is empty): label and
+#: closed support, in feed order (each patch after its feeders) if acyclic.
+_SUPPORTS = {
+    **dict.fromkeys(("FULL", "EX2", "HUB0", "EX3", "EX1"), (("COEX", (0, 1, 2)),)),
+    "EX2N": (("X_EX2N", (1,)), ("COEX", (0, 1, 2))),
+    **dict.fromkeys(("EX7", "EX7N"), (("Q1", (0, 2)), ("COEX", (0, 1, 2)))),
+    "EX8": (("M2_EX8", (0,)), ("COEX", (0, 1, 2))),
+    "EX6": (("I2", (0,)), ("I3", (2, 0)), ("COEX", (1, 2, 0))),
+    "CHAIN": (("W2", (2,)), ("W3", (1, 2)), ("COEX", (0, 1, 2))),
+    "CONVERGE": (("X1", (1,)), ("X2", (0, 1)), ("Y3", (2, 1)), ("COEX", (0, 2, 1))),
+    "DIVERGE": (("Z1", (0,)), ("Z2", (2,)), ("Z3", (0, 2)), ("COEX", (1, 0, 2))),
 }
+
+#: Equilibrium labels each topology can exhibit, the origin first.
+ADMITTED_LABELS = {topo: ("ORIGIN", *(label for label, _ in rows))
+                   for topo, rows in _SUPPORTS.items()}
 
 #: Stable label tokens for equilibrium records: every admitted label, in
 #: order of first appearance, then NUMERICAL.
@@ -337,8 +335,21 @@ def _parabola_intersection(qa, qb, scale: float):
     along it ``F(x) = qb(qa(x)) − x`` is negative at ``x0`` and grows
     quartically, so the intersection is a bracketed scalar root.
     Returns ``(x, y)`` with both ≥ 0; degenerates to ``(0, 0)`` when the
-    curves only meet at the origin.
+    curves only meet at the origin.  The upper bound doubles from
+    ``max(1, scale, 2·lo)`` until ``F`` is positive; past 80 doublings
+    (tiny leading coefficients), Brent's method gets the last doubling
+    alone.  Where the bound overflows first (``qa``'s discriminant
+    overflows, say), the crossing is sought along ``y`` instead.
     """
+    try:
+        return _branch_root(qa, qb, scale)
+    except BracketError:
+        y, x = _branch_root(qb, qa, scale)
+        return x, y
+
+
+def _branch_root(qa, qb, scale: float):
+    """``_parabola_intersection`` along ``x`` alone."""
     aa, ba, ga = qa
     ab, bb, gb = qb
 
@@ -363,13 +374,13 @@ def _parabola_intersection(qa, qb, scale: float):
         if F(probe) >= -tiny:
             return x0, max(0.0, fa(x0))
         lo, flo = probe, F(probe)
-    hi = max(1.0, scale, 2.0 * lo)
-    for _ in range(80):
-        if F(hi) > 0.0:
-            break
+    hi = start = max(1.0, scale, 2.0 * lo)
+    while not F(hi) > 0.0:
+        if hi == math.inf:
+            raise BracketError("parabola intersection bracket expansion failed")
         hi *= 2.0
-    else:  # pragma: no cover - quartic growth guarantees a sign change
-        raise BracketError("parabola intersection bracket expansion failed")
+    if hi > start * 2.0 ** 80:
+        lo = hi / 2.0
     x = _brentq(F, lo, hi, xtol=1e-15, rtol=8.9e-16)
     return x, max(0.0, fa(x))
 
@@ -516,19 +527,6 @@ def _cf_strong(c):
     return [(_descent_limit(c), "COEX", True)]
 
 
-#: The closed supports of each pattern whose strongly connected components
-#: are single patches: one catalog row per support, its label and its
-#: patches in feed order (each after every patch that feeds it).
-_SUPPORTS = {
-    "EX2N": (("X_EX2N", (1,)),),
-    "EX8": (("M2_EX8", (0,)),),
-    "EX6": (("I2", (0,)), ("I3", (2, 0)), ("COEX", (1, 2, 0))),
-    "CHAIN": (("W2", (2,)), ("W3", (1, 2)), ("COEX", (0, 1, 2))),
-    "CONVERGE": (("X1", (1,)), ("X2", (0, 1)), ("Y3", (2, 1)), ("COEX", (0, 2, 1))),
-    "DIVERGE": (("Z1", (0,)), ("Z2", (2,)), ("Z3", (0, 2)), ("COEX", (1, 0, 2))),
-}
-
-
 def _feed_order(rows, c):
     """The catalog rows of ``rows``, by the rule of ``closed_form_equilibria``.
 
@@ -561,21 +559,20 @@ def _feed_order(rows, c):
 
 def _one_way(topo):
     """``_feed_order`` bound to the rows of ``_SUPPORTS[topo]``, read off the
-    pattern's arcs."""
+    pattern's arcs.  Acyclic supports are listed in feed order and a cyclic
+    one has none, so a row where a patch is fed by a later one is skipped."""
     arcs = arcs_of_topology(topo)
     rows = [(label, [(i, [(PARAM_TOKENS.index(f"m{i + 1}{j + 1}"), j)
                           for j in sorted(patches) if (j, i) in arcs],
                       any(src == i for src, _ in arcs)) for i in patches])
-            for label, patches in _SUPPORTS[topo]]
+            for label, patches in _SUPPORTS[topo]
+            if not any((j, i) in arcs for n, i in enumerate(patches) for j in patches[n:])]
     return functools.partial(_feed_order, rows)
 
 
-_CLOSED_FORMS = {
-    **dict.fromkeys(("FULL", "EX2", "HUB0", "EX3", "EX1"), _cf_strong),
-    "EX7": _cf_ex7,
-    "EX7N": _cf_ex7,
-    **{topo: _one_way(topo) for topo in _SUPPORTS},
-}
+_CLOSED_FORMS = {topo: _cf_strong if is_strongly_connected(arcs_of_topology(topo))
+                 else _cf_ex7 if topo in ("EX7", "EX7N") else _one_way(topo)
+                 for topo in _SUPPORTS}
 
 
 def closed_form_equilibria(topo: str, params: ModelParams) -> list[EquilibriumRecord]:

@@ -61,6 +61,20 @@ class TestTranscriticalThresholds:
 
         div = transcritical_thresholds("DIVERGE", p)
         assert div == [("r2", m12 + m32, ("Z3", "COEX"))]
+        # CONVERGE lists the same pairs on each side of r1 = o1 = m21 and
+        # r3 = o3 = m23, and on both; so do EX7 and EX7N about o1 = m31 and
+        # o3 = m13, and DIVERGE, whose patches 1 and 3 have no outflow.
+        m23, m31 = p.m[1, 2], p.m[2, 0]
+        for f1, f3 in itertools.product((0.5, 1.0, 2.0), repeat=2):
+            q = with_param(with_param(p, "r1", float(f1 * m21)), "r3", float(f3 * m23))
+            assert transcritical_thresholds("CONVERGE", q) == [
+                ("r1", m21, ("X1", "X2")), ("r1", m21, ("Y3", "COEX")),
+                ("r3", m23, ("X1", "Y3")), ("r3", m23, ("X2", "COEX"))]
+            q = with_param(with_param(p, "r1", float(f1 * m31)), "r3", float(f3 * m13))
+            assert transcritical_thresholds("DIVERGE", q) == div
+            assert transcritical_thresholds("EX7", q) == [
+                ("r2", m12 + m32, ("Q1", "COEX"))]
+            assert transcritical_thresholds("EX7N", q) == [("r2", m32, ("Q1", "COEX"))]
 
     @pytest.mark.parametrize("topo", (
         "EX6", "CHAIN", "CONVERGE", "DIVERGE",
@@ -178,6 +192,22 @@ class TestTranscriticalThresholds:
         for tok in cut:
             p = with_param(p, tok, 0.0)
         assert token not in {tok for tok, _, _ in transcritical_thresholds(topo, p)}
+
+    @pytest.mark.parametrize("topo", TOPOLOGIES)
+    def test_pairs_name_admitted_labels(self, topo):
+        # On 200 draws, each also with every r_i set to its o_i.
+        admitted = set(equilibria.ADMITTED_LABELS[topo])
+        rng = np.random.default_rng([TOPOLOGIES.index(topo), 27])
+        for _ in range(200):
+            p = apply_topology(draw_params(rng), topo)
+            o = _coeffs(p)[12:15]
+            q = p
+            for i in range(3):
+                if o[i] > 0.0:
+                    q = with_param(q, f"r{i + 1}", o[i])
+            for params in (p, q):
+                for _, _, pair in transcritical_thresholds(topo, params):
+                    assert set(pair) <= admitted, pair
 
     def test_degenerate_denominator_is_skipped(self):
         p = draw_params(np.random.default_rng(6), m_lo=0.2)

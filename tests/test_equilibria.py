@@ -8,6 +8,7 @@ import itertools
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -185,6 +186,20 @@ def term_sizes(c, x):
 EPS = 2.0 ** -52
 
 
+def imbalance(c, point):
+    """The largest over patches of |f_i| over its largest term, exactly."""
+    c, x = [Fraction(v) for v in c], [Fraction(v) for v in point]
+    into = ((6, 1), (7, 2)), ((8, 0), (9, 2)), ((10, 0), (11, 1))
+    worst = Fraction(0)
+    for i in range(3):
+        terms = [c[i] * x[i], -c[i] * x[i] * x[i] / c[3 + i], -c[12 + i] * x[i],
+                 *(c[a] * x[j] for a, j in into[i])]
+        top = max(map(abs, terms))
+        if top:
+            worst = max(worst, abs(sum(terms)) / top)
+    return float(worst)
+
+
 class TestCoexistenceRoute:
     """The monotone descent from a super-solution and its Newton finish."""
 
@@ -298,28 +313,44 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("topo", TOPOLOGIES)
     def test_support_table_matches_the_arcs(self, topo):
-        # The closed supports whose strongly connected components are single
-        # patches, read off the arcs, are exactly the table's; each row lists
-        # a patch after every patch that feeds it, in ADMITTED_LABELS order.
+        # Each admitted label but the origin's (whose support is empty) has
+        # one row, in ADMITTED_LABELS order, on a closed support.  The rows
+        # whose support holds no cycle are exactly the closed supports whose
+        # strongly connected components are single patches, read off the
+        # arcs, and list a patch after every patch that feeds it.
         arcs = arcs_of_topology(topo)
-        want = set()
-        for size in (1, 2, 3):
-            for S in itertools.combinations(range(3), size):
-                if any(s in S and d not in S for s, d in arcs):
-                    continue  # an arc leaves S
-                reach = {(s, d) for s, d in arcs if s in S and d in S}
-                for _ in S:
-                    reach |= {(i, j) for i, a in reach for b, j in reach if a == b}
-                if not any((j, i) in reach for i, j in reach):
-                    want.add(frozenset(S))
-        rows = eq._SUPPORTS.get(topo, ())
-        assert {frozenset(patches) for _, patches in rows} == want
-        for label, patches in rows:
+
+        def closed(S):
+            return not any(s in S and d not in S for s, d in arcs)
+
+        def cyclic(S):
+            reach = {(s, d) for s, d in arcs if s in S and d in S}
+            for _ in S:
+                reach |= {(i, j) for i, a in reach for b, j in reach if a == b}
+            return any((j, i) in reach for i, j in reach)
+
+        want = {frozenset(S) for size in (1, 2, 3)
+                for S in itertools.combinations(range(3), size)
+                if closed(S) and not cyclic(S)}
+        rows = eq._SUPPORTS[topo]
+        labels = [label for label, _ in rows]
+        assert ADMITTED_LABELS[topo] == ("ORIGIN", *labels)
+        assert len(set(ADMITTED_LABELS[topo])) == len(ADMITTED_LABELS[topo])
+        assert set(dict(rows)["COEX"]) == {0, 1, 2}
+        assert all(closed(patches) for _, patches in rows)
+        acyclic = [(label, patches) for label, patches in rows if not cyclic(patches)]
+        assert {frozenset(patches) for _, patches in acyclic} == want
+        for label, patches in acyclic:
             for n, i in enumerate(patches):
                 feeders = {s for s, d in arcs if d == i and s in patches}
                 assert feeders <= set(patches[:n]), (label, patches)
-        labels = [label for label, _ in rows]
-        assert labels == sorted(labels, key=ADMITTED_LABELS[topo].index)
+
+    def test_equilibrium_labels_are_pinned(self):
+        # The order is public: it is the order of first appearance over
+        # ADMITTED_LABELS, then NUMERICAL.
+        assert EQUILIBRIUM_LABELS == (
+            "ORIGIN", "COEX", "X_EX2N", "Q1", "M2_EX8", "I2", "I3", "W2", "W3",
+            "X1", "X2", "Y3", "Z1", "Z2", "Z3", "NUMERICAL")
 
     def test_origin_is_always_first_and_exact(self):
         p = apply_topology(
@@ -349,6 +380,40 @@ class TestClosedForms:
         recs = find_all_equilibria(topo, p)
         assert [rec.label for rec in recs] == ["ORIGIN"]
         assert recs[0].residual == 0.0
+
+    @pytest.mark.parametrize("m31", [1e200, 1e250, 1e300])
+    def test_q1_where_a_discriminant_overflows(self, m31):
+        # Along x, qa's discriminant overflows; along y, qb's leading
+        # coefficient r3/(k3·m31) is tiny but the crossing is bracketed.
+        # Patch 3 holds near k3 and patch 1 near m13·k3/m31.
+        p = build([1.629, 0.820, 1.522], [4.988, 2.555, 4.266],
+                  (0.942, 0.923, 0.0, 0.0, m31, 0.598))
+        recs = {rec.label: rec for rec in closed_form_equilibria("EX7", p)}
+        q1 = recs["Q1"].point.tolist()
+        assert recs["Q1"].feasible and q1[1] == 0.0
+        assert q1[0] == pytest.approx(0.923 * 4.266 / m31, rel=1e-3)
+        assert q1[2] == pytest.approx(4.266, rel=1e-12)
+        assert imbalance(_coeffs(p), q1) <= 16 * EPS
+        # The oracle's absolute residual limit may miss such a point; then
+        # the merge names it instead of returning a table without it.
+        try:
+            table = find_all_equilibria("EX7", p)
+        except ConsistencyError:
+            return
+        assert any(rec.label == "Q1" and _gap(rec.point.tolist(), q1) < DEDUP_TOL
+                   for rec in table)
+
+    def test_coex_past_eighty_doublings(self):
+        # Growth far below outflow in patches 1 and 3 makes both leading
+        # coefficients r/(k·m) tiny and puts the crossing near x = 1e84,
+        # past 80 doublings of the bracket from max k.
+        p = build([1.629e-100, 10.0, 1.522e-100], [4.988, 2.555, 4.266],
+                  (0.942, 0.923, 0.0, 0.0, 0.598, 0.598))
+        recs = {rec.label: rec for rec in closed_form_equilibria("EX7", p)}
+        assert "Q1" not in recs
+        coex = recs["COEX"].point.tolist()
+        assert recs["COEX"].feasible and coex[0] > 1e80
+        assert imbalance(_coeffs(p), coex) <= 16 * EPS
 
 
 def reference_make_record(c, point, label, conditions_ok=True):

@@ -2,8 +2,9 @@
 
 ``tests/golden/<NAME>.json`` holds one configuration per topology;
 ``<NAME>.<verb>.out`` holds the stdout of ``tripatch <verb> --config
-<NAME>.json`` (``basin`` with ``--samples 20``), and ``verify.out`` that
-of ``tripatch verify --samples 200``.  A change that moves any number in
+<NAME>.json`` (``basin`` with ``--samples 20``), ``verify.out`` that
+of ``tripatch verify --samples 200``, and ``enumerate.out`` that of
+``tripatch enumerate``.  A change that moves any number in
 any of these files changes behaviour and must say so.
 
 Regenerate after an intended output change with
@@ -59,9 +60,14 @@ def test_verify_matches_golden():
     assert stdout_of(VERIFY).encode() == (GOLDEN / "verify.out").read_bytes()
 
 
+def test_enumerate_matches_golden():
+    assert stdout_of(["enumerate"]).encode() == (GOLDEN / "enumerate.out").read_bytes()
+
+
 if __name__ == "__main__":
     for name in NAMES:
         for verb in VERBS:
             (GOLDEN / f"{name}.{verb}.out").write_bytes(
                 render(name, verb).encode())
     (GOLDEN / "verify.out").write_bytes(stdout_of(VERIFY).encode())
+    (GOLDEN / "enumerate.out").write_bytes(stdout_of(["enumerate"]).encode())

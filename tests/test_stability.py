@@ -11,7 +11,7 @@ import pytest
 
 from helpers import symmetric_full
 from tripatch import stability
-from tripatch.equilibria import EquilibriumRecord, find_all_equilibria
+from tripatch.equilibria import ADMITTED_LABELS, EquilibriumRecord, find_all_equilibria
 from tripatch.model import ModelParams, ParameterError, _coeffs, _jac, with_param
 from tripatch.stability import (
     CharacteristicCoefficients,
@@ -413,6 +413,10 @@ class TestClassify:
         rec = find_all_equilibria("FULL", p)[0]
         with pytest.raises(ParameterError, match="unknown topology"):
             classify("BOGUS", rec, p)
+
+    def test_condition_rows_key_on_admitted_labels(self):
+        for topo, label in stability._CONDITION_TABLE:
+            assert label in ADMITTED_LABELS[topo], (topo, label)
 
     def test_stale_record_is_rejected(self):
         p = symmetric_full()
