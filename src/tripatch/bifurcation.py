@@ -1,12 +1,12 @@
 """Transcritical thresholds, the Hopf candidate, and one-parameter sweeps.
 
 Where a boundary equilibrium exchanges stability with a neighboring
-branch (a transcritical bifurcation), a patch's growth equals its total
-outflow, ``r_i = o_i``, on every pattern but EX8 and EX2N: one rule over
-the support table ``equilibria._SUPPORTS`` finds each locus (see
-transcritical_thresholds), while EX8 and EX2N take their 2×2 block's
-determinant boundary.  This module collects the loci analytically and,
-independently, detects the crossings numerically by sweeping one
+branch (a transcritical bifurcation), the Jacobian block at 0 of a source
+component C of its support gains a zero eigenvalue: ``r_i = o_i`` for one
+patch, ``det A_C = 0`` with a negative trace for EX8's and EX2N's 2×2
+blocks.  One rule over ``equilibria._SUPPORTS`` finds each locus (see
+transcritical_thresholds).  This module collects the loci analytically
+and, independently, detects the crossings numerically by sweeping one
 parameter (see :func:`sweep`).
 
 No pattern has an oscillatory (Hopf) onset from a stable state.  Every
@@ -18,8 +18,8 @@ EX8, advertised in the source material as a Hopf bifurcation, is one
 instance: at trace zero the 2×2 block has determinant −J22² − m23·m32 < 0
 for positive block rates, so the crossing eigenvalues are real and of
 opposite sign.  hopf_candidate() computes the candidate and labels its
-validity; the observable eigenvalue-zero locus nearby is the
-block-determinant boundary, which transcritical_thresholds() reports.
+validity; the observable locus is the block-determinant boundary with a
+negative trace, which transcritical_thresholds() reports.
 """
 
 from __future__ import annotations
@@ -91,42 +91,39 @@ def transcritical_thresholds(topo: str, params: ModelParams
     at the critical value of the token (all other parameters held at
     their current values) the two labeled equilibria collide and trade
     stability or feasibility.  For each state ``b`` on a closed support
-    ``S`` of ``equilibria._SUPPORTS`` and each patch ``i`` of ``S`` that no
-    patch of ``S`` feeds and that an arc leaves, ``r_i = o_i`` is listed
-    with ``(a, b)``: ``a`` is the state on ``S − {i}`` less, repeatedly,
-    each patch that had a feeder in ``S``, has none left and has
-    ``r_j < o_j``.  Entries are sorted stably by token; EX8 and EX2N list
-    their 2×2 block's determinant boundary instead.  Only values in
-    (0, inf), the domain of a rate, are listed.
+    ``S`` of ``equilibria._SUPPORTS``, each source component ``C`` of ``S``
+    (fed by no patch of ``S − C``) that an arc leaves and each ``x`` in
+    ``C``, the ``r_x`` where ``s(A_C)``, ``A_C = diag(r − o) + M`` on ``C``,
+    crosses 0 is listed: ``o_x`` for ``C = {x}``, and for ``C = {x, y}``
+    ``o_x + m_xy·m_yx/(r_y − o_y)`` where ``r_y < o_y`` (elsewhere the trace
+    is positive at ``det A_C = 0``).  Its partner ``a`` is the state on
+    ``S − C`` less, repeatedly, each patch that had a feeder in ``S``, has
+    none left and has ``r_j < o_j``.  Entries are sorted stably by token;
+    only values in (0, inf), the domain of a rate, are listed.
     """
     c = _coeffs(apply_topology(params, topo))
-    r1, r2, r3, k1, k2, k3, m12, m13, m21, m23, m31, m32, o1, o2, o3 = c
     arcs = arcs_of_topology(topo)
     feeders = [{s for s, d in arcs if d == j} for j in range(3)]
     label_of = {frozenset(patches): label for label, patches in _SUPPORTS[topo]}
+    m = {_ENTRY[t]: v for t, v in zip(PARAM_TOKENS[6:], c[6:12])}  # m[i, j] = m_ij
     out = []
     for S, label in label_of.items():
-        for i in S:
-            if feeders[i] & S or not any(s == i for s, _ in arcs):
+        # A patch with its two-way partners is its component or is fed from S − C.
+        for C in {frozenset({i, *(j for j in S if {(i, j), (j, i)} <= arcs)}) for i in S}:
+            if any(feeders[j] & (S - C) for j in C) or all(d in C for s, d in arcs if s in C):
                 continue
-            rest = S - {i}
+            rest = S - C
             while drop := {j for j in rest if feeders[j] & S and not feeders[j] & rest
                            and c[j] < c[12 + j]}:
                 rest -= drop
-            out.append((f"r{i + 1}", c[12 + i], (label_of[rest], label)))
-    if topo == "EX8":
-        # Determinant boundary of the 2×2 block at (k1, 0, 0), solved
-        # for r2; the trace boundary is the (degenerate) Hopf candidate.
-        den = r3 - m13 - m23
-        if abs(den) > 1e-12:
-            out = [("r2", m12 + m32 * (r3 - m13) / den, ("M2_EX8", "COEX"))]
-    elif topo == "EX2N":
-        # Determinant boundary of the 1–3 block at (0, k2, 0), solved
-        # for r1 (the block is sign-symmetric, so its eigenvalues are
-        # real and only real crossings occur).
-        den = m13 + m23 - r3
-        if abs(den) > 1e-12:
-            out = [("r1", m31 - m13 * m31 / den, ("X_EX2N", "COEX"))]
+            for x in sorted(C):
+                value = c[12 + x]
+                for y in C - {x}:
+                    if not c[y] < c[12 + y]:
+                        break  # the trace is positive at det A_C = 0
+                    value += m[x, y] * m[y, x] / (c[y] - c[12 + y])
+                else:
+                    out.append((f"r{x + 1}", value, (label_of[rest], label)))
     out.sort(key=lambda t: t[0])
     # 0 where every rate in a formula is cut, inf where a sum overflows.
     return [t for t in out if 0.0 < t[1] < math.inf]

@@ -30,13 +30,13 @@ def ex1_ring(rate: float = 2.0) -> ModelParams:
     return ModelParams(np.full(3, 3.0), np.ones(3), m)
 
 
-#: Known defect, left for the one threshold rule of ROADMAP item 4: fixing
-#: it changes which thresholds the sweep benchmark workload runs.
-NO_EXCHANGE = pytest.mark.xfail(raises=AssertionError, reason=(
-    "EX8 and EX2N list det A_C = 0 of their {2,3} and {1,3} blocks as an "
-    "exchange with COEX, but where that block's trace is positive COEX exists "
-    "on both sides and the listed pair lies far apart (rng 606, 30 draws: 15 "
-    "of 25 EX8 and 15 of 18 EX2N thresholds)"))
+def pair_gap(topo, params, pair):
+    """Max-norm distance between the two labeled records of ``pair``, or
+    None where the table lacks one of them."""
+    at = {r.label: r.point for r in find_all_equilibria(topo, params)}
+    if not set(pair) <= set(at):
+        return None
+    return float(np.max(np.abs(at[pair[0]] - at[pair[1]])))
 
 
 class TestTranscriticalThresholds:
@@ -75,95 +75,118 @@ class TestTranscriticalThresholds:
             assert transcritical_thresholds("EX7", q) == [
                 ("r2", m12 + m32, ("Q1", "COEX"))]
             assert transcritical_thresholds("EX7N", q) == [("r2", m32, ("Q1", "COEX"))]
-
-    @pytest.mark.parametrize("topo", (
-        "EX6", "CHAIN", "CONVERGE", "DIVERGE",
-        *(pytest.param(topo, marks=NO_EXCHANGE) for topo in ("EX8", "EX2N"))))
-    def test_listed_pairs_meet_at_the_value(self, topo):
-        # Wherever both labels of a listed pair exist at the critical value,
-        # they are one point up to the solvers' round-off.
-        rng = np.random.default_rng(606)
-        met = 0
-        for _ in range(30):
-            p = apply_topology(draw_params(rng), topo)
-            for tok, val, pair in transcritical_thresholds(topo, p):
-                at = {r.label: r.point for r in
-                      find_all_equilibria(topo, with_param(p, tok, val))}
-                if set(pair) <= set(at):
-                    gap = float(np.max(np.abs(at[pair[0]] - at[pair[1]])))
-                    assert gap <= 1e-5, (tok, val, pair, gap)
-                    met += 1
-        assert met >= 30
+        # EX8's {2,3} and EX2N's {1,3} blocks list r_x = o_x + m_xy·m_yx/(r_y − o_y)
+        # for each patch x of the block, only where r_y < o_y, below, at and
+        # above each o.
+        for topo, x, y, boundary in (("EX8", 1, 2, "M2_EX8"), ("EX2N", 0, 2, "X_EX2N")):
+            pair = (boundary, "COEX")
+            o = _coeffs(apply_topology(p, topo))[12:]
+            for fx, fy in itertools.product((0.1, 1.0, 2.0), repeat=2):
+                q = apply_topology(with_param(with_param(
+                    p, f"r{x + 1}", fx * o[x]), f"r{y + 1}", fy * o[y]), topo)
+                r, product = q.r, q.m[x, y] * q.m[y, x]
+                want = [(f"r{i + 1}", o[i] + product / (r[j] - o[j]), pair)
+                        for i, j in ((x, y), (y, x)) if r[j] < o[j]]
+                assert transcritical_thresholds(topo, q) == [t for t in want if t[1] > 0.0]
 
     @pytest.mark.parametrize("topo", ("EX6", "CHAIN", "CONVERGE", "DIVERGE",
-                                      "EX7", "EX7N"))
+                                      "EX8", "EX2N"))
+    def test_listed_pairs_meet_at_the_value(self, topo):
+        # Wherever both labels of a listed pair exist at the critical value,
+        # they are one point up to the solvers' round-off.  EX8 and EX2N have
+        # no catalog COEX, and at the value their table holds one of the two
+        # records; there the pair meets in the limit instead: at value·(1 ± δ),
+        # on each side where both exist, the gap falls at least 5× from
+        # δ = 1e-4 to 1e-5.
+        rng = np.random.default_rng(606)
+        block = topo in ("EX8", "EX2N")
+        met = 0
+        for _ in range(90 if block else 30):
+            p = apply_topology(draw_params(rng), topo)
+            for tok, val, pair in transcritical_thresholds(topo, p):
+                if not block:
+                    gap = pair_gap(topo, with_param(p, tok, val), pair)
+                    if gap is not None:
+                        assert gap <= 1e-5, (tok, val, pair, gap)
+                        met += 1
+                    continue
+                checked = False
+                for side in (-1.0, 1.0):
+                    far, near = (pair_gap(topo, with_param(p, tok, val * (1.0 + side * d)), pair)
+                                 for d in (1e-4, 1e-5))
+                    if far is not None and near is not None:
+                        assert near * 5.0 <= far, (tok, val, pair, side, far, near)
+                        checked = True
+                met += checked
+        assert met >= (15 if block else 30)
+
+    @pytest.mark.parametrize("topo", ("EX6", "CHAIN", "CONVERGE", "DIVERGE",
+                                      "EX7", "EX7N", "EX8", "EX2N"))
     def test_thresholds_really_are_zero_eigenvalue_loci(self, topo):
         # Pinning the token at its critical value must put an exact (or
         # near-exact) zero eigenvalue on at least one of the named
         # branches.  A pair can be absent entirely when a different
         # existence condition fails at the draw (square root of a
         # negative number); those loci are skipped but must not
-        # dominate.
+        # dominate.  On EX8 and EX2N the first label's state has A_C as
+        # its whole block off the support, so the zero is there.
         rng = np.random.default_rng(3)
+        block = topo in ("EX8", "EX2N")
         verified = 0
-        for _ in range(5):
+        for _ in range(40 if block else 5):
             p = apply_topology(draw_params(rng, m_lo=0.2), topo)
             for tok, val, pair in transcritical_thresholds(topo, p):
                 q = with_param(p, tok, float(val))
                 recs = {r.label: r for r in find_all_equilibria(topo, q)}
-                hits = []
+                hits = {}
                 for label in pair:
                     if label not in recs:
                         continue
                     rep = classify(topo, recs[label], q)
                     scale = max(abs(z) for z in rep.eigenvalues) + 1.0
-                    hits.append(min(abs(z.real) for z in rep.eigenvalues)
-                                <= 1e-8 * scale)
+                    hits[label] = (min(abs(z.real) for z in rep.eigenvalues)
+                                   <= 1e-8 * scale)
+                if block:
+                    assert hits.get(pair[0]), f"{topo} {tok}={val}: no zero on {pair[0]}"
                 if not hits:
                     continue
                 verified += 1
-                assert any(hits), (
+                assert any(hits.values()), (
                     f"{topo} {tok}={val}: no zero eigenvalue on {pair}"
                 )
         assert verified >= 5, f"only {verified} loci had live branches"
 
-    def test_one_source_determinant_boundary(self):
-        # Solving the 2x2 block determinant for r2 must zero an
-        # eigenvalue of the patch-1-at-capacity state.
-        rng = np.random.default_rng(4)
-        found = 0
-        for _ in range(20):
-            p = apply_topology(draw_params(rng, m_lo=0.2), "EX8")
-            thr = transcritical_thresholds("EX8", p)
-            if not thr:
-                continue
-            tok, val, pair = thr[0]
-            assert (tok, pair) == ("r2", ("M2_EX8", "COEX"))
-            q = with_param(p, "r2", float(val))
-            recs = {r.label: r for r in find_all_equilibria("EX8", q)}
-            rep = classify("EX8", recs["M2_EX8"], q)
-            scale = max(abs(z) for z in rep.eigenvalues) + 1.0
-            assert min(abs(z.real) for z in rep.eigenvalues) <= 1e-8 * scale
-            found += 1
-        assert found >= 10, f"only {found} admissible boundary draws"
-
-    def test_one_sink_determinant_boundary(self):
+    @pytest.mark.parametrize("topo", ("EX8", "EX2N"))
+    def test_block_rule_against_the_removed_formulas(self, topo):
+        # 3000 draws (rng 5).  Where both list a value, EX8's r2 and EX2N's
+        # r1 equal the per-pattern formulas the rule replaced to rounding:
+        # each is a sum of two terms, so within 32 ulps of the largest of
+        # them and of o_x.  Every listed value has a negative block trace
+        # at det A_C = 0.
+        block = {"EX8": {1, 2}, "EX2N": {0, 2}}[topo]
         rng = np.random.default_rng(5)
-        found = 0
-        for _ in range(20):
-            p = apply_topology(draw_params(rng, m_lo=0.2), "EX2N")
-            thr = transcritical_thresholds("EX2N", p)
-            if not thr:
+        compared, worst = 0, 0.0
+        for _ in range(3000):
+            p = apply_topology(draw_params(rng), topo)
+            c = _coeffs(p)
+            r3, m12, m13, m23, m31, m32 = c[2], *c[6:8], *c[9:12]
+            listed = {}
+            for tok, val, _ in transcritical_thresholds(topo, p):
+                x = int(tok[1]) - 1
+                (y,) = block - {x}
+                assert (val - c[12 + x]) + (c[y] - c[12 + y]) < 0.0, (tok, val)
+                listed[tok] = val
+            x, lead, num, den = ((1, m12, m32 * (r3 - m13), r3 - m13 - m23) if topo == "EX8"
+                                 else (0, m31, -m13 * m31, m13 + m23 - r3))
+            if f"r{x + 1}" not in listed or abs(den) <= 1e-12:
                 continue
-            tok, val, pair = thr[0]
-            assert (tok, pair) == ("r1", ("X_EX2N", "COEX"))
-            q = with_param(p, "r1", float(val))
-            recs = {r.label: r for r in find_all_equilibria("EX2N", q)}
-            rep = classify("EX2N", recs["X_EX2N"], q)
-            scale = max(abs(z) for z in rep.eigenvalues) + 1.0
-            assert min(abs(z.real) for z in rep.eigenvalues) <= 1e-8 * scale
-            found += 1
-        assert found >= 10, f"only {found} admissible boundary draws"
+            removed = lead + num / den
+            if 0.0 < removed < math.inf:
+                scale = math.ulp(max(abs(lead), abs(num / den), c[12 + x]))
+                worst = max(worst, abs(listed[f"r{x + 1}"] - removed) / scale)
+                compared += 1
+        assert worst <= 32.0, worst
+        assert compared >= 500, compared
 
     @pytest.mark.parametrize("topo", ("EX6", "EX7", "EX7N", "EX8", "EX2N",
                                       "CHAIN", "CONVERGE", "DIVERGE"))
@@ -210,9 +233,11 @@ class TestTranscriticalThresholds:
                     assert set(pair) <= admitted, pair
 
     def test_degenerate_denominator_is_skipped(self):
-        p = draw_params(np.random.default_rng(6), m_lo=0.2)
-        p = with_param(p, "r3", float(p.m[0, 2] + p.m[1, 2]))
-        assert transcritical_thresholds("EX8", p) == []
+        # At r3 = o3 exactly, det A_C = 0 has no root in r2; r3 itself may
+        # still be listed.
+        p = apply_topology(draw_params(np.random.default_rng(6), m_lo=0.2), "EX8")
+        p = with_param(p, "r3", _coeffs(p)[14])
+        assert "r2" not in {tok for tok, _, _ in transcritical_thresholds("EX8", p)}
 
 
 class TestHopfCandidate:
@@ -375,16 +400,21 @@ class TestCrossingTerms:
 
     def test_one_rate_dwarfing_the_others(self):
         # r1 ≈ 1e4 against rates ≈ 1: the crossing eigenvalue stays inside
-        # 1e-9·|λ|max over most of the grid, but det J changes sign at
-        # the threshold.  A search on the eigenvalue's sign missed it by 403.
+        # 1e-9·|λ|max over most of the grid, but det J changes sign where
+        # det A_C = 0 on X_EX2N's 1–3 block.  A search on the eigenvalue's
+        # sign missed it by 403.  With r3 > o3 the block's trace is positive
+        # there, so no branch exchanges and transcritical_thresholds lists
+        # nothing: the value is solved here.
         p = apply_topology(ModelParams(
             np.array([4.172034689150015, 4.828948085455452, 2.1286569165286138]),
             np.array([4.2779510689306015, 2.656552418585041, 2.4988733861920096]),
             np.array([[0.0, 0.0, 1.8612557460273338],
                       [0.0, 0.0, 0.26717878041521637],
                       [1.302408824705061, 0.0, 0.0]])), "EX2N")
-        [(tok, thr, _)] = transcritical_thresholds("EX2N", p)
-        assert tok == "r1" and thr == pytest.approx(10901.59, abs=0.01)
+        r3, m13, m23, m31 = p.r[2], p.m[0, 2], p.m[1, 2], p.m[2, 0]
+        thr = float(m31 - m13 * m31 / (m13 + m23 - r3))
+        assert thr == pytest.approx(10901.59, abs=0.01)
+        assert r3 > m13 + m23 and transcritical_thresholds("EX2N", p) == []
         recs = sweep("EX2N", p, "r1", 0.52 * thr, 1.48 * thr, 14)
         cross = self.crossings(recs, "X_EX2N")
         assert len(cross) == 1
@@ -648,7 +678,9 @@ class TestBisectionOnTuples:
         rng = np.random.default_rng(["EX6", "EX7", "EX7N", "EX8", "EX2N", "CHAIN",
                                      "CONVERGE", "DIVERGE"].index(topo) + 70)
         evals = 0
-        for _ in range(3):
+        # EX2N lists its block's values only where they exchange: none in
+        # its first ten draws.
+        for _ in range(12 if topo == "EX2N" else 3):
             p = apply_topology(draw_params(rng, m_lo=0.1), topo)
             for tok, thr, _ in transcritical_thresholds(topo, p):
                 evals += self.sweep_both(monkeypatch, topo, p, tok,

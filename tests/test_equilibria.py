@@ -1148,7 +1148,7 @@ class TestNegativeStreakTables:
 
     def test_near_threshold_draws(self, monkeypatch):
         cases = near_threshold_draws()
-        assert len(cases) == 620
+        assert len(cases) == 532
         self.assert_same_tables(monkeypatch, [(t, p, 0) for t, p in cases])
 
     @pytest.mark.parametrize("rate", [1e-9, 1e-12])
