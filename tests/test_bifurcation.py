@@ -156,6 +156,45 @@ class TestTranscriticalThresholds:
                 )
         assert verified >= 5, f"only {verified} loci had live branches"
 
+    def test_one_source_determinant_boundary(self):
+        # Solving the 2x2 block determinant for r2 must zero an
+        # eigenvalue of the patch-1-at-capacity state.  r2 is listed only
+        # where r3 < o3, so 60 draws give the 10 boundaries 20 gave when
+        # it was listed on every draw.
+        rng = np.random.default_rng(4)
+        found = 0
+        for _ in range(60):
+            p = apply_topology(draw_params(rng, m_lo=0.2), "EX8")
+            for tok, val, pair in transcritical_thresholds("EX8", p):
+                assert tok in ("r2", "r3") and pair == ("M2_EX8", "COEX")
+                if tok != "r2":
+                    continue
+                q = with_param(p, "r2", float(val))
+                recs = {r.label: r for r in find_all_equilibria("EX8", q)}
+                rep = classify("EX8", recs["M2_EX8"], q)
+                scale = max(abs(z) for z in rep.eigenvalues) + 1.0
+                assert min(abs(z.real) for z in rep.eigenvalues) <= 1e-8 * scale
+                found += 1
+        assert found >= 10, f"only {found} admissible boundary draws"
+
+    def test_one_sink_determinant_boundary(self):
+        # As above for EX2N's r1, listed only where r3 < o3.
+        rng = np.random.default_rng(5)
+        found = 0
+        for _ in range(60):
+            p = apply_topology(draw_params(rng, m_lo=0.2), "EX2N")
+            for tok, val, pair in transcritical_thresholds("EX2N", p):
+                assert tok in ("r1", "r3") and pair == ("X_EX2N", "COEX")
+                if tok != "r1":
+                    continue
+                q = with_param(p, "r1", float(val))
+                recs = {r.label: r for r in find_all_equilibria("EX2N", q)}
+                rep = classify("EX2N", recs["X_EX2N"], q)
+                scale = max(abs(z) for z in rep.eigenvalues) + 1.0
+                assert min(abs(z.real) for z in rep.eigenvalues) <= 1e-8 * scale
+                found += 1
+        assert found >= 10, f"only {found} admissible boundary draws"
+
     @pytest.mark.parametrize("topo", ("EX8", "EX2N"))
     def test_block_rule_against_the_removed_formulas(self, topo):
         # 3000 draws (rng 5).  Where both list a value, EX8's r2 and EX2N's
